@@ -7,10 +7,10 @@
 //!   folds every injection site away; the residual is the per-epoch
 //!   `catch_unwind` and the integrity recount, expected within noise).
 //! * `modeled-fail-stop` vs `modeled-tolerant-noop` — the full modeled
-//!   runner with recovery disabled vs enabled-but-idle (epoch
-//!   retention, timeout sends, the per-epoch result channel). This is
-//!   the acceptance bound from the issue: NoopFaults + recovery must
-//!   stay within noise of the fail-stop baseline.
+//!   runner with recovery disabled vs enabled-but-idle. Both share one
+//!   epoch engine and differ only in what a lost epoch does, so
+//!   NoopFaults + recovery must stay within noise of the fail-stop
+//!   baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dift_dbi::{Engine, Tool};

@@ -3,10 +3,10 @@
 //! Three families of numbers behind `report resilience`
 //! (`BENCH_resilience.json`):
 //!
-//! * **zero-fault overhead** — the tolerance machinery (epoch retention,
-//!   timeout sends, result channels, validation) measured with
-//!   [`NoopFaults`] and recovery enabled, against the plain fail-stop
-//!   runner. The *modeled* ratio is deterministic and must be exactly
+//! * **zero-fault overhead** — the tolerance machinery (per-epoch
+//!   `catch_unwind`, the record-count integrity check, the recovery
+//!   bookkeeping) measured with [`NoopFaults`] and recovery enabled,
+//!   against the plain fail-stop runner. The *modeled* ratio is deterministic and must be exactly
 //!   1.0 (the timing model charges recovery work only for epochs that
 //!   were actually lost); the wall-clock ratio on the stream path is
 //!   recorded for context but not gated (host-dependent).

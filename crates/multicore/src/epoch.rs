@@ -3,58 +3,53 @@
 //! The single-helper offload ([`crate::helper::run_helper_dift`]) leaves
 //! the helper a serial consumer: its clock lower-bounds completion no
 //! matter how fast the channel is. This module fans propagation out:
-//! the effects stream is split into fixed-size **epochs**, whole epochs
-//! are steered round-robin to N shard threads, and each shard computes
-//! its epochs' *taint transfer summaries* (`dift_taint::summary`) — the
-//! epoch's output labels over symbolic unknown incoming labels, which
-//! requires no upstream taint state and therefore no inter-shard
+//! the effects stream is split into fixed-size **epochs**, and each epoch
+//! is summarized into a *taint transfer summary* (`dift_taint::summary`)
+//! — the epoch's output labels over symbolic unknown incoming labels,
+//! which requires no upstream taint state and therefore no inter-shard
 //! coordination. A cheap sequential composition pass then stitches the
 //! summaries in epoch order, producing results **bit-identical** to the
 //! serial engine: labels, alerts (with origins), output lineage, and
 //! exact peak statistics.
 //!
-//! Two independent views of the same fan-out:
+//! Summaries are computed by the crate's epoch engine (`engine.rs`): a
+//! worker pool that claims epochs from a shared counter, plus the
+//! recovery ladder of DESIGN.md §11, shared with
+//! [`crate::lineage_shard`]. This module supplies the taint analysis and
+//! the composition, and two views of the same fan-out:
 //!
-//! * **Real parallelism** — shard threads genuinely run on other cores
-//!   ([`run_epoch_dift`] with threads, [`epoch_process_stream`] for a
-//!   pre-captured stream), so wall-clock analysis throughput scales
-//!   with cores.
-//! * **Modeled timing** — [`EpochModel`] extends [`ChannelModel`] with a
-//!   fan-out steering cost, per-shard bounded queues
-//!   ([`MultiQueueSim`]), and a per-epoch composition charge at the
-//!   barrier; reported cycles stay deterministic and host-independent.
+//! * **Real parallelism** — [`epoch_process_stream`] summarizes a
+//!   pre-captured stream on worker threads, so wall-clock analysis
+//!   throughput scales with cores.
+//! * **Modeled timing** — [`run_epoch_dift`] runs the VM under an
+//!   [`EpochModel`] cost layer that charges enqueue, fan-out steering and
+//!   per-shard stalls ([`MultiQueueSim`]) and buffers the records; each
+//!   time a window of whole epochs (32 Ki records) fills, the VM pauses
+//!   while the engine summarizes it and the summaries are composed, so
+//!   memory stays bounded however long the run. Reported cycles stay
+//!   deterministic and host-independent; in wall-clock the VM and the
+//!   summarization take turns, not overlapped.
 //!
 //! ## Fault tolerance
 //!
-//! Because an epoch summary is a pure function of the epoch's records
-//! and its I/O base, a lost epoch is recomputable anywhere with
-//! bit-identical results. [`run_epoch_dift_tolerant`] exploits that:
-//! shard panics are caught per epoch, stalled shards are detected by
-//! progress watermarks and abandoned, surviving summaries must pass a
-//! record-count integrity check, and whatever is lost is re-summarized
-//! on spare shards ([`RecoveryPolicy::max_retries`] rounds) and finally
-//! inline on the main thread — the graceful degradation to serial DIFT,
-//! which cannot fail. Faults themselves are injected deterministically
-//! through a [`FaultPlan`] ([`NoopFaults`] by default, which compiles
-//! every injection site away). See DESIGN.md §11.
+//! An epoch summary is a pure function of the epoch's records and its
+//! I/O base, so a lost epoch is recomputable anywhere with bit-identical
+//! results. Faults are injected deterministically through a
+//! [`FaultPlan`] ([`NoopFaults`] by default, which compiles every
+//! injection site away) at each epoch's home shard `e % workers`; the
+//! [`RecoveryPolicy`] chooses between fail-stop and recovery. See
+//! DESIGN.md §11.
 
 use crate::channel::{ChannelModel, MultiQueueSim};
-use crate::faultplan::{FaultPlan, FaultSite, NoopFaults, INJECTED_PANIC_MARKER};
-use crate::helper::{panic_message, DiftRun, MulticoreStats, BATCH_SIZE};
+use crate::engine::{EpochAnalysis, Ladder};
+use crate::faultplan::{FaultPlan, NoopFaults};
+use crate::helper::{DiftRun, MulticoreStats};
 use crate::resilience::{RecoveryPolicy, RecoveryStats};
-use crossbeam::channel as xbeam;
 use dift_dbi::{Engine, Tool};
 use dift_obs::{Metric, NoopRecorder, Recorder};
-use dift_taint::{
-    summarize_epoch, EpochSummarizer, EpochSummary, IoBase, TaintEngine, TaintLabel, TaintPolicy,
-};
-use dift_vm::{Machine, RunResult, StepEffects};
-use std::collections::HashMap;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread;
-use std::time::{Duration, Instant};
+use dift_taint::{summarize_epoch, EpochSummary, IoBase, TaintEngine, TaintLabel, TaintPolicy};
+use dift_vm::{Machine, StepEffects};
+use std::marker::PhantomData;
 
 /// Timing model of the epoch-parallel offload.
 #[derive(Clone, Copy, Debug)]
@@ -110,184 +105,63 @@ impl EpochModel {
     }
 }
 
-/// One physical channel send: a batch of records belonging to a single
-/// epoch. The first batch of an epoch carries the per-channel I/O counts
-/// of the stream prefix (a label-independent fact the producer tracks),
-/// which the shard needs to seed global source/output indices. Records
-/// travel behind an `Arc` so the producer can retain the epoch for
-/// recovery without copying the stream.
-struct ShardBatch {
-    epoch: usize,
-    base: Option<IoBase>,
-    records: Arc<Vec<StepEffects>>,
+/// Taint propagation as an epoch analysis: an epoch's summary is its
+/// taint transfer function.
+struct TaintEpochs<T> {
+    policy: TaintPolicy,
+    label: PhantomData<fn() -> T>,
 }
 
-/// What a shard reports back to the runner over the results channel.
-/// Per-epoch messages (instead of one bulk return at join) are what let
-/// completed epochs survive the death of their shard.
-enum ShardMsg<T: TaintLabel> {
-    /// An epoch's finished summary, with the shard's busy nanos for it
-    /// (0 unless a live recorder asked for timing). The shard is implied:
-    /// the runner only cares which epoch came back. Boxed so the channel
-    /// moves a pointer, not the whole summary arena header.
-    Epoch { epoch: usize, summary: Box<EpochSummary<T>>, nanos: u64 },
-    /// An epoch was lost on this shard (panic caught, or a protocol
-    /// violation like a missing I/O base); the shard moves on.
-    Failed { shard: usize, epoch: usize, msg: String },
-    /// The shard drained its queue and exited cleanly.
-    Done { shard: usize, faults: u64 },
-}
+impl<T: TaintLabel + Send> EpochAnalysis for TaintEpochs<T> {
+    type Summary = EpochSummary<T>;
 
-/// Shared per-shard progress ledger for stall detection.
-struct ShardState {
-    /// Batches drained so far — the progress watermark.
-    batches: AtomicU64,
-    /// Epoch the shard last started (`u64::MAX` before the first).
-    epoch: AtomicU64,
-    /// Set by the runner to tell an abandoned (wedged) shard to exit.
-    abandon: AtomicBool,
-}
+    fn summarize(&self, _epoch: usize, records: &[StepEffects], base: &IoBase) -> EpochSummary<T> {
+        summarize_epoch(records, self.policy, base)
+    }
 
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            batches: AtomicU64::new(0),
-            epoch: AtomicU64::new(u64::MAX),
-            abandon: AtomicBool::new(false),
-        }
+    fn instrs(summary: &EpochSummary<T>) -> u64 {
+        summary.instrs()
     }
 }
 
-/// An epoch the producer kept for possible re-summarization: its I/O
-/// base, its batches (shared `Arc`s, so retention is pointer-cheap), the
-/// record count (the integrity oracle), and the shard it was steered to.
-struct RetainedEpoch {
-    base: IoBase,
-    batches: Vec<Arc<Vec<StepEffects>>>,
-    records: u64,
-    shard: Option<usize>,
-}
-
-/// Tool that splits the effects stream into epochs and ships each epoch
-/// to its round-robin shard, charging the fan-out timing model. Generic
-/// over a [`FaultPlan`] so the producer-side injection sites (message
-/// drops) monomorphize away under [`NoopFaults`].
-struct EpochOffloader<R: Recorder, F: FaultPlan> {
+/// The cost layer of [`run_epoch_dift`]: a tool that charges every step's
+/// enqueue and fan-out steering plus any stall on its epoch's home shard
+/// queue (`epoch % workers`; other shards never block the producer), and
+/// buffers the step's record. Each full window of records goes through
+/// the engine and is composed before the buffer is reused.
+struct EpochCost<T: TaintLabel, R: Recorder, F> {
     obs: R,
-    faults: F,
-    /// Producer-side injected faults that actually fired.
-    faults_fired: u64,
-    txs: Vec<Option<xbeam::Sender<ShardBatch>>>,
-    batch: Vec<StepEffects>,
-    batches: u64,
     queues: MultiQueueSim,
     model: EpochModel,
-    /// Steps shipped so far (the epoch counter's numerator).
-    seen: u64,
-    /// Current epoch (`usize::MAX` until the first step).
-    cur_epoch: usize,
-    /// Live shard the current epoch is steered to (`None` if every
-    /// shard is dead — the epoch is then recovered from retention).
-    cur_shard: Option<usize>,
-    /// Injected fault: drop the current epoch's channel traffic.
-    cur_drop: bool,
-    /// Keep every epoch's batches for recovery (tolerant or armed runs).
-    retain: bool,
-    retained: Vec<RetainedEpoch>,
-    /// With recovery enabled, sends time out after this long instead of
-    /// blocking forever on a wedged shard's full queue.
-    send_deadline: Option<Duration>,
-    /// Running per-channel I/O counts through the current position.
-    running: IoBase,
-    /// Snapshot of `running` at the current epoch's start.
-    epoch_base: IoBase,
-    /// Whether the next flush is the epoch's first (must carry the base).
-    need_base: bool,
+    ladder: Ladder<TaintEpochs<T>, F>,
+    /// Records of the window not yet summarized.
+    window: Vec<StepEffects>,
+    /// Records of the windows already summarized.
+    summarized: usize,
+    engine: TaintEngine<T>,
 }
 
-impl<R: Recorder, F: FaultPlan> EpochOffloader<R, F> {
-    /// First live shard at or after the epoch's round-robin home.
-    fn pick_shard(&self, epoch: usize) -> Option<usize> {
-        let n = self.txs.len();
-        (0..n).map(|k| (epoch + k) % n).find(|&s| self.txs[s].is_some())
-    }
-
+impl<T: TaintLabel + Send, R: Recorder, F: FaultPlan> EpochCost<T, R, F> {
+    /// Summarize the buffered window and compose it, in epoch order.
     fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let records = Arc::new(std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH_SIZE)));
-        let base = self.need_base.then(|| self.epoch_base.clone());
-        self.need_base = false;
-        if self.retain {
-            let r = &mut self.retained[self.cur_epoch];
-            r.records += records.len() as u64;
-            r.batches.push(Arc::clone(&records));
-        }
-        if F::ARMED && self.cur_drop {
-            return; // injected fault: the epoch's traffic never arrives
-        }
-        let Some(shard) = self.cur_shard else { return };
-        let Some(tx) = &self.txs[shard] else { return };
-        let batch = ShardBatch { epoch: self.cur_epoch, base, records };
-        let sent = match self.send_deadline {
-            Some(deadline) => match tx.send_timeout(batch, deadline) {
-                Ok(()) => true,
-                Err(_) => {
-                    // Full past the stall timeout (or receiver gone):
-                    // the shard is wedged or dead. Stop feeding it; its
-                    // epochs come back through recovery.
-                    self.txs[shard] = None;
-                    false
-                }
-            },
-            None => tx.send(batch).is_ok(),
-        };
-        if sent {
-            self.batches += 1;
-            if R::ENABLED {
-                self.obs.add(Metric::McBatches, 1);
+        let summaries = self.ladder.run(&self.window, &mut self.obs);
+        self.summarized += self.window.len();
+        self.window.clear();
+        // Composition: summaries splice in epoch order; the result is
+        // bit-identical to serial processing (see DESIGN.md §9 and §11).
+        self.obs.timed(Metric::McComposeNanos, || {
+            for s in summaries {
+                self.engine.apply_summary(&s);
             }
-        }
+        });
     }
 }
 
-impl<R: Recorder, F: FaultPlan> Tool for EpochOffloader<R, F> {
+impl<T: TaintLabel + Send, R: Recorder, F: FaultPlan> Tool for EpochCost<T, R, F> {
     fn after(&mut self, m: &mut Machine, fx: &StepEffects) {
-        let e = (self.seen / self.model.epoch_len as u64) as usize;
-        if e != self.cur_epoch {
-            // Epoch boundary: ship the previous epoch's tail before any
-            // record of the new one, then snapshot the I/O counts the
-            // new epoch's summarizer must be seeded with.
-            self.flush();
-            self.cur_epoch = e;
-            self.epoch_base = self.running.clone();
-            self.need_base = true;
-            self.cur_shard = self.pick_shard(e);
-            self.cur_drop = false;
-            if F::ARMED {
-                if let Some(shard) = self.cur_shard {
-                    if self.faults.fires(FaultSite::DropMessage, shard, e) {
-                        self.cur_drop = true;
-                        self.faults_fired += 1;
-                    }
-                }
-            }
-            if self.retain {
-                self.retained.push(RetainedEpoch {
-                    base: self.epoch_base.clone(),
-                    batches: Vec::new(),
-                    records: 0,
-                    shard: self.cur_shard,
-                });
-            }
-        }
-        // Producer cost: enqueue + shard steering, plus any stall from
-        // *this* epoch's shard queue (other shards never block it). The
-        // model always charges the round-robin home shard, so modeled
-        // stats are identical whatever the real channels do.
         m.charge(self.model.chan.enqueue_cycles + self.model.fanout_cycles);
-        let shard = self.cur_epoch % self.queues.shards();
+        let epoch = (self.summarized + self.window.len()) / self.model.epoch_len;
+        let shard = epoch % self.queues.shards();
         let stall = self.queues.enqueue(shard, m.cycles());
         if stall > 0 {
             m.charge(stall);
@@ -297,167 +171,11 @@ impl<R: Recorder, F: FaultPlan> Tool for EpochOffloader<R, F> {
             self.obs.add(Metric::McStallCycles, stall);
             self.obs.observe(Metric::McQueueDepth, self.queues.depth(shard) as u64);
         }
-        self.batch.push(fx.clone());
-        if let Some((ch, _)) = fx.input {
-            *self.running.inputs.entry(ch).or_insert(0) += 1;
-        }
-        if let Some((ch, _)) = fx.output {
-            *self.running.outputs.entry(ch).or_insert(0) += 1;
-        }
-        self.seen += 1;
-        if self.batch.len() >= BATCH_SIZE || stall > 0 || fx.spawned.is_some() {
+        self.window.push(fx.clone());
+        if self.window.len() == self.ladder.window_records() {
             self.flush();
         }
     }
-
-    fn on_finish(&mut self, _m: &mut Machine, _r: &RunResult) {
-        self.flush();
-    }
-}
-
-/// Finish the shard's in-progress epoch (if any) and report it. The
-/// `finish` call runs under `catch_unwind` so a label-policy bug in the
-/// finalization costs one epoch, not the shard.
-fn finish_epoch<T: TaintLabel>(
-    cur: &mut Option<(usize, EpochSummarizer<T>)>,
-    busy: &mut Duration,
-    shard: usize,
-    timed: bool,
-    out: &xbeam::Sender<ShardMsg<T>>,
-) {
-    if let Some((epoch, s)) = cur.take() {
-        let start = timed.then(Instant::now);
-        match catch_unwind(AssertUnwindSafe(|| s.finish())) {
-            Ok(summary) => {
-                let mut nanos = busy.as_nanos() as u64;
-                if let Some(start) = start {
-                    nanos += start.elapsed().as_nanos() as u64;
-                }
-                let _ = out.send(ShardMsg::Epoch { epoch, summary: Box::new(summary), nanos });
-            }
-            Err(payload) => {
-                let _ = out.send(ShardMsg::Failed { shard, epoch, msg: panic_message(payload) });
-            }
-        }
-        *busy = Duration::ZERO;
-    }
-}
-
-/// A shard's consumer loop: summarize every epoch steered to it. Epochs
-/// arrive in this shard's stream order, so one live summarizer suffices.
-/// Panics while stepping or finishing an epoch are caught and reported
-/// as [`ShardMsg::Failed`] — one bad epoch never takes down the shard or
-/// its other epochs. With `timed` set (a live recorder upstream), each
-/// epoch's wall-clock summarization nanos are measured — busy time only,
-/// not queue waits.
-fn shard_loop<T: TaintLabel, F: FaultPlan>(
-    shard: usize,
-    rx: xbeam::Receiver<ShardBatch>,
-    out: xbeam::Sender<ShardMsg<T>>,
-    policy: TaintPolicy,
-    timed: bool,
-    faults: F,
-    state: Arc<ShardState>,
-) {
-    let mut cur: Option<(usize, EpochSummarizer<T>)> = None;
-    let mut busy = Duration::ZERO;
-    // Epoch being skipped after a failure (its remaining batches are
-    // already in flight and must be drained without summarizing).
-    let mut skip: Option<usize> = None;
-    let mut faults_fired = 0u64;
-    while let Ok(b) = rx.recv() {
-        state.batches.fetch_add(1, Ordering::Relaxed);
-        if skip == Some(b.epoch) {
-            continue;
-        }
-        let start = timed.then(Instant::now);
-        let switch = cur.as_ref().is_none_or(|(e, _)| *e != b.epoch);
-        if switch {
-            finish_epoch(&mut cur, &mut busy, shard, timed, &out);
-            skip = None;
-            state.epoch.store(b.epoch as u64, Ordering::Relaxed);
-            if F::ARMED && faults.fires(FaultSite::QueueStall, shard, b.epoch) {
-                // Injected wedge: stop draining the queue, exactly like a
-                // stuck consumer. Only the runner's progress watermark
-                // can notice; the abandon flag lets the thread exit once
-                // the runner gives up on it (a real wedged thread would
-                // leak — this one cleans up after the test).
-                while !state.abandon.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                return; // abandoned: no Done message
-            }
-            let Some(base) = b.base.as_ref() else {
-                // Recoverable protocol violation: the epoch's base batch
-                // never arrived (e.g. it timed out on a full queue).
-                // Report the loss and drain the epoch's remains.
-                let _ = out.send(ShardMsg::Failed {
-                    shard,
-                    epoch: b.epoch,
-                    msg: "first batch of the epoch arrived without its I/O base".to_string(),
-                });
-                skip = Some(b.epoch);
-                continue;
-            };
-            cur = Some((b.epoch, EpochSummarizer::new(policy, base)));
-        }
-        let Some((epoch, s)) = cur.as_mut() else { continue };
-        let epoch = *epoch;
-        let corrupt = F::ARMED && switch && faults.fires(FaultSite::CorruptSummary, shard, epoch);
-        let inject_panic = F::ARMED && switch && faults.fires(FaultSite::ShardPanic, shard, epoch);
-        if corrupt {
-            faults_fired += 1;
-        }
-        if inject_panic {
-            faults_fired += 1;
-        }
-        // Injected corruption: silently skip the epoch's first record —
-        // damage only the record-count integrity check can see.
-        let records: &[StepEffects] = if corrupt { &b.records[1..] } else { &b.records };
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic_any(format!("{INJECTED_PANIC_MARKER} scripted shard panic"));
-            }
-            for fx in records {
-                s.step(fx);
-            }
-        }));
-        if let Err(payload) = stepped {
-            let _ = out.send(ShardMsg::Failed { shard, epoch, msg: panic_message(payload) });
-            cur = None;
-            skip = Some(epoch);
-            busy = Duration::ZERO;
-            continue;
-        }
-        if let Some(start) = start {
-            busy += start.elapsed();
-        }
-    }
-    finish_epoch(&mut cur, &mut busy, shard, timed, &out);
-    let _ = out.send(ShardMsg::Done { shard, faults: faults_fired });
-}
-
-/// Re-summarize a retained epoch from its batches. This is exactly the
-/// serial DIFT computation over the epoch, so with `corrupt == false` it
-/// cannot fail and its result is bit-identical to what a healthy shard
-/// would have produced.
-fn resummarize<T: TaintLabel>(
-    r: &RetainedEpoch,
-    policy: TaintPolicy,
-    corrupt: bool,
-) -> EpochSummary<T> {
-    let mut s = EpochSummarizer::<T>::new(policy, &r.base);
-    let mut drop_first = corrupt;
-    for batch in &r.batches {
-        for fx in batch.iter() {
-            if drop_first {
-                drop_first = false;
-                continue;
-            }
-            s.step(fx);
-        }
-    }
-    s.finish()
 }
 
 /// Run `machine` with taint propagation fanned out across
@@ -482,10 +200,10 @@ pub fn run_epoch_dift<T: TaintLabel + Send + 'static>(
 }
 
 /// [`run_epoch_dift`] with an observability recorder threaded through
-/// the offloader (messages, stalls, queue occupancy, batches) and the
-/// shard/compose stages (per-shard epoch latency, compose time). The
-/// recorder is returned alongside the run so callers can snapshot it;
-/// with [`NoopRecorder`] every probe compiles away.
+/// the cost layer (messages, stalls, queue occupancy) and the
+/// summarize/compose stages (per-epoch summarize latency, compose time).
+/// The recorder is returned alongside the run so callers can snapshot
+/// it; with [`NoopRecorder`] every probe compiles away.
 pub fn run_epoch_dift_obs<T: TaintLabel + Send + 'static, R: Recorder>(
     machine: Machine,
     model: EpochModel,
@@ -500,16 +218,11 @@ pub fn run_epoch_dift_obs<T: TaintLabel + Send + 'static, R: Recorder>(
 ///
 /// With recovery enabled the run **always completes** with results
 /// bit-identical to the serial engine, whatever single or multiple
-/// faults the plan injects: lost epochs are detected (missing summary,
-/// failed record-count check, or stranded on a stalled shard), retried
-/// on spare shard threads, and finally re-summarized inline on the main
-/// thread. With recovery disabled (fail-stop) the first shard failure
-/// aborts with a diagnostic naming the shard and epoch.
-///
-/// `recovery.enabled` (or an armed plan) makes the producer retain each
-/// epoch's batches — an `Arc` clone per batch, no record copying — and
-/// switches producer sends to `send_timeout` so a wedged shard cannot
-/// block the run forever.
+/// faults the plan injects: lost epochs (missing summary or failed
+/// record-count check) are retried on spare shards and finally
+/// re-summarized inline on the main thread. With recovery disabled
+/// (fail-stop) the first lost epoch aborts with a diagnostic naming its
+/// home shard and the epoch.
 pub fn run_epoch_dift_tolerant<T, R, F>(
     machine: Machine,
     model: EpochModel,
@@ -523,349 +236,52 @@ where
     R: Recorder,
     F: FaultPlan,
 {
-    assert!(model.workers >= 1, "at least one shard");
-    assert!(model.epoch_len >= 1, "epochs must be non-empty");
     let mut helper_policy = policy;
     helper_policy.charge_cycles = false; // the timing model owns the cost
-    let mem_words = machine.mem_words();
-    let retain = F::ARMED || recovery.enabled;
-
-    // Per-shard channels in batch units, as in the single-helper path,
-    // plus one unbounded results channel back (unbounded so shards never
-    // block reporting — a blocked reporter would look like a stall).
-    let cap = (model.chan.queue_depth / BATCH_SIZE).max(4);
-    let (res_tx, res_rx) = xbeam::unbounded::<ShardMsg<T>>();
-    let mut txs = Vec::with_capacity(model.workers);
-    let mut states = Vec::with_capacity(model.workers);
-    let mut handles = Vec::with_capacity(model.workers);
-    for shard in 0..model.workers {
-        let (tx, rx) = xbeam::bounded::<ShardBatch>(cap);
-        let state = Arc::new(ShardState::new());
-        let out = res_tx.clone();
-        let plan = faults.clone();
-        let st = Arc::clone(&state);
-        txs.push(Some(tx));
-        states.push(state);
-        handles.push(thread::spawn(move || {
-            shard_loop::<T, F>(shard, rx, out, helper_policy, R::ENABLED, plan, st)
-        }));
-    }
-    drop(res_tx); // the runner only receives
-
-    let mut off = EpochOffloader {
-        obs,
-        faults: faults.clone(),
-        faults_fired: 0,
-        txs,
-        batch: Vec::with_capacity(BATCH_SIZE),
-        batches: 0,
-        queues: MultiQueueSim::new(model.chan, model.workers),
-        model,
-        seen: 0,
-        cur_epoch: usize::MAX,
-        cur_shard: None,
-        cur_drop: false,
-        retain,
-        retained: Vec::new(),
-        send_deadline: recovery.enabled.then_some(recovery.stall_timeout),
-        running: IoBase::default(),
-        epoch_base: IoBase::default(),
-        need_base: false,
-    };
-    let mut dbi = Engine::new(machine);
-    let result = dbi.run_tool(&mut off);
-    off.flush();
-    for tx in &mut off.txs {
-        tx.take(); // close the channels so shards drain and exit
-    }
-
-    let total = if off.seen == 0 { 0 } else { off.cur_epoch + 1 };
-    let mut obs = off.obs;
-    let mut summaries: Vec<Option<EpochSummary<T>>> = (0..total).map(|_| None).collect();
-    let mut failures: HashMap<usize, (usize, String)> = HashMap::new();
-    let mut done = vec![false; model.workers];
-    let mut stalled = vec![false; model.workers];
-    let mut shard_faults = 0u64;
-
-    let handle_msg = |msg: ShardMsg<T>,
-                      summaries: &mut Vec<Option<EpochSummary<T>>>,
-                      obs: &mut R,
-                      done: &mut Vec<bool>,
-                      shard_faults: &mut u64|
-     -> Option<(usize, usize, String)> {
-        match msg {
-            ShardMsg::Epoch { epoch, summary, nanos } => {
-                if R::ENABLED {
-                    obs.observe(Metric::McShardEpochNanos, nanos);
-                }
-                if let Some(slot) = summaries.get_mut(epoch) {
-                    *slot = Some(*summary);
-                }
-                None
-            }
-            ShardMsg::Failed { shard, epoch, msg } => Some((shard, epoch, msg)),
-            ShardMsg::Done { shard, faults } => {
-                done[shard] = true;
-                *shard_faults += faults;
-                None
-            }
-        }
-    };
-
-    if !recovery.enabled {
-        // Fail-stop collection: the first reported loss aborts, naming
-        // the shard and epoch (the panic a caller of the plain entry
-        // points sees).
-        while done.iter().any(|d| !d) {
-            match res_rx.recv() {
-                Ok(msg) => {
-                    if let Some((shard, epoch, msg)) =
-                        handle_msg(msg, &mut summaries, &mut obs, &mut done, &mut shard_faults)
-                    {
-                        panic!("epoch shard {shard} failed in epoch {epoch}: {msg}");
-                    }
-                }
-                Err(_) => break, // a shard died without reporting; join() below explains
-            }
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            if let Err(payload) = h.join() {
-                let at = match states[i].epoch.load(Ordering::Relaxed) {
-                    u64::MAX => "before its first epoch".to_string(),
-                    e => format!("in epoch {e}"),
-                };
-                panic!("epoch shard {i} panicked {at}: {}", panic_message(payload));
-            }
-        }
-    } else {
-        // Tolerant collection: gather what arrives, watch per-shard
-        // progress watermarks, and abandon any shard that stops draining
-        // for `stall_timeout`.
-        let now = Instant::now();
-        let mut watermarks: Vec<(u64, Instant)> =
-            states.iter().map(|s| (s.batches.load(Ordering::Relaxed), now)).collect();
-        while !done.iter().zip(&stalled).all(|(d, s)| *d || *s) {
-            match res_rx.recv_timeout(recovery.backoff) {
-                Ok(msg) => {
-                    if let Some((shard, epoch, msg)) =
-                        handle_msg(msg, &mut summaries, &mut obs, &mut done, &mut shard_faults)
-                    {
-                        failures.insert(epoch, (shard, msg));
-                    }
-                }
-                Err(xbeam::RecvTimeoutError::Timeout) => {
-                    for s in 0..model.workers {
-                        if done[s] || stalled[s] {
-                            continue;
-                        }
-                        let b = states[s].batches.load(Ordering::Relaxed);
-                        if b != watermarks[s].0 {
-                            watermarks[s] = (b, Instant::now());
-                        } else if watermarks[s].1.elapsed() >= recovery.stall_timeout {
-                            states[s].abandon.store(true, Ordering::Relaxed);
-                            stalled[s] = true;
-                            if F::ARMED {
-                                let e = states[s].epoch.load(Ordering::Relaxed);
-                                if e != u64::MAX
-                                    && faults.fires(FaultSite::QueueStall, s, e as usize)
-                                {
-                                    shard_faults += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(xbeam::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Late messages a shard sent before we noticed it was done.
-        while let Ok(msg) = res_rx.try_recv() {
-            if let Some((shard, epoch, msg)) =
-                handle_msg(msg, &mut summaries, &mut obs, &mut done, &mut shard_faults)
-            {
-                failures.insert(epoch, (shard, msg));
-            }
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            if stalled[i] {
-                // An injected wedge exits on the abandon flag; a real one
-                // would not, so the handle is dropped (detached) rather
-                // than joined — the run must not block on it.
-                drop(h);
-            } else {
-                // A hard panic outside the per-epoch guards is treated
-                // as shard loss: its epochs fail validation below.
-                let _ = h.join();
-            }
-        }
-    }
-
-    let mut rs = RecoveryStats {
-        faults_injected: off.faults_fired + shard_faults,
-        shards_lost: stalled.iter().filter(|s| **s).count() as u64,
-        ..RecoveryStats::default()
-    };
-
-    let retained = off.retained;
-    // Cycles of helper work re-done during recovery (charged to the
-    // modeled completion below; exactly 0 on a fault-free run).
-    let mut recovered_records = 0u64;
-    if retain {
-        // Validation: an epoch survives only if its summary exists and
-        // saw exactly the records the producer shipped — the integrity
-        // check that catches silent corruption and partial delivery.
-        let lost: Vec<usize> = (0..total)
-            .filter(|&e| summaries[e].as_ref().is_none_or(|s| s.instrs() != retained[e].records))
-            .collect();
-        rs.epochs_lost = lost.len() as u64;
-        recovered_records = lost.iter().map(|&e| retained[e].records).sum();
-        let reason = |e: usize| -> String {
-            match failures.get(&e) {
-                Some((shard, msg)) => format!("lost on shard {shard}: {msg}"),
-                None => match retained[e].shard {
-                    Some(s) => {
-                        format!("summary from shard {s} missing or failed the record-count check")
-                    }
-                    None => "no live shard to steer the epoch to".to_string(),
-                },
-            }
-        };
-
-        let mut lost = lost;
-        // Retry rounds: a fresh spare shard (a new thread with a new
-        // shard index, so a pure fault plan sees fresh coordinates)
-        // re-summarizes the lost epochs from retained batches.
-        for round in 0..recovery.max_retries {
-            if lost.is_empty() {
-                break;
-            }
-            let spare = model.workers + round as usize;
-            let plan = faults.clone();
-            let retained_ref = &retained;
-            let lost_ref = &lost;
-            type Attempt<T> = (usize, Option<(EpochSummary<T>, u64)>, u64);
-            let attempts: Vec<Attempt<T>> = thread::scope(|sc| {
-                sc.spawn(move || {
-                    let mut out: Vec<Attempt<T>> = Vec::with_capacity(lost_ref.len());
-                    for &e in lost_ref {
-                        let mut fired = 0u64;
-                        if F::ARMED && plan.fires(FaultSite::QueueStall, spare, e) {
-                            // A wedged spare simply fails the attempt.
-                            out.push((e, None, 1));
-                            continue;
-                        }
-                        let corrupt = F::ARMED && plan.fires(FaultSite::CorruptSummary, spare, e);
-                        let inject_panic = F::ARMED && plan.fires(FaultSite::ShardPanic, spare, e);
-                        if corrupt {
-                            fired += 1;
-                        }
-                        if inject_panic {
-                            fired += 1;
-                        }
-                        let start = Instant::now();
-                        let res = catch_unwind(AssertUnwindSafe(|| {
-                            if inject_panic {
-                                panic_any(format!(
-                                    "{INJECTED_PANIC_MARKER} scripted spare-shard panic"
-                                ));
-                            }
-                            resummarize::<T>(&retained_ref[e], helper_policy, corrupt)
-                        }));
-                        let nanos = start.elapsed().as_nanos() as u64;
-                        out.push((e, res.ok().map(|s| (s, nanos)), fired));
-                    }
-                    out
-                })
-                .join()
-                .unwrap_or_default()
-            });
-            for (e, res, fired) in attempts {
-                rs.retries += 1;
-                rs.faults_injected += fired;
-                if let Some((sum, nanos)) = res {
-                    if sum.instrs() == retained[e].records {
-                        if R::ENABLED {
-                            obs.observe(Metric::McRecoveryNanos, nanos);
-                        }
-                        eprintln!(
-                            "dift-multicore: recovered epoch {e} on spare shard {spare} ({})",
-                            reason(e)
-                        );
-                        summaries[e] = Some(sum);
-                        rs.spare_recovered += 1;
-                    }
-                }
-            }
-            lost.retain(|&e| summaries[e].is_none());
-        }
-
-        // Graceful degradation: whatever is still missing is summarized
-        // inline on the main thread — the serial DIFT path, which cannot
-        // fail — so the run always completes.
-        for &e in &lost {
-            let start = Instant::now();
-            let sum = resummarize::<T>(&retained[e], helper_policy, false);
-            if R::ENABLED {
-                obs.observe(Metric::McRecoveryNanos, start.elapsed().as_nanos() as u64);
-            }
-            eprintln!(
-                "dift-multicore: recovered epoch {e} inline on the main thread ({})",
-                reason(e)
-            );
-            summaries[e] = Some(sum);
-            rs.degraded_epochs += 1;
-        }
-        rs.epochs_recovered = rs.epochs_lost;
-    }
-
-    if R::ENABLED {
-        obs.add(Metric::McFaultsInjected, rs.faults_injected);
-        obs.add(Metric::McEpochsLost, rs.epochs_lost);
-        obs.add(Metric::McEpochsRecovered, rs.epochs_recovered);
-        obs.add(Metric::McRecoveryRetries, rs.retries);
-        obs.add(Metric::McDegradedEpochs, rs.degraded_epochs);
-        obs.add(Metric::McShardsLost, rs.shards_lost);
-    }
-
-    // Composition: summaries splice in epoch order; the result is
-    // bit-identical to serial processing (see DESIGN.md §9 and §11).
     let mut engine = TaintEngine::<T>::new(helper_policy);
-    engine.pre_size(mem_words);
-    obs.timed(Metric::McComposeNanos, || {
-        for (e, s) in summaries.iter().enumerate() {
-            // Invariant: with recovery enabled every slot was filled
-            // above (degradation cannot fail); in fail-stop mode any
-            // loss already aborted. A hole here is a runner bug.
-            let s = s.as_ref().unwrap_or_else(|| {
-                panic!("epoch {e} has no summary and no recovery path claimed it")
-            });
-            engine.apply_summary(s);
-        }
-    });
-
-    let epochs = total as u64;
+    engine.pre_size(machine.mem_words());
+    let analysis = TaintEpochs::<T> { policy: helper_policy, label: PhantomData };
+    let (workers, epoch_len) = (model.workers, model.epoch_len);
+    let ladder =
+        Ladder::new(analysis, faults, recovery, workers, epoch_len, Metric::McShardEpochNanos);
+    let mut cost = EpochCost {
+        obs,
+        queues: MultiQueueSim::new(model.chan, workers),
+        model,
+        ladder,
+        window: Vec::new(),
+        summarized: 0,
+        engine,
+    };
+    let result = Engine::new(machine).run_tool(&mut cost);
+    cost.flush();
+    let EpochCost { mut obs, queues, ladder, engine, .. } = cost;
+    let n = ladder.epochs() as u64;
+    let recovered_records = ladder.recovered_records;
+    let recovery = ladder.finish(&mut obs);
     if R::ENABLED {
-        obs.add(Metric::McEpochs, epochs);
+        obs.add(Metric::McEpochs, n);
     }
-    let compose_cycles = model.compose_per_epoch * epochs;
+
+    let compose_cycles = model.compose_per_epoch * n;
     let main_cycles = result.cycles;
     let stats = MulticoreStats {
         main_cycles,
-        helper_busy: off.queues.helper_busy(),
-        stall_cycles: off.queues.stall_cycles(),
-        messages: off.queues.messages(),
-        batches: off.batches,
+        helper_busy: queues.helper_busy(),
+        stall_cycles: queues.stall_cycles(),
+        messages: queues.messages(),
         // The composition pass is the sequential barrier after both the
         // main core and the slowest shard finish; recovered epochs are
         // helper work re-done after the barrier, charged at the helper's
         // per-message rate (exactly 0 when nothing was lost).
-        completion_cycles: main_cycles.max(off.queues.max_helper_clock())
+        completion_cycles: main_cycles.max(queues.max_helper_clock())
             + compose_cycles
             + recovered_records * model.chan.helper_per_msg,
         workers: model.workers,
-        epochs,
+        epochs: n,
         compose_cycles,
-        recovery: rs,
+        recovery,
+        ..MulticoreStats::default()
     };
     (DiftRun { engine, result, stats }, obs)
 }
@@ -885,13 +301,9 @@ pub fn epoch_process_stream<T: TaintLabel + Send + Sync>(
     epoch_process_stream_tolerant(stream, policy, mem_words, epoch_len, workers, NoopFaults).0
 }
 
-/// [`epoch_process_stream`] with a [`FaultPlan`] adversary. Worker
-/// panics are caught per epoch, a wedged worker stops claiming epochs
-/// (the rest pick up its share), and any epoch whose summary is missing
-/// or fails the record-count check is re-summarized inline during
-/// composition — so the result is always bit-identical to serial
-/// processing. Recovery here is inline-only (`retries` stays 0): the
-/// claiming loop *is* the spare-shard pool.
+/// [`epoch_process_stream`] with a [`FaultPlan`] adversary, recovering
+/// under [`RecoveryPolicy::tolerant`]: whatever the plan injects, the
+/// result is bit-identical to serial processing.
 pub fn epoch_process_stream_tolerant<T: TaintLabel + Send + Sync, F: FaultPlan>(
     stream: &[StepEffects],
     policy: TaintPolicy,
@@ -900,105 +312,42 @@ pub fn epoch_process_stream_tolerant<T: TaintLabel + Send + Sync, F: FaultPlan>(
     workers: usize,
     faults: F,
 ) -> (TaintEngine<T>, RecoveryStats) {
-    assert!(epoch_len >= 1, "epochs must be non-empty");
-    assert!(workers >= 1, "at least one worker");
-    let chunks: Vec<&[StepEffects]> = stream.chunks(epoch_len).collect();
-    // Sequential pre-scan: per-channel I/O counts at each epoch start
-    // (label-independent, so it does not limit scaling).
-    let mut bases = Vec::with_capacity(chunks.len());
-    let mut base = IoBase::default();
-    for c in &chunks {
-        bases.push(base.clone());
-        base.advance(c);
-    }
-
-    let summaries: Vec<OnceLock<EpochSummary<T>>> =
-        chunks.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let fired = AtomicU64::new(0);
-    thread::scope(|s| {
-        let chunks = &chunks;
-        let bases = &bases;
-        let summaries = &summaries;
-        let next = &next;
-        let fired = &fired;
-        for w in 0..workers {
-            let faults = faults.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::QueueStall, w, i) {
-                    // A wedged worker stops claiming; the other workers
-                    // (or inline recovery) absorb the rest of the stream.
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::DropMessage, w, i) {
-                    // The epoch's records never reach the worker.
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    if F::ARMED && faults.fires(FaultSite::ShardPanic, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        panic_any(format!("{INJECTED_PANIC_MARKER} scripted worker panic"));
-                    }
-                    if F::ARMED && faults.fires(FaultSite::CorruptSummary, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        summarize_epoch::<T>(&chunks[i][1..], policy, &bases[i])
-                    } else {
-                        summarize_epoch::<T>(chunks[i], policy, &bases[i])
-                    }
-                }));
-                if let Ok(sum) = res {
-                    let _ = summaries[i].set(sum);
-                }
-            });
-        }
-    });
-
-    let mut rs = RecoveryStats {
-        faults_injected: fired.load(Ordering::Relaxed),
-        ..RecoveryStats::default()
-    };
+    let analysis = TaintEpochs::<T> { policy, label: PhantomData };
+    let tolerant = RecoveryPolicy::tolerant();
+    let mut ladder =
+        Ladder::new(analysis, faults, tolerant, workers, epoch_len, Metric::McShardEpochNanos);
     let mut engine = TaintEngine::<T>::new(policy);
     engine.pre_size(mem_words);
-    for (i, slot) in summaries.into_iter().enumerate() {
-        // An epoch survives only if its summary exists and saw exactly
-        // the epoch's records (the corruption/partial-delivery check).
-        let valid = slot.into_inner().filter(|s| s.instrs() == chunks[i].len() as u64);
-        let sum = match valid {
-            Some(sum) => sum,
-            None => {
-                rs.epochs_lost += 1;
-                rs.degraded_epochs += 1;
-                rs.epochs_recovered += 1;
-                summarize_epoch::<T>(chunks[i], policy, &bases[i])
-            }
-        };
-        engine.apply_summary(&sum);
+    for s in ladder.run(stream, &mut NoopRecorder) {
+        engine.apply_summary(&s);
     }
-    (engine, rs)
+    (engine, ladder.finish(&mut NoopRecorder))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultplan::{silence_injected_panics, ScriptedFaults};
-    use crate::helper::{run_helper_dift, run_inline_dift};
+    use crate::faultplan::{
+        silence_injected_panics, FaultSite, ScriptedFaults, INJECTED_PANIC_MARKER,
+    };
+    use crate::helper::{panic_message, run_helper_dift, run_inline_dift};
     use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
     use dift_taint::{BitTaint, PcTaint};
     use dift_vm::MachineConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
 
     fn taint_workload() -> (Arc<Program>, Vec<u64>) {
+        taint_loop(500)
+    }
+
+    /// A 7-instruction loop run `iters` times over tainted input.
+    fn taint_loop(iters: i64) -> (Arc<Program>, Vec<u64>) {
         let mut b = ProgramBuilder::new();
         b.func("main");
         b.input(Reg(1), 0);
         b.li(Reg(2), 0);
-        b.li(Reg(3), 500);
+        b.li(Reg(3), iters);
         b.label("loop");
         b.add(Reg(2), Reg(2), Reg(1));
         b.bini(BinOp::Rem, Reg(4), Reg(2), 97);
@@ -1217,6 +566,42 @@ mod tests {
         }
     }
 
+    #[test]
+    fn windowed_run_matches_inline_and_keeps_fault_coordinates() {
+        silence_injected_panics();
+        // Three windows of 128 epochs; epoch 200 lies in the second.
+        let (p, inputs) = taint_loop(12_000);
+        let inline = run_inline_dift::<PcTaint>(machine(&p, &inputs), TaintPolicy::default());
+        assert!(inline.result.steps > 2 * crate::engine::WINDOW_RECORDS as u64);
+        let plan = ScriptedFaults::single(FaultSite::CorruptSummary, 200 % 3, 200);
+        let (run, obs) = run_epoch_dift_tolerant::<PcTaint, _, _>(
+            machine(&p, &inputs),
+            small_model(3),
+            TaintPolicy::default(),
+            dift_obs::StatsRecorder::default(),
+            plan.clone(),
+            RecoveryPolicy::quick(),
+        );
+        assert_matches_inline(&run, &inline, "windowed");
+        let rs = run.stats.recovery;
+        assert_eq!((rs.faults_injected, rs.epochs_lost, rs.spare_recovered), (1, 1, 1), "{rs:?}");
+        assert_eq!(run.stats.epochs, inline.result.steps.div_ceil(256));
+        assert_eq!(obs.hist(Metric::McShardEpochNanos).count(), run.stats.epochs);
+
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_epoch_dift_tolerant::<PcTaint, _, _>(
+                machine(&p, &inputs),
+                small_model(3),
+                TaintPolicy::default(),
+                NoopRecorder,
+                plan,
+                RecoveryPolicy::fail_stop(),
+            )
+        }));
+        let msg = panic_message(&*caught.err().expect("fail-stop must abort"));
+        assert!(msg.contains("epoch shard 2 failed in epoch 200"), "got: {msg}");
+    }
+
     // ---- resilience -----------------------------------------------------
 
     fn assert_matches_inline<T: TaintLabel>(run: &DiftRun<T>, inline: &DiftRun<T>, what: &str) {
@@ -1323,7 +708,7 @@ mod tests {
                 RecoveryPolicy::fail_stop(),
             )
         }));
-        let msg = panic_message(caught.err().expect("fail-stop must abort"));
+        let msg = panic_message(&*caught.err().expect("fail-stop must abort"));
         assert!(
             msg.contains("shard 2") && msg.contains("epoch 2"),
             "diagnostic must name the shard and epoch, got: {msg}"
@@ -1375,8 +760,8 @@ mod tests {
         let policy = TaintPolicy::propagate_only();
         let serial = epoch_process_stream::<BitTaint>(&cap.0, policy, mem_words, 64, 1);
         for site in FaultSite::ALL {
-            // Workers claim epochs dynamically, so any worker may land on
-            // epoch 2: inject at every worker index to hit whoever does.
+            // Armed at every shard index; only epoch 2's home shard
+            // (2 % 3) is consulted, so exactly one injection fires.
             let plan = ScriptedFaults::new(
                 (0..3).map(|w| crate::faultplan::Injection { site, shard: w, epoch: 2 }).collect(),
             );

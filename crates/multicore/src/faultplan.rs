@@ -1,13 +1,16 @@
 //! Deterministic, seedable fault injection for the epoch pipeline.
 //!
-//! The epoch-parallel runner ([`crate::epoch`]) distributes self-contained
-//! taint-transfer summaries across helper shards; because a summary is a
-//! pure function of its epoch's records and I/O base, any lost or damaged
-//! epoch can be recomputed anywhere with bit-identical results. This
-//! module provides the *adversary* for exercising that property: a
-//! [`FaultPlan`] names exact `(site, shard, epoch)` coordinates at which
-//! the pipeline misbehaves, so recovery tests are reproducible down to
-//! the individual message.
+//! The epoch runners ([`crate::epoch`], [`crate::lineage_shard`])
+//! distribute self-contained epoch summaries across helper shards;
+//! because a summary is a pure function of its epoch's records and I/O
+//! base, any lost or damaged epoch can be recomputed anywhere with
+//! bit-identical results. This module provides the *adversary* for
+//! exercising that property: a [`FaultPlan`] names exact
+//! `(site, shard, epoch)` coordinates at which the pipeline misbehaves.
+//! An epoch's shard is its home shard `epoch % workers` on the first
+//! attempt and spare shard `workers + round` on each retry, whichever
+//! thread runs it, so recovery tests are reproducible down to the
+//! individual epoch.
 //!
 //! The design mirrors the `dift-obs` [`dift_obs::Recorder`] pattern:
 //! instrumented functions are generic over `F: FaultPlan` with
@@ -25,15 +28,14 @@ pub const INJECTED_PANIC_MARKER: &str = "injected fault:";
 /// A place in the pipeline where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// The shard thread panics while summarizing the epoch (caught by
-    /// the per-epoch `catch_unwind` in the shard loop).
+    /// The shard panics while summarizing the epoch (caught by the epoch
+    /// engine's per-epoch `catch_unwind`).
     ShardPanic,
-    /// The producer drops the epoch's channel traffic on the floor: the
-    /// shard never sees the epoch at all.
+    /// The epoch's records never reach the shard: no summary comes back.
     DropMessage,
-    /// The shard wedges at the start of the epoch and stops draining its
-    /// queue — the stuck-bounded-queue scenario. Only progress-watermark
-    /// stall detection can notice this one.
+    /// The shard wedges at the start of the epoch and never reports it —
+    /// the stuck-consumer scenario. The epoch is lost like a dropped one,
+    /// and the wedge counts as a lost shard (`RecoveryStats::shards_lost`).
     QueueStall,
     /// The shard silently corrupts the epoch's summary (modeled as
     /// summarizing the epoch minus its first record, the kind of damage
@@ -165,14 +167,7 @@ pub fn silence_injected_panics() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&'static str>()
-                .copied()
-                .map(str::to_string)
-                .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.starts_with(INJECTED_PANIC_MARKER) {
+            if !crate::helper::panic_message(info.payload()).starts_with(INJECTED_PANIC_MARKER) {
                 previous(info);
             }
         }));

@@ -28,9 +28,10 @@ pub struct MulticoreStats {
     /// Messages shipped main→helper (modeled per-instruction cost; the
     /// timing model is unchanged by batching).
     pub messages: u64,
-    /// Physical channel sends: messages travel in fixed-size batches, so
-    /// this is ≤ `messages`. Purely an implementation statistic — no
-    /// modeled cycles attach to it.
+    /// Physical channel sends of the single-helper offload: messages
+    /// travel in fixed-size batches, so this is ≤ `messages` (0 for the
+    /// epoch runners, which buffer records instead of sending them). Purely
+    /// an implementation statistic — no modeled cycles attach to it.
     pub batches: u64,
     /// End-to-end completion: main finish vs helper drain, whichever is
     /// later.
@@ -155,7 +156,10 @@ pub fn run_helper_dift<T: TaintLabel + Send + 'static>(
     // drains and exits.
     offloader.flush();
     offloader.tx.take();
-    let engine = join_or_propagate(handle, "helper DIFT thread");
+    // Re-raise a helper panic with its message, not the opaque payload.
+    let engine = handle
+        .join()
+        .unwrap_or_else(|p| panic!("helper DIFT thread panicked: {}", panic_message(&*p)));
 
     let main_cycles = result.cycles;
     let stats = MulticoreStats {
@@ -166,33 +170,19 @@ pub fn run_helper_dift<T: TaintLabel + Send + 'static>(
         batches: offloader.batches,
         completion_cycles: main_cycles.max(offloader.queue.helper_clock),
         workers: 1,
-        epochs: 0,
-        compose_cycles: 0,
-        recovery: RecoveryStats::default(),
+        ..MulticoreStats::default()
     };
     DiftRun { engine, result, stats }
 }
 
-/// The human-readable message inside a panic payload (the `Any` box a
-/// `join()` error or `catch_unwind` hands back).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The human-readable message inside a panic payload (the `Any` a
+/// `join()` error, `catch_unwind` or a panic hook hands back).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&'static str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Join a worker, re-raising its panic *message* on the caller's thread
-/// instead of the opaque `Any` payload a bare `join().expect(..)` shows.
-/// A failed differential run then reports the real cause (the helper's
-/// assertion text), and no partial state escapes: the handle's result is
-/// consumed either way.
-pub(crate) fn join_or_propagate<R>(handle: thread::JoinHandle<R>, who: &str) -> R {
-    match handle.join() {
-        Ok(r) => r,
-        Err(payload) => panic!("{who} panicked: {}", panic_message(payload)),
-    }
 }
 
 /// Baseline: the same taint tracking performed inline on the main core
@@ -204,14 +194,7 @@ pub fn run_inline_dift<T: TaintLabel>(machine: Machine, policy: TaintPolicy) -> 
     let stats = MulticoreStats {
         main_cycles: result.cycles,
         completion_cycles: result.cycles,
-        messages: 0,
-        batches: 0,
-        helper_busy: 0,
-        stall_cycles: 0,
-        workers: 0,
-        epochs: 0,
-        compose_cycles: 0,
-        recovery: RecoveryStats::default(),
+        ..MulticoreStats::default()
     };
     DiftRun { engine, result, stats }
 }

@@ -23,6 +23,7 @@
 //! support.
 
 pub mod channel;
+mod engine;
 pub mod epoch;
 pub mod faultplan;
 pub mod helper;

@@ -1,32 +1,35 @@
 //! Sharded lineage tracing (and optional slice-index derivation) on the
 //! epoch-parallel pipeline.
 //!
-//! [`epoch_process_stream_tolerant`](crate::epoch::epoch_process_stream_tolerant)
-//! fans *taint* propagation out by epoch; this module does the same for
-//! the two remaining serial analyses (DESIGN §17):
+//! [`epoch_process_stream`](crate::epoch::epoch_process_stream) fans
+//! *taint* propagation out by epoch; this module does the same for the
+//! two remaining serial analyses (DESIGN §17):
 //!
-//! * **Lineage** — each shard summarizes its epoch into a
+//! * **Lineage** — each epoch is summarized into a
 //!   [`LineageEpochSummary`]: set-valued effects over a private roBDD
 //!   arena, with reads of pre-epoch state left symbolic. Composition
 //!   absorbs each arena into the primary [`BddManager`] via the
 //!   canonicity-preserving hash-cons merge and resolves the symbolic
 //!   reads, reproducing the serial [`LineageEngine`] bit for bit.
-//! * **Slicing** — each shard derives its epoch's dependences into a
-//!   private `SliceIndex` fragment ([`dift_ddg::epoch`]); composition
-//!   splices fragments chunk-by-chunk and resolves the few cross-epoch
-//!   pending dependences, so `dift-slicing`'s `SliceService` can answer
-//!   queries against a sharded run.
+//! * **Slicing** — paired with the lineage summary, each epoch's
+//!   dependences are derived into a private `SliceIndex` fragment
+//!   ([`dift_ddg::epoch`]); composition splices fragments chunk-by-chunk
+//!   and resolves the few cross-epoch pending dependences, so
+//!   `dift-slicing`'s `SliceService` can answer queries against a sharded
+//!   run.
 //!
-//! The fault-tolerance contract is inherited unchanged: summaries are
-//! pure functions of their epoch's records (plus label-independent
-//! pre-scans), so any epoch lost to an injected [`FaultSite`] is
-//! re-summarized inline during composition and the result is still
-//! bit-identical to serial processing.
+//! Both run on the crate's epoch engine (`engine.rs`), the same worker
+//! pool and recovery ladder as the taint runners: summaries are pure
+//! functions of their epoch's records plus label-independent pre-scans,
+//! so any epoch lost to an injected [`FaultSite`](crate::FaultSite) is
+//! recomputed and the result is still bit-identical to serial
+//! processing.
 //!
 //! [`BddManager`]: dift_robdd::BddManager
 
-use crate::faultplan::{FaultPlan, FaultSite, NoopFaults, INJECTED_PANIC_MARKER};
-use crate::resilience::RecoveryStats;
+use crate::engine::{EpochAnalysis, Ladder};
+use crate::faultplan::{FaultPlan, NoopFaults};
+use crate::resilience::{RecoveryPolicy, RecoveryStats};
 use dift_ddg::epoch::{control_entry_snapshots, summarize_dep_epoch, EpochDeps};
 use dift_ddg::{ControlStack, SliceIndex};
 use dift_isa::Program;
@@ -36,10 +39,6 @@ use dift_lineage::{
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_taint::IoBase;
 use dift_vm::StepEffects;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::thread;
 use std::time::Instant;
 
 /// Configuration of the sharded lineage/slicing run.
@@ -126,13 +125,48 @@ pub fn shard_lineage_stream(
     shard_lineage_stream_obs(stream, program, mem_words, cfg, NoopFaults, NoopRecorder).0
 }
 
+/// roBDD lineage as an epoch analysis.
+struct LineageEpochs {
+    id_bits: u32,
+    capture_sinks: bool,
+}
+
+impl EpochAnalysis for LineageEpochs {
+    type Summary = LineageEpochSummary;
+
+    fn summarize(&self, _epoch: usize, records: &[StepEffects], base: &IoBase) -> Self::Summary {
+        summarize_lineage_epoch(records, self.id_bits, base, self.capture_sinks)
+    }
+
+    fn instrs(summary: &Self::Summary) -> u64 {
+        summary.instrs()
+    }
+}
+
+/// `ddg::epoch` dependence fragments as an epoch analysis, grounded by
+/// the control-stack pre-scan (the stack at every epoch entry).
+struct DepEpochs {
+    snaps: Vec<ControlStack>,
+    mem_words: usize,
+}
+
+impl EpochAnalysis for DepEpochs {
+    type Summary = EpochDeps;
+
+    fn summarize(&self, epoch: usize, records: &[StepEffects], _base: &IoBase) -> EpochDeps {
+        let start = records.first().map_or(0, |fx| fx.step);
+        summarize_dep_epoch(records, self.snaps[epoch].clone(), start, self.mem_words)
+    }
+
+    fn instrs(summary: &EpochDeps) -> u64 {
+        summary.instrs()
+    }
+}
+
 /// Epoch-parallel lineage (and optional slicing) over a pre-captured
 /// effects stream, under a [`FaultPlan`] adversary, with `dift-obs`
-/// probes. Mirrors the taint pipeline's tolerant runner: workers claim
-/// epochs from a shared counter; a wedged worker stops claiming; panics
-/// are caught per epoch; and any epoch whose summary is missing or
-/// fails the instruction-count integrity check is re-summarized inline
-/// during composition — the result is always bit-identical to serial.
+/// probes. Runs the epoch engine under [`RecoveryPolicy::tolerant`], so
+/// whatever the plan injects the result is bit-identical to serial.
 pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     stream: &[StepEffects],
     program: &Program,
@@ -142,135 +176,37 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     mut obs: R,
 ) -> (LineageShardRun, R) {
     assert!(cfg.epoch_len >= 1, "epochs must be non-empty");
-    assert!(cfg.workers >= 1, "at least one worker");
-    let chunks: Vec<&[StepEffects]> = stream.chunks(cfg.epoch_len).collect();
-
-    // Label-independent sequential pre-scans: per-channel input counts
-    // (numbers the lineage identifiers) and, when slicing, the control
-    // stack at each epoch entry (grounds control dependences).
-    let mut bases = Vec::with_capacity(chunks.len());
-    let mut base = IoBase::default();
-    for c in &chunks {
-        bases.push(base.clone());
-        base.advance(c);
-    }
-    let snaps: Option<Vec<ControlStack>> =
-        cfg.slice.then(|| control_entry_snapshots(program, &chunks));
-
-    type Slot = (LineageEpochSummary, Option<EpochDeps>);
-    let summaries: Vec<OnceLock<Slot>> = chunks.iter().map(|_| OnceLock::new()).collect();
-    let worker_nanos: Vec<AtomicU64> = (0..cfg.workers).map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let fired = AtomicU64::new(0);
-    thread::scope(|s| {
-        let chunks = &chunks;
-        let bases = &bases;
-        let snaps = &snaps;
-        let summaries = &summaries;
-        let next = &next;
-        let fired = &fired;
-        for (w, nanos) in worker_nanos.iter().enumerate() {
-            let faults = faults.clone();
-            let cfg = cfg.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::QueueStall, w, i) {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::DropMessage, w, i) {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let t0 = Instant::now();
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    if F::ARMED && faults.fires(FaultSite::ShardPanic, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        panic_any(format!("{INJECTED_PANIC_MARKER} scripted worker panic"));
-                    }
-                    if F::ARMED && faults.fires(FaultSite::CorruptSummary, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        // Summarize the epoch minus its first record; the
-                        // instruction-count check catches it at compose.
-                        let sum = summarize_lineage_epoch(
-                            &chunks[i][1..],
-                            cfg.id_bits,
-                            &bases[i],
-                            cfg.capture_sinks,
-                        );
-                        (sum, None)
-                    } else {
-                        let sum = summarize_lineage_epoch(
-                            chunks[i],
-                            cfg.id_bits,
-                            &bases[i],
-                            cfg.capture_sinks,
-                        );
-                        let deps = snaps.as_ref().map(|snaps| {
-                            summarize_dep_epoch(
-                                chunks[i],
-                                snaps[i].clone(),
-                                chunks[i][0].step,
-                                mem_words,
-                            )
-                        });
-                        (sum, deps)
-                    }
-                }));
-                nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if let Ok(slot) = res {
-                    let _ = summaries[i].set(slot);
-                }
-            });
-        }
-    });
-
-    let mut recovery = RecoveryStats {
-        faults_injected: fired.load(Ordering::Relaxed),
-        ..RecoveryStats::default()
+    let lineage = LineageEpochs { id_bits: cfg.id_bits, capture_sinks: cfg.capture_sinks };
+    let tolerant = RecoveryPolicy::tolerant();
+    let (len, workers, nanos) = (cfg.epoch_len, cfg.workers, Metric::LsShardEpochNanos);
+    let (summaries, worker_nanos, recovery) = if cfg.slice {
+        let chunks: Vec<&[StepEffects]> = stream.chunks(len).collect();
+        let deps = DepEpochs { snaps: control_entry_snapshots(program, &chunks), mem_words };
+        let mut ladder = Ladder::new((lineage, deps), faults, tolerant, workers, len, nanos);
+        let sums = ladder.run(stream, &mut obs).into_iter().map(|(s, d)| (s, Some(d))).collect();
+        (sums, std::mem::take(&mut ladder.worker_nanos), ladder.finish(&mut obs))
+    } else {
+        let mut ladder = Ladder::new(lineage, faults, tolerant, workers, len, nanos);
+        let sums: Vec<_> = ladder.run(stream, &mut obs).into_iter().map(|s| (s, None)).collect();
+        (sums, std::mem::take(&mut ladder.worker_nanos), ladder.finish(&mut obs))
     };
     let mut stats = LineageShardStats {
-        epochs: chunks.len() as u64,
-        workers: cfg.workers,
-        shard_nanos_total: worker_nanos.iter().map(|n| n.load(Ordering::Relaxed)).sum(),
-        max_worker_nanos: worker_nanos.iter().map(|n| n.load(Ordering::Relaxed)).max().unwrap_or(0),
+        epochs: summaries.len() as u64,
+        workers,
+        shard_nanos_total: worker_nanos.iter().sum(),
+        max_worker_nanos: worker_nanos.iter().copied().max().unwrap_or(0),
         ..LineageShardStats::default()
     };
     if R::ENABLED {
-        for n in &worker_nanos {
-            obs.observe(Metric::LsShardEpochNanos, n.load(Ordering::Relaxed));
-        }
         obs.add(Metric::LsEpochs, stats.epochs);
     }
 
-    // Composition: epoch order, inline recovery for invalid slots.
+    // Composition, in epoch order.
     let mut engine = LineageEngine::new(BddBackend::new(cfg.id_bits));
     let mut sinks = cfg.capture_sinks.then(SinkLog::default);
     let mut composer = cfg.slice.then(dift_ddg::EpochDepComposer::new);
     let t0 = Instant::now();
-    for (i, slot) in summaries.into_iter().enumerate() {
-        let want = chunks[i].len() as u64;
-        let valid = slot.into_inner().filter(|(sum, deps)| {
-            sum.instrs() == want
-                && (!cfg.slice || deps.as_ref().is_some_and(|d| d.instrs() == want))
-        });
-        let (sum, deps) = match valid {
-            Some(slot) => slot,
-            None => {
-                recovery.epochs_lost += 1;
-                recovery.degraded_epochs += 1;
-                recovery.epochs_recovered += 1;
-                let sum =
-                    summarize_lineage_epoch(chunks[i], cfg.id_bits, &bases[i], cfg.capture_sinks);
-                let deps = snaps.as_ref().map(|snaps| {
-                    summarize_dep_epoch(chunks[i], snaps[i].clone(), chunks[i][0].step, mem_words)
-                });
-                (sum, deps)
-            }
-        };
+    for (sum, deps) in summaries {
         stats.arena_nodes += sum.arena_nodes() as u64;
         sum.apply(&mut engine, sinks.as_mut());
         if let (Some(c), Some(d)) = (composer.as_mut(), deps) {

@@ -1,76 +1,53 @@
 //! Recovery policy and accounting for the fault-tolerant epoch pipeline.
 //!
-//! Epoch summaries (`dift_taint::summary`) are pure functions of an
-//! epoch's records and its I/O base, so any helper-side loss — a shard
-//! panic, a wedged queue, dropped channel traffic, a damaged summary —
-//! is recoverable by recomputing the epoch elsewhere, with results
-//! bit-identical to the serial engine. This module holds the knobs
-//! ([`RecoveryPolicy`]) and the ledger ([`RecoveryStats`]) of that
-//! machinery; the mechanism itself lives in [`crate::epoch`].
+//! Epoch summaries are pure functions of an epoch's records and the
+//! label-independent pre-scans, so any helper-side loss — a shard panic,
+//! a wedged shard, a dropped epoch, a damaged summary — is recoverable
+//! by recomputing the epoch elsewhere, with results bit-identical to the
+//! serial engine. This module holds the knobs ([`RecoveryPolicy`]) and
+//! the ledger ([`RecoveryStats`]) of that machinery; the mechanism is the
+//! crate's epoch engine (`engine.rs`), shared by every epoch runner.
 //!
 //! The recovery ladder, in order:
 //!
-//! 1. **Isolate** — shard panics are caught per epoch, so one bad epoch
-//!    costs exactly one summary, not the shard's whole backlog.
-//! 2. **Detect** — per-shard progress watermarks notice a shard that
-//!    stopped draining its queue ([`RecoveryPolicy::stall_timeout`]);
-//!    producer sends time out rather than blocking forever, and every
-//!    surviving summary must pass the record-count integrity check.
+//! 1. **Isolate** — each epoch is summarized under `catch_unwind`, so one
+//!    bad epoch costs exactly one summary, not its shard's other epochs.
+//! 2. **Detect** — every summary must pass the record-count integrity
+//!    check; a wedged shard or a dropped epoch leaves no summary at all.
 //! 3. **Retry on a spare shard** — lost epochs are re-summarized on
-//!    fresh spare threads, up to [`RecoveryPolicy::max_retries`] rounds.
+//!    spare shards with fresh indices, up to
+//!    [`RecoveryPolicy::max_retries`] rounds.
 //! 4. **Degrade to serial** — whatever is still missing is summarized
 //!    inline on the main thread, which cannot fail by construction (it
 //!    is exactly the serial DIFT path), so the run always completes.
-
-use std::time::Duration;
 
 /// How the epoch runner responds to helper-side failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Master switch. Disabled (fail-stop) reproduces the pre-resilience
-    /// behavior: any shard failure aborts the run with a diagnostic
-    /// naming the shard and epoch.
+    /// behavior: any lost epoch aborts the run with a diagnostic naming
+    /// its home shard and the epoch.
     pub enabled: bool,
     /// Rounds of retry-on-spare-shard before degrading to inline
     /// re-summarization on the main thread.
     pub max_retries: u32,
-    /// How long a shard may go without draining a batch (and a producer
-    /// send may block) before it is declared stalled and abandoned.
-    pub stall_timeout: Duration,
-    /// Poll interval for the progress-watermark check while waiting on
-    /// shard results.
-    pub backoff: Duration,
 }
 
 impl RecoveryPolicy {
     /// Pre-resilience behavior: propagate the first failure.
     pub fn fail_stop() -> RecoveryPolicy {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 0,
-            stall_timeout: Duration::from_secs(30),
-            backoff: Duration::from_millis(20),
-        }
+        RecoveryPolicy { enabled: false, max_retries: 0 }
     }
 
     /// Production shape: retry twice on spares, then degrade.
     pub fn tolerant() -> RecoveryPolicy {
-        RecoveryPolicy {
-            enabled: true,
-            max_retries: 2,
-            stall_timeout: Duration::from_secs(2),
-            backoff: Duration::from_millis(20),
-        }
+        RecoveryPolicy { enabled: true, max_retries: 2 }
     }
 
-    /// Test-sized timeouts so stall detection resolves in milliseconds.
+    /// One retry round, then degrade: the shape the fault-matrix tests
+    /// and the resilience report use, so both rungs get exercised.
     pub fn quick() -> RecoveryPolicy {
-        RecoveryPolicy {
-            enabled: true,
-            max_retries: 1,
-            stall_timeout: Duration::from_millis(150),
-            backoff: Duration::from_millis(5),
-        }
+        RecoveryPolicy { enabled: true, max_retries: 1 }
     }
 }
 
@@ -86,8 +63,7 @@ impl Default for RecoveryPolicy {
 pub struct RecoveryStats {
     /// Distinct injected faults that actually fired.
     pub faults_injected: u64,
-    /// Epochs whose helper-side summary was missing, damaged, or
-    /// stranded on a failed shard.
+    /// Epochs whose helper-side summary was missing or damaged.
     pub epochs_lost: u64,
     /// Epochs recomputed successfully (always equals `epochs_lost` when
     /// the run returns — recovery cannot give up).
@@ -100,7 +76,8 @@ pub struct RecoveryStats {
     /// Epochs re-summarized inline on the main thread — the graceful
     /// degradation to serial DIFT.
     pub degraded_epochs: u64,
-    /// Shards abandoned after a progress-watermark stall.
+    /// Shards that wedged (an injected `QueueStall`); each wedge costs
+    /// the one epoch it wedged on.
     pub shards_lost: u64,
 }
 
@@ -120,7 +97,6 @@ mod tests {
         assert!(!RecoveryPolicy::fail_stop().enabled);
         assert!(RecoveryPolicy::tolerant().enabled);
         assert!(RecoveryPolicy::quick().enabled);
-        assert!(RecoveryPolicy::quick().stall_timeout < RecoveryPolicy::tolerant().stall_timeout);
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::fail_stop());
     }
 

@@ -142,7 +142,6 @@ metrics! {
     McMessages          => ("multicore/channel/messages", Counter),
     McStallCycles       => ("multicore/channel/stall_cycles", Counter),
     McQueueDepth        => ("multicore/channel/queue_depth", Histogram),
-    McBatches           => ("multicore/epoch/batches", Counter),
     McEpochs            => ("multicore/epoch/epochs", Counter),
     McShardEpochNanos   => ("multicore/epoch/shard_epoch_nanos", Histogram),
     McComposeNanos      => ("multicore/epoch/compose_nanos", Counter),
