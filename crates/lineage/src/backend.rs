@@ -29,20 +29,30 @@ pub trait LineageBackend {
         v
     }
     fn len(&self, s: &Self::Set) -> u64;
-    /// Bytes attributable to storing `stored` live sets right now.
-    fn shadow_bytes(&self, stored: &[&Self::Set]) -> usize;
+    /// Count `s` as resident shadow state until it is released. Pair
+    /// every `retain` with one [`release`](Self::release) of the same
+    /// set. Empty sets are never resident: retaining or releasing one
+    /// is a no-op.
+    fn retain(&mut self, s: &Self::Set);
+    /// Stop counting a set taken by [`retain`](Self::retain).
+    fn release(&mut self, s: &Self::Set);
+    /// Bytes attributable to the retained sets right now. Backends keep
+    /// this as a running count, so reading it is O(1).
+    fn shadow_bytes(&self) -> usize;
     fn name(&self) -> &'static str;
 }
 
 /// roBDD-backed sets: canonical, hash-consed, range-friendly.
 pub struct BddBackend {
     mgr: BddManager,
+    /// Retained non-empty handles.
+    handles: usize,
 }
 
 impl BddBackend {
     /// `id_bits` bounds the representable input indices (`2^id_bits`).
     pub fn new(id_bits: u32) -> BddBackend {
-        BddBackend { mgr: BddManager::new(id_bits) }
+        BddBackend { mgr: BddManager::new(id_bits), handles: 0 }
     }
 
     pub fn manager(&self) -> &BddManager {
@@ -89,11 +99,24 @@ impl LineageBackend for BddBackend {
         self.mgr.count(*s)
     }
 
-    fn shadow_bytes(&self, stored: &[&NodeId]) -> usize {
-        // Live store of a GC'd manager: nodes reachable from the stored
+    fn retain(&mut self, s: &NodeId) {
+        if *s != FALSE {
+            self.handles += 1;
+            self.mgr.retain(*s);
+        }
+    }
+
+    fn release(&mut self, s: &NodeId) {
+        if *s != FALSE {
+            self.handles -= 1;
+            self.mgr.release(*s);
+        }
+    }
+
+    fn shadow_bytes(&self) -> usize {
+        // Live store of a GC'd manager: nodes reachable from the retained
         // sets (shared nodes counted once) plus 4-byte handles.
-        let roots: Vec<NodeId> = stored.iter().map(|&&n| n).collect();
-        self.mgr.reachable(&roots) * 16 + stored.len() * 4
+        self.mgr.live_nodes() * 16 + self.handles * 4
     }
 
     fn name(&self) -> &'static str {
@@ -107,11 +130,19 @@ impl LineageBackend for BddBackend {
 /// that is what a per-location `std::set` implementation (the paper's
 /// baseline) pays.
 #[derive(Default)]
-pub struct NaiveBackend;
+pub struct NaiveBackend {
+    /// Running Σ(24 + 8·len) over the retained sets.
+    bytes: usize,
+}
 
 impl NaiveBackend {
     pub fn new() -> NaiveBackend {
-        NaiveBackend
+        NaiveBackend::default()
+    }
+
+    /// One stored set: a 24-byte header plus 8 bytes per element.
+    fn set_bytes(s: &BTreeSet<u64>) -> usize {
+        24 + s.len() * 8
     }
 }
 
@@ -152,8 +183,20 @@ impl LineageBackend for NaiveBackend {
         s.len() as u64
     }
 
-    fn shadow_bytes(&self, stored: &[&Self::Set]) -> usize {
-        stored.iter().map(|s| 24 + s.len() * 8).sum()
+    fn retain(&mut self, s: &Self::Set) {
+        if !s.is_empty() {
+            self.bytes += Self::set_bytes(s);
+        }
+    }
+
+    fn release(&mut self, s: &Self::Set) {
+        if !s.is_empty() {
+            self.bytes -= Self::set_bytes(s);
+        }
+    }
+
+    fn shadow_bytes(&self) -> usize {
+        self.bytes
     }
 
     fn name(&self) -> &'static str {
@@ -216,10 +259,14 @@ mod tests {
             let s = naive.singleton(1000 + k);
             naive_sets.push(naive.union(&base_n, &s).0);
         }
-        let bdd_refs: Vec<&_> = bdd_sets.iter().collect();
-        let naive_refs: Vec<&_> = naive_sets.iter().collect();
-        let bdd_bytes = bdd.shadow_bytes(&bdd_refs);
-        let naive_bytes = naive.shadow_bytes(&naive_refs);
+        for s in &bdd_sets {
+            bdd.retain(s);
+        }
+        for s in &naive_sets {
+            naive.retain(s);
+        }
+        let bdd_bytes = bdd.shadow_bytes();
+        let naive_bytes = naive.shadow_bytes();
         assert!(
             bdd_bytes * 2 < naive_bytes,
             "roBDD must win on overlap: {bdd_bytes} vs {naive_bytes}"

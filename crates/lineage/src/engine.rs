@@ -3,9 +3,14 @@
 use crate::backend::LineageBackend;
 use crate::costs;
 use dift_dbi::Tool;
-use dift_isa::{MemAddr, Opcode, NUM_REGS};
+use dift_isa::{MemAddr, Opcode, Reg, NUM_REGS};
 use dift_vm::{Machine, RunResult, StepEffects, ThreadId};
 use std::collections::HashMap;
+
+/// Instructions between samples of the peak shadow statistics. A sample
+/// only reads the backend's running count; the cadence is fixed because
+/// the E7/E7a peaks are defined at these sample points.
+const SAMPLE_EVERY: u64 = 64;
 
 /// Lineage-tracing statistics (the E7 rows).
 #[derive(Clone, Debug, Default)]
@@ -24,7 +29,9 @@ pub struct LineageStats {
 ///
 /// Fields are `pub(crate)` so the shard-compose path
 /// ([`crate::shard`]) can apply per-epoch symbolic summaries directly
-/// to the shadow state.
+/// to the shadow state. Every write of a register or memory row goes
+/// through `set_reg` / `set_mem`, which keep the backend's retained sets
+/// equal to the resident ones.
 pub struct LineageEngine<B: LineageBackend> {
     pub(crate) backend: B,
     pub(crate) regs: Vec<Vec<B::Set>>,
@@ -36,9 +43,6 @@ pub struct LineageEngine<B: LineageBackend> {
     pub outputs: Vec<(u16, u64, Vec<u64>)>,
     pub(crate) out_counts: HashMap<u16, u64>,
     pub(crate) stats: LineageStats,
-    /// Sample shadow memory every N instructions (full scans are
-    /// expensive for the naive backend).
-    sample_every: u64,
 }
 
 impl<B: LineageBackend> LineageEngine<B> {
@@ -52,7 +56,6 @@ impl<B: LineageBackend> LineageEngine<B> {
             outputs: Vec::new(),
             out_counts: HashMap::new(),
             stats: LineageStats::default(),
-            sample_every: 64,
         }
     }
 
@@ -73,6 +76,28 @@ impl<B: LineageBackend> LineageEngine<B> {
         while self.regs.len() <= tid as usize {
             let empty = self.backend.empty();
             self.regs.push(vec![empty; NUM_REGS]);
+        }
+    }
+
+    /// Overwrite a register's set. The new set is retained before the
+    /// old one is released, so nodes they share never drop out of the
+    /// backend's live count.
+    pub(crate) fn set_reg(&mut self, tid: ThreadId, r: Reg, set: B::Set) {
+        self.backend.retain(&set);
+        let old = std::mem::replace(&mut self.regs[tid as usize][r.index()], set);
+        self.backend.release(&old);
+    }
+
+    /// Overwrite a memory cell's set; an empty set removes the cell.
+    pub(crate) fn set_mem(&mut self, addr: MemAddr, set: B::Set) {
+        let old = if self.backend.is_empty(&set) {
+            self.mem.remove(&addr)
+        } else {
+            self.backend.retain(&set);
+            self.mem.insert(addr, set)
+        };
+        if let Some(old) = old {
+            self.backend.release(&old);
         }
     }
 
@@ -173,14 +198,10 @@ impl<B: LineageBackend> LineageEngine<B> {
         };
 
         if let Some((r, _, _)) = fx.reg_write {
-            self.regs[t][r.index()] = out_set.clone();
+            self.set_reg(tid, r, out_set.clone());
         }
         if let Some((addr, _, _)) = fx.mem_write {
-            if self.backend.is_empty(&out_set) {
-                self.mem.remove(&addr);
-            } else {
-                self.mem.insert(addr, out_set.clone());
-            }
+            self.set_mem(addr, out_set);
         }
 
         if let Some((ch, _)) = fx.output {
@@ -198,29 +219,18 @@ impl<B: LineageBackend> LineageEngine<B> {
             *idx += 1;
         }
 
-        if self.stats.instrs % self.sample_every == 0 {
+        if self.stats.instrs % SAMPLE_EVERY == 0 {
             self.sample_memory();
         }
         charge
     }
 
+    /// Fold the current resident shadow state (memory cells plus live
+    /// register sets, as counted by the backend) into the peaks.
     pub(crate) fn sample_memory(&mut self) {
-        // Resident shadow state: memory cells plus live register labels.
-        let mut stored: Vec<&B::Set> = self.mem.values().collect();
-        for regs in &self.regs {
-            for s in regs {
-                if !self.backend.is_empty(s) {
-                    stored.push(s);
-                }
-            }
-        }
-        let bytes = self.backend.shadow_bytes(&stored);
-        if bytes > self.stats.peak_shadow_bytes {
-            self.stats.peak_shadow_bytes = bytes;
-        }
-        if self.mem.len() > self.stats.peak_tracked_words {
-            self.stats.peak_tracked_words = self.mem.len();
-        }
+        let st = &mut self.stats;
+        st.peak_shadow_bytes = st.peak_shadow_bytes.max(self.backend.shadow_bytes());
+        st.peak_tracked_words = st.peak_tracked_words.max(self.mem.len());
     }
 }
 
@@ -239,8 +249,13 @@ impl<B: LineageBackend> Tool for LineageEngine<B> {
 mod tests {
     use super::*;
     use crate::backend::{BddBackend, NaiveBackend};
+    use crate::shard::summarize_lineage_epoch;
     use dift_dbi::Engine;
+    use dift_robdd::NodeId;
+    use dift_taint::IoBase;
     use dift_workloads::science::{self, SciencePipeline};
+    use dift_workloads::server::{server_with_streams, ServerConfig};
+    use dift_workloads::Workload;
 
     fn run_pipeline<B: LineageBackend>(p: &SciencePipeline, backend: B) -> (LineageEngine<B>, u64) {
         let m = p.workload.machine();
@@ -298,6 +313,124 @@ mod tests {
         for (k, want) in p.expected_lineage.iter().enumerate() {
             let got = eng.output_lineage(0, k as u64).expect("output traced");
             assert_eq!(got, want.as_slice(), "cell {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "id 16 does not fit the 4-bit id width")]
+    fn input_ids_past_the_id_width_stop_the_run() {
+        // Regression: the width check was a debug assertion, so release
+        // builds dropped the high bits and traced input 16 as input 0.
+        let p = science::binning(17, 1);
+        run_pipeline(&p, BddBackend::new(4));
+    }
+
+    /// The full shadow scan the running counts replaced, kept as the
+    /// oracle: the bytes a backend charges for `stored` resident sets.
+    trait ScanOracle: LineageBackend {
+        fn scan(&self, stored: &[&Self::Set]) -> usize;
+    }
+
+    impl ScanOracle for BddBackend {
+        fn scan(&self, stored: &[&NodeId]) -> usize {
+            let roots: Vec<NodeId> = stored.iter().map(|&&n| n).collect();
+            self.manager().reachable(&roots) * 16 + stored.len() * 4
+        }
+    }
+
+    impl ScanOracle for NaiveBackend {
+        fn scan(&self, stored: &[&Self::Set]) -> usize {
+            stored.iter().map(|s| 24 + s.len() * 8).sum()
+        }
+    }
+
+    /// Oracle bytes of the engine's resident state: every memory cell
+    /// plus every non-empty register set.
+    fn scanned_bytes<B: ScanOracle>(eng: &LineageEngine<B>) -> usize {
+        let mut stored: Vec<&B::Set> = eng.mem.values().collect();
+        stored.extend(eng.regs.iter().flatten().filter(|s| !eng.backend.is_empty(s)));
+        eng.backend.scan(&stored)
+    }
+
+    #[derive(Default)]
+    struct Capture(Vec<StepEffects>);
+
+    impl Tool for Capture {
+        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
+            self.0.push(fx.clone());
+        }
+    }
+
+    /// A 4-tenant kv server: tenants share one key space, so each reads
+    /// values the others stored.
+    fn multi_tenant_server() -> Workload {
+        let streams = (0..4u64)
+            .map(|tenant| {
+                (0..20u64)
+                    .flat_map(|i| {
+                        let key = (tenant * 7 + i * 13) % 40 + 1;
+                        if i % 3 == 0 {
+                            [2, key, 0]
+                        } else {
+                            [1, key, tenant * 10_000 + i]
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let cfg = ServerConfig { workers: 4, requests_per_worker: 20, ..ServerConfig::default() };
+        server_with_streams(cfg, streams)
+    }
+
+    /// The science pipelines, the multi-tenant kv server and the E7a
+    /// prefix-sum sweep, as captured effect streams.
+    fn accounting_streams() -> Vec<(String, Vec<StepEffects>)> {
+        let mut ws: Vec<Workload> =
+            science::all_science(32).into_iter().map(|p| p.workload).collect();
+        ws.push(multi_tenant_server());
+        ws.extend([8, 24, 64, 128].map(|n| science::prefix_sum(n).workload));
+        ws.into_iter()
+            .map(|w| {
+                let mut cap = Capture::default();
+                let r = Engine::new(w.machine()).run_tool(&mut cap);
+                assert!(r.status.is_clean(), "{}: {:?}", w.name, r.status);
+                (w.name, cap.0)
+            })
+            .collect()
+    }
+
+    fn assert_exact_every_step<B: ScanOracle>(name: &str, stream: &[StepEffects], backend: B) {
+        let mut eng = LineageEngine::new(backend);
+        for fx in stream {
+            eng.process(fx);
+            assert_eq!(
+                eng.backend.shadow_bytes(),
+                scanned_bytes(&eng),
+                "{name} ({}): step {}",
+                eng.backend.name(),
+                fx.step
+            );
+        }
+    }
+
+    #[test]
+    fn running_shadow_bytes_match_full_scan_at_every_step() {
+        for (name, stream) in accounting_streams() {
+            assert_exact_every_step(&name, &stream, BddBackend::new(16));
+            assert_exact_every_step(&name, &stream, NaiveBackend::new());
+        }
+    }
+
+    #[test]
+    fn running_shadow_bytes_match_full_scan_after_every_composed_epoch() {
+        for (name, stream) in accounting_streams() {
+            let mut eng = LineageEngine::new(BddBackend::new(16));
+            let mut base = IoBase::default();
+            for (e, epoch) in stream.chunks(97).enumerate() {
+                summarize_lineage_epoch(epoch, 16, &base, false).apply(&mut eng, None);
+                base.advance(epoch);
+                assert_eq!(eng.backend.shadow_bytes(), scanned_bytes(&eng), "{name}: epoch {e}");
+            }
         }
     }
 

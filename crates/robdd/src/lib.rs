@@ -16,6 +16,12 @@
 //! (hash-cons) table and the apply cache; set handles are plain
 //! [`NodeId`]s. Canonicity: equal sets have equal node ids, so set
 //! equality is pointer equality — tested by the property suite.
+//!
+//! Callers that keep sets alive (a shadow memory) mark them with
+//! [`retain`](BddManager::retain) / [`release`](BddManager::release);
+//! the manager then keeps an exact running count of the nodes those
+//! sets reach ([`live_nodes`](BddManager::live_nodes)) without ever
+//! rescanning them.
 
 use std::collections::HashMap;
 
@@ -46,6 +52,12 @@ enum Op {
 pub struct BddManager {
     nvars: u32,
     nodes: Vec<Node>,
+    /// Per-node reference count: external retains plus one per live
+    /// parent edge. Nonzero exactly when a retained root reaches the
+    /// node (terminals are never counted).
+    refs: Vec<u32>,
+    /// Non-terminal nodes with a nonzero reference count.
+    live: usize,
     unique: HashMap<Node, NodeId>,
     cache: HashMap<(Op, NodeId, NodeId), NodeId>,
 }
@@ -61,6 +73,8 @@ impl BddManager {
                 Node { var: nvars, lo: FALSE, hi: FALSE },
                 Node { var: nvars, lo: TRUE, hi: TRUE },
             ],
+            refs: vec![0, 0],
+            live: 0,
             unique: HashMap::new(),
             cache: HashMap::new(),
         }
@@ -85,6 +99,7 @@ impl BddManager {
         }
         let id = self.nodes.len() as NodeId;
         self.nodes.push(node);
+        self.refs.push(0);
         self.unique.insert(node, id);
         id
     }
@@ -101,8 +116,18 @@ impl BddManager {
     }
 
     /// The singleton set `{value}`.
+    ///
+    /// # Panics
+    ///
+    /// If `value` does not fit in `nvars` bits. This is a hard check in
+    /// every build profile: dropping the high bits would alias `value`
+    /// onto a smaller id and silently return a wrong set.
     pub fn singleton(&mut self, value: u64) -> NodeId {
-        debug_assert!(self.nvars == 64 || value < (1u64 << self.nvars));
+        assert!(
+            self.nvars == 64 || value < (1u64 << self.nvars),
+            "id {value} does not fit the {}-bit id width",
+            self.nvars
+        );
         let mut node = TRUE;
         for var in (0..self.nvars).rev() {
             node = if self.bit(value, var) {
@@ -424,6 +449,53 @@ impl BddManager {
     /// the unique-table slot).
     pub fn bytes(&self) -> usize {
         self.nodes.len() * 16
+    }
+
+    /// Take a reference to `set`, keeping every node it reaches live.
+    /// Each `retain` must be paired with one [`release`](Self::release)
+    /// of the same set. Children are visited only when a node's count
+    /// moves from 0 to 1, so the cost is the number of nodes that
+    /// become live and the recursion depth is at most `nvars`.
+    pub fn retain(&mut self, set: NodeId) {
+        if set <= TRUE {
+            return;
+        }
+        let rc = &mut self.refs[set as usize];
+        *rc += 1;
+        if *rc == 1 {
+            self.live += 1;
+            let n = self.nodes[set as usize];
+            self.retain(n.lo);
+            self.retain(n.hi);
+        }
+    }
+
+    /// Drop a reference taken by [`retain`](Self::retain). Children
+    /// are visited only when a node's count falls to 0.
+    ///
+    /// # Panics
+    ///
+    /// If `set` is not currently retained.
+    pub fn release(&mut self, set: NodeId) {
+        if set <= TRUE {
+            return;
+        }
+        let rc = &mut self.refs[set as usize];
+        assert!(*rc > 0, "release of node {set}, which is not retained");
+        *rc -= 1;
+        if *rc == 0 {
+            self.live -= 1;
+            let n = self.nodes[set as usize];
+            self.release(n.lo);
+            self.release(n.hi);
+        }
+    }
+
+    /// Nodes reachable from the currently retained sets, shared nodes
+    /// counted once: always equal to [`reachable`](Self::reachable)
+    /// over the retained roots, at O(1) cost.
+    pub fn live_nodes(&self) -> usize {
+        self.live
     }
 }
 
@@ -776,6 +848,44 @@ mod proptests {
             let mut serial = primary.empty();
             for &v in &vals { serial = primary.insert(serial, v & mask); }
             prop_assert_eq!(moved, serial);
+        }
+
+        #[test]
+        fn live_nodes_match_reachable_from_retained(
+            ops in proptest::collection::vec((0u8..5, 0u64..1024, 0u64..1024), 0..120)
+        ) {
+            // Random interleavings of set building with retain/release:
+            // after every operation the running live count must equal a
+            // full reachability scan of the retained roots (a multiset —
+            // the same set may be held more than once).
+            let mut m = BddManager::new(10);
+            let mut sets = vec![FALSE];
+            let mut held: Vec<NodeId> = Vec::new();
+            for (op, a, b) in ops {
+                let some = sets[a as usize % sets.len()];
+                match op {
+                    0 => sets.push(m.insert(some, b)),
+                    1 => {
+                        let other = sets[b as usize % sets.len()];
+                        sets.push(m.union(some, other));
+                    }
+                    2 => sets.push(m.range(a.min(b), a.max(b))),
+                    3 => {
+                        m.retain(some);
+                        held.push(some);
+                    }
+                    _ if held.is_empty() => {}
+                    _ => {
+                        let s = held.swap_remove(a as usize % held.len());
+                        m.release(s);
+                    }
+                }
+                prop_assert_eq!(m.live_nodes(), m.reachable(&held));
+            }
+            for s in held.drain(..) {
+                m.release(s);
+            }
+            prop_assert_eq!(m.live_nodes(), 0);
         }
     }
 }
