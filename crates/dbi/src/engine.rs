@@ -2,9 +2,9 @@
 //! callbacks.
 
 use crate::tool::Tool;
-use dift_isa::{Addr, Cfg, FuncId};
-use dift_vm::{ExitStatus, Machine, RunResult, ThreadId};
-use std::collections::{HashMap, HashSet};
+use dift_isa::{Addr, Cfg, FuncId, Program};
+use dift_vm::{ExitStatus, Machine, RunResult};
+use std::collections::HashSet;
 
 /// Which instructions receive instrumentation callbacks.
 #[derive(Clone, Debug, Default)]
@@ -21,11 +21,25 @@ pub enum InstrumentationScope {
 
 impl InstrumentationScope {
     /// Build a function scope from names, resolving against `program`.
-    pub fn funcs(program: &dift_isa::Program, names: &[&str]) -> InstrumentationScope {
+    pub fn funcs(program: &Program, names: &[&str]) -> InstrumentationScope {
         let set = names.iter().filter_map(|n| program.func_by_name(n)).collect();
         InstrumentationScope::Funcs(set)
     }
+
+    fn covers(&self, program: &Program, addr: Addr) -> bool {
+        match self {
+            InstrumentationScope::All => true,
+            InstrumentationScope::Funcs(set) => {
+                program.func_at(addr).is_some_and(|f| set.contains(&f))
+            }
+        }
+    }
 }
+
+/// [`Engine`]'s per-address flag bits.
+const LEADER: u8 = 1;
+const SEEN: u8 = 2;
+const IN_SCOPE: u8 = 4;
 
 /// Drives a machine to completion while dispatching to tools.
 ///
@@ -33,40 +47,43 @@ impl InstrumentationScope {
 /// is constructed — the moral equivalent of the DBI front-end decoding
 /// code as it is first reached; the `is_new` flag on block entries
 /// reproduces the first-touch distinction.
+///
+/// Dispatch is table-driven and hash-free: one flag byte per program
+/// address (block leader, already entered, in scope) and one
+/// block-pending flag per thread, both plain vectors indexed by address
+/// and tid.
 pub struct Engine {
     machine: Machine,
-    scope: InstrumentationScope,
-    /// Leaders (block entry addresses) across the whole program.
-    leaders: HashSet<Addr>,
-    /// Blocks already entered at least once.
-    seen_blocks: HashSet<Addr>,
-    /// Per-thread flag: the next instrumented instruction begins a block.
-    block_pending: HashMap<ThreadId, bool>,
+    /// `LEADER | SEEN | IN_SCOPE` bits, indexed by program address.
+    addr_flags: Vec<u8>,
+    /// Indexed by tid: the thread's last instrumented instruction
+    /// transferred control, so its next one begins a block.
+    block_pending: Vec<bool>,
     /// Total instrumented (callback-dispatched) instructions.
     pub instrumented_steps: u64,
 }
 
 impl Engine {
     pub fn new(machine: Machine) -> Engine {
-        let mut leaders = HashSet::new();
-        let program = machine.program().clone();
-        for cfg in Cfg::build_all(&program) {
+        let program = machine.program();
+        let mut addr_flags = vec![IN_SCOPE; program.len()];
+        for cfg in Cfg::build_all(program) {
             for b in &cfg.blocks {
-                leaders.insert(b.start);
+                addr_flags[b.start as usize] |= LEADER;
             }
         }
-        Engine {
-            machine,
-            scope: InstrumentationScope::All,
-            leaders,
-            seen_blocks: HashSet::new(),
-            block_pending: HashMap::new(),
-            instrumented_steps: 0,
-        }
+        Engine { machine, addr_flags, block_pending: Vec::new(), instrumented_steps: 0 }
     }
 
     pub fn with_scope(mut self, scope: InstrumentationScope) -> Engine {
-        self.scope = scope;
+        let program = self.machine.program();
+        for (addr, flags) in self.addr_flags.iter_mut().enumerate() {
+            if scope.covers(program, addr as Addr) {
+                *flags |= IN_SCOPE;
+            } else {
+                *flags &= !IN_SCOPE;
+            }
+        }
         self
     }
 
@@ -84,47 +101,46 @@ impl Engine {
         self.machine
     }
 
-    fn in_scope(&self, addr: Addr) -> bool {
-        match &self.scope {
-            InstrumentationScope::All => true,
-            InstrumentationScope::Funcs(set) => {
-                self.machine.program().func_at(addr).map(|f| set.contains(&f)).unwrap_or(false)
+    /// Execute one instruction with callbacks; returns machine status.
+    ///
+    /// [`Machine::pending`] has already parked blocked threads and raised
+    /// faults that execute nothing, so the callbacks fired here are for
+    /// exactly the instruction `Machine::step` then executes.
+    pub fn step(&mut self, tools: &mut [&mut dyn Tool]) -> ExitStatus {
+        let Some(pending) = self.machine.pending() else {
+            return self.machine.status();
+        };
+        let at = pending.addr as usize;
+        let flags = self.addr_flags[at];
+        if flags & IN_SCOPE == 0 {
+            return self.machine.step();
+        }
+        // Block-entry dispatch: the pending address is a leader, or the
+        // thread's last instrumented instruction transferred control. The
+        // thread's flag is consumed either way so it cannot leak into the
+        // block body.
+        let tid = pending.tid as usize;
+        let flagged = self.block_pending.get_mut(tid).is_some_and(std::mem::take);
+        if flags & LEADER != 0 || flagged {
+            self.addr_flags[at] = flags | SEEN;
+            for t in tools.iter_mut() {
+                t.on_block(&mut self.machine, pending.tid, pending.addr, flags & SEEN == 0);
             }
         }
-    }
-
-    /// Execute one instruction with callbacks; returns machine status.
-    pub fn step(&mut self, tools: &mut [&mut dyn Tool]) -> ExitStatus {
-        let pending = match self.machine.pending() {
-            Some(p) => p,
-            None => return self.machine.status(),
-        };
-        let instrumented = self.in_scope(pending.addr);
-        if instrumented {
-            // Block-entry dispatch: the pending address is a leader, or
-            // the thread was flagged after a control transfer. The flag is
-            // consumed either way so it cannot leak into the block body.
-            let flagged = self.block_pending.remove(&pending.tid).unwrap_or(false);
-            if self.leaders.contains(&pending.addr) || flagged {
-                let is_new = self.seen_blocks.insert(pending.addr);
-                for t in tools.iter_mut() {
-                    t.on_block(&mut self.machine, pending.tid, pending.addr, is_new);
-                }
-            }
-            for t in tools.iter_mut() {
-                t.before(&mut self.machine, &pending);
-            }
+        for t in tools.iter_mut() {
+            t.before(&mut self.machine, &pending);
         }
         let status = self.machine.step();
-        if instrumented {
-            self.instrumented_steps += 1;
-            let fx = self.machine.last_step().clone();
-            if fx.control.is_some() {
-                self.block_pending.insert(fx.tid, true);
+        self.instrumented_steps += 1;
+        let fx = self.machine.last_step().clone();
+        if fx.control.is_some() {
+            if tid >= self.block_pending.len() {
+                self.block_pending.resize(tid + 1, false);
             }
-            for t in tools.iter_mut() {
-                t.after(&mut self.machine, &fx);
-            }
+            self.block_pending[tid] = true;
+        }
+        for t in tools.iter_mut() {
+            t.after(&mut self.machine, &fx);
         }
         status
     }
@@ -157,7 +173,7 @@ impl Engine {
 
     /// Number of statically discovered basic blocks.
     pub fn block_count(&self) -> usize {
-        self.leaders.len()
+        self.addr_flags.iter().filter(|&&f| f & LEADER != 0).count()
     }
 }
 
@@ -166,8 +182,9 @@ mod tests {
     use super::*;
     use crate::tool::{CountingTool, NullTool};
     use dift_isa::{BinOp, BranchCond, ProgramBuilder, Reg};
-    use dift_vm::MachineConfig;
-    use std::sync::Arc;
+    use dift_vm::{Arrival, Fault, MachineConfig, Pending, StepEffects, ThreadId};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn looping_program() -> Arc<dift_isa::Program> {
         let mut b = ProgramBuilder::new();
@@ -273,5 +290,117 @@ mod tests {
         // Unforced: 1 + 5*2 + 1(call) + 2(leaf) + 1(halt) = 15 steps.
         // Forced: single loop iteration = 1 + 2 + 1 + 2 + 1 = 7.
         assert_eq!(r.steps, 7);
+    }
+
+    #[test]
+    fn run_stops_when_the_pc_leaves_the_text() {
+        // No `halt`: the PC falls off the end of the text after one step.
+        let p = Arc::new(dift_isa::asm::assemble(".func main\n li r1, 5\n").unwrap());
+        let want = Machine::new(p.clone(), MachineConfig::small()).run();
+        assert!(matches!(
+            want.status,
+            ExitStatus::Faulted { fault: Fault::BadJump { target: 1 }, .. }
+        ));
+        assert_eq!(want.steps, 1);
+        let (tx, rx) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let mut e = Engine::new(Machine::new(p, MachineConfig::small()));
+            let _ = tx.send(e.run_tool(&mut NullTool));
+        });
+        let got = rx.recv_timeout(Duration::from_secs(60)).expect("Engine::run hung");
+        run.join().expect("engine thread panicked");
+        assert_eq!(got, want);
+    }
+
+    /// Every callback, in dispatch order.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Block(ThreadId, Addr, bool),
+        Before(ThreadId, Addr),
+        After(ThreadId, Addr),
+    }
+
+    #[derive(Default)]
+    struct EventLog(Vec<Event>);
+
+    impl Tool for EventLog {
+        fn on_block(&mut self, _m: &mut Machine, tid: ThreadId, entry: Addr, is_new: bool) {
+            self.0.push(Event::Block(tid, entry, is_new));
+        }
+        fn before(&mut self, _m: &mut Machine, p: &Pending) {
+            self.0.push(Event::Before(p.tid, p.addr));
+        }
+        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
+            self.0.push(Event::After(fx.tid, fx.addr));
+        }
+    }
+
+    /// Main spawns a 40-iteration worker at address 4, then blocks:
+    /// `join`ing it, or, with `input`, first on an `in` whose word
+    /// arrives while the worker runs.
+    fn blocking_program(input: bool) -> (Arc<dift_isa::Program>, MachineConfig) {
+        let mut b = ProgramBuilder::new();
+        b.func("main");
+        b.li(Reg(1), 0);
+        b.spawn(Reg(5), "worker", Reg(1));
+        if input {
+            b.input(Reg(2), 0);
+            b.output(Reg(2), 0);
+        }
+        b.join(Reg(5));
+        b.halt();
+        b.func("worker");
+        b.li(Reg(2), 40);
+        b.label("loop");
+        b.bini(BinOp::Sub, Reg(2), Reg(2), 1);
+        b.branch(BranchCond::Ne, Reg(2), Reg(0), "loop");
+        b.halt();
+        let mut cfg = MachineConfig::small();
+        if input {
+            cfg.arrivals = vec![Arrival { at_step: 30, channel: 0, value: 7 }];
+        }
+        (Arc::new(b.build().unwrap()), cfg)
+    }
+
+    #[test]
+    fn blocked_threads_get_no_callbacks_for_other_threads_instructions() {
+        // Quantum 0 behaves as 1: one scheduling decision per step, even
+        // when `pending()` and `step()` both run the pre-execution path.
+        for (input, quantum) in [(false, 64), (true, 64), (false, 0), (true, 0)] {
+            let case = format!("input={input} quantum={quantum}");
+            let (p, cfg) = blocking_program(input);
+            let cfg = cfg.with_quantum(quantum);
+            let worker = p.funcs()[p.func_by_name("worker").unwrap() as usize].entry;
+            let mut e = Engine::new(Machine::new(p.clone(), cfg.clone()));
+            let mut log = EventLog::default();
+            e.run_tool(&mut log);
+
+            // Each `before` is followed by the `after` of the same
+            // instruction, with nothing in between.
+            let calls: Vec<&Event> =
+                log.0.iter().filter(|ev| !matches!(ev, Event::Block(..))).collect();
+            for pair in calls.chunks(2) {
+                match pair {
+                    [Event::Before(t, a), Event::After(u, b)] => {
+                        assert_eq!((t, a), (u, b), "{case}: before/after mismatch")
+                    }
+                    other => panic!("{case}: unpaired callbacks {other:?}"),
+                }
+            }
+            for tid in 1..e.machine().threads().len() as ThreadId {
+                assert!(
+                    log.0
+                        .iter()
+                        .any(|ev| matches!(ev, Event::Block(t, a, _) if *t == tid && *a == worker)),
+                    "{case}: worker {tid}'s entry block never reported"
+                );
+            }
+
+            let mut bare = Machine::new(p.clone(), cfg.clone());
+            let want = bare.run();
+            let mut e = Engine::new(Machine::new(p, cfg));
+            assert_eq!(e.run_tool(&mut NullTool), want, "{case}");
+            assert_eq!(e.machine().sched_trace(), bare.sched_trace(), "{case}");
+        }
     }
 }

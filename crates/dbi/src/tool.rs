@@ -13,6 +13,14 @@ use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
 /// Tools model their runtime cost by calling
 /// [`Machine::charge`] from their callbacks; the engine never
 /// charges implicitly.
+///
+/// Dispatch contract: for each instrumented instruction, `on_block` (at
+/// a block entry) and `before` fire for exactly the instruction whose
+/// effects `after` then receives — same thread, same address. Parking a
+/// thread on a blocking `In`/`Join`, or raising a fault at a PC that
+/// executes nothing, fires no callback. A `before` hook that redirects
+/// its thread (`set_pc`, or `set_reg` on a `Join`'s operand) changes
+/// which instruction executes, and `after` reports that one.
 pub trait Tool {
     /// Called once before the first instruction.
     fn on_start(&mut self, _m: &mut Machine) {}

@@ -279,7 +279,9 @@ impl Machine {
             match self.scheduler.pick(&runnable) {
                 Some(tid) => {
                     self.cur = tid;
-                    self.quantum_left = self.config.quantum;
+                    // At least one instruction per decision, so that a
+                    // repeated `prepare()` never decides twice.
+                    self.quantum_left = self.config.quantum.max(1);
                     self.scheduled = true;
                     return;
                 }
@@ -291,30 +293,37 @@ impl Machine {
         }
     }
 
-    /// What will execute next, or `None` if the machine is finished.
+    /// What will execute next, or `None` once the machine has stopped.
+    ///
+    /// This runs the same pre-execution routine as [`Machine::step`]: a
+    /// thread whose `In`/`Join` would block is parked, a PC outside the
+    /// program text raises `BadJump` and `max_steps` ends the run, before
+    /// anything is returned. So the instruction returned is exactly the
+    /// one the next `step()` executes, unless the caller first redirects
+    /// the thread (`set_pc`, or `set_reg` on a `Join`'s operand).
     pub fn pending(&mut self) -> Option<Pending> {
-        self.ensure_scheduled();
-        if self.status != ExitStatus::Running {
-            return None;
-        }
-        let t = &self.threads[self.cur as usize];
-        let insn = *self.program.get(t.pc)?;
-        Some(Pending { tid: t.tid, addr: t.pc, insn })
+        self.prepare()
     }
 
-    // ---- execution ---------------------------------------------------------
-
-    /// Execute one instruction. Returns the machine status afterwards;
-    /// inspect [`Machine::last_step`] for the effects.
-    pub fn step(&mut self) -> ExitStatus {
+    /// The pre-execution half of a step, shared by [`Machine::pending`]
+    /// and [`Machine::step`]: schedule, apply `max_steps`, fetch, and
+    /// settle every reason the current thread cannot execute (park it on
+    /// a blocking `In`/`Join`, fault it on a bad PC or join target),
+    /// until an instruction can execute or the machine stops. It is
+    /// idempotent: called again before that instruction executes, it
+    /// changes nothing and returns the same instruction, so `pending()`
+    /// followed by `step()` makes the same scheduling decisions as
+    /// `step()` alone.
+    #[inline(always)]
+    fn prepare(&mut self) -> Option<Pending> {
         loop {
             self.ensure_scheduled();
             if self.status != ExitStatus::Running {
-                return self.status;
+                return None;
             }
             if self.steps >= self.config.max_steps {
                 self.status = ExitStatus::StepLimit;
-                return self.status;
+                return None;
             }
             let tid = self.cur;
             let pc = self.threads[tid as usize].pc;
@@ -353,21 +362,31 @@ impl Machine {
                 }
                 _ => {}
             }
-
-            self.effects.reset(tid, pc, insn, self.steps);
-            self.exec(tid, pc, insn);
-            self.steps += 1;
-            self.quantum_left = self.quantum_left.saturating_sub(1);
-            let c = self.effects.cycles;
-            self.cycles += c;
-            let t = &mut self.threads[tid as usize];
-            t.steps += 1;
-            t.cycles += c;
-            if !t.status.is_runnable() {
-                self.scheduled = false;
-            }
-            return self.status;
+            return Some(Pending { tid, addr: pc, insn });
         }
+    }
+
+    // ---- execution ---------------------------------------------------------
+
+    /// Execute one instruction. Returns the machine status afterwards;
+    /// inspect [`Machine::last_step`] for the effects.
+    pub fn step(&mut self) -> ExitStatus {
+        let Some(Pending { tid, addr: pc, insn }) = self.prepare() else {
+            return self.status;
+        };
+        self.effects.reset(tid, pc, insn, self.steps);
+        self.exec(tid, pc, insn);
+        self.steps += 1;
+        self.quantum_left = self.quantum_left.saturating_sub(1);
+        let c = self.effects.cycles;
+        self.cycles += c;
+        let t = &mut self.threads[tid as usize];
+        t.steps += 1;
+        t.cycles += c;
+        if !t.status.is_runnable() {
+            self.scheduled = false;
+        }
+        self.status
     }
 
     /// Run to completion and summarize.
@@ -519,12 +538,12 @@ impl Machine {
                 None => fault!(Fault::CallStackUnderflow),
             },
             Opcode::In { rd, channel } => {
-                // Non-empty guaranteed by the blocking check in step().
+                // Non-empty guaranteed by the blocking check in prepare().
                 let v = self
                     .inputs
                     .get_mut(&channel)
                     .and_then(|q| q.pop_front())
-                    .expect("step() guarantees channel non-empty");
+                    .expect("prepare() guarantees channel non-empty");
                 self.effects.input = Some((channel, v));
                 write_reg!(rd, v);
                 self.effects.cycles += cm.io;
@@ -567,7 +586,7 @@ impl Machine {
                 self.effects.cycles += cm.spawn;
             }
             Opcode::Join { rs } => {
-                // Non-blocking case only (step() parked us otherwise).
+                // Non-blocking case only (prepare() parked us otherwise).
                 let _ = regs!(rs);
                 self.effects.cycles += cm.alu;
             }

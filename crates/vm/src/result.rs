@@ -38,7 +38,7 @@ impl ExitStatus {
 }
 
 /// Summary of a completed run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunResult {
     pub status: ExitStatus,
     /// Total instructions executed across all threads.

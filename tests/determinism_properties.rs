@@ -3,8 +3,12 @@
 
 use dift::replay::{record, replay_full, RunSpec};
 use dift::vm::{Machine, MachineConfig};
-use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
+use dift_dbi::{Engine, InstrumentationScope, Tool};
+use dift_isa::{Addr, BinOp, BranchCond, Cfg, Program, ProgramBuilder, Reg};
+use dift_vm::{Arrival, Pending, SchedPolicy, StepEffects, ThreadId};
+use dift_workloads::server::{server, ServerConfig};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Generate a small random-but-safe two-thread program: each thread does
@@ -144,5 +148,123 @@ proptest! {
         resumed.restore(&cp);
         resumed.run();
         prop_assert_eq!(resumed.output(0).to_vec(), want);
+    }
+}
+
+/// One DBI callback, in dispatch order.
+#[derive(Debug, PartialEq)]
+enum Callback {
+    Block(ThreadId, Addr, bool),
+    Before(ThreadId, Addr),
+    After(ThreadId, Addr),
+}
+
+/// Every callback of a run, plus whether each `after`'s instruction
+/// transferred control.
+#[derive(Default)]
+struct CallbackLog {
+    calls: Vec<Callback>,
+    control: Vec<bool>,
+}
+
+impl CallbackLog {
+    /// The instrumented instructions, as `(tid, addr)`, in `after` order.
+    fn executed(&self) -> impl Iterator<Item = (ThreadId, Addr)> + '_ {
+        self.calls.iter().filter_map(|c| match c {
+            Callback::After(tid, addr) => Some((*tid, *addr)),
+            _ => None,
+        })
+    }
+}
+
+impl Tool for CallbackLog {
+    fn on_block(&mut self, _m: &mut Machine, tid: ThreadId, entry: Addr, is_new: bool) {
+        self.calls.push(Callback::Block(tid, entry, is_new));
+    }
+    fn before(&mut self, _m: &mut Machine, p: &Pending) {
+        self.calls.push(Callback::Before(p.tid, p.addr));
+    }
+    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
+        self.calls.push(Callback::After(fx.tid, fx.addr));
+        self.control.push(fx.control.is_some());
+    }
+}
+
+/// The callbacks the engine owes a run, derived from its `after` stream
+/// alone: each executed instruction gets `before` then `after`, preceded
+/// by a block entry when it is a `Cfg::build_all` leader or its thread's
+/// previous instrumented instruction transferred control; `is_new` marks
+/// an address's first report.
+fn expected_callbacks(program: &Program, log: &CallbackLog) -> Vec<Callback> {
+    let leaders: HashSet<Addr> =
+        Cfg::build_all(program).iter().flat_map(|c| c.blocks.iter().map(|b| b.start)).collect();
+    let mut after_transfer: HashSet<ThreadId> = HashSet::new();
+    let mut reported: HashSet<Addr> = HashSet::new();
+    let mut want = Vec::new();
+    for ((tid, addr), &control) in log.executed().zip(&log.control) {
+        if leaders.contains(&addr) || after_transfer.contains(&tid) {
+            want.push(Callback::Block(tid, addr, reported.insert(addr)));
+        }
+        if control {
+            after_transfer.insert(tid);
+        } else {
+            after_transfer.remove(&tid);
+        }
+        want.push(Callback::Before(tid, addr));
+        want.push(Callback::After(tid, addr));
+    }
+    want
+}
+
+/// Run `machine` through the engine under `scope`, check the callback
+/// stream against [`expected_callbacks`], and return the instrumented
+/// instructions as `(tid, addr)`.
+fn check_dispatch(machine: Machine, scope: InstrumentationScope) -> Vec<(ThreadId, Addr)> {
+    let program = machine.program().clone();
+    let mut engine = Engine::new(machine).with_scope(scope);
+    let mut log = CallbackLog::default();
+    let r = engine.run_tool(&mut log);
+    assert!(r.status.is_clean(), "{:?}", r.status);
+    assert!(!log.control.is_empty(), "nothing was instrumented");
+    assert_eq!(log.calls, expected_callbacks(&program, &log));
+    log.executed().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The engine's block-entry stream, and the pairing of each
+    /// `before` with its `after`, match the oracle over random
+    /// two-thread programs (whole program, and the worker alone) and the
+    /// 4-worker kv server, whose request words arrive while the workers
+    /// run, so `In` and `Join` park threads mid-run.
+    #[test]
+    fn block_entries_match_the_after_stream_oracle(
+        ops in proptest::collection::vec(0u8..250, 1..24),
+        shared in 0u8..6,
+        seed in 1u64..5000,
+    ) {
+        let program = random_program(&ops, shared);
+        let cfg = MachineConfig::small().with_seed(seed).with_quantum(3);
+        let machine = Machine::new(program.clone(), cfg.clone());
+        let all = check_dispatch(machine, InstrumentationScope::All);
+        // A function scope instruments exactly that function's share of
+        // the same run.
+        let scope = InstrumentationScope::funcs(&program, &["worker"]);
+        let scoped = check_dispatch(Machine::new(program.clone(), cfg), scope);
+        let worker = &program.funcs()[program.func_by_name("worker").unwrap() as usize];
+        let want: Vec<_> = all.into_iter().filter(|&(_, addr)| worker.contains(addr)).collect();
+        prop_assert_eq!(scoped, want);
+
+        let cfg = ServerConfig { workers: 4, requests_per_worker: 12, with_bug: false, seed };
+        let mut kv = server(cfg).with_quantum(5).with_sched(SchedPolicy::Seeded { seed });
+        for (channel, words) in std::mem::take(&mut kv.inputs) {
+            kv.arrivals.extend(words.into_iter().enumerate().map(|(i, value)| Arrival {
+                at_step: 40 * i as u64,
+                channel,
+                value,
+            }));
+        }
+        check_dispatch(kv.machine(), InstrumentationScope::All);
     }
 }
