@@ -73,10 +73,6 @@ pub struct LineageShardRow {
     pub arena_nodes: u64,
     /// Dependences resolved across an epoch boundary at composition.
     pub cross_epoch_deps: u64,
-    /// Index chunks spliced whole (`Arc` move) at composition.
-    pub chunks_moved: u64,
-    /// Index chunks merged key-by-key (epoch-boundary collisions).
-    pub chunks_merged: u64,
     /// Dependence edges in the merged index (equals serial by gate).
     pub index_edges: u64,
     pub points: Vec<LineageShardPoint>,
@@ -157,13 +153,7 @@ fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShar
             && edges == serial_edges;
         // The merge costs depend only on the epoch grid, not on how
         // many workers raced to fill it — record them once.
-        merge.get_or_insert((
-            run.stats.arena_nodes,
-            run.stats.cross_epoch_deps,
-            run.stats.chunks_moved,
-            run.stats.chunks_merged,
-            edges,
-        ));
+        merge.get_or_insert((run.stats.arena_nodes, run.stats.cross_epoch_deps, edges));
         points.push(LineageShardPoint {
             workers,
             modeled_speedup: run.stats.modeled_speedup(),
@@ -175,8 +165,7 @@ fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShar
             modeled_only: host_cores == 1,
         });
     }
-    let (arena_nodes, cross_epoch_deps, chunks_moved, chunks_merged, index_edges) =
-        merge.unwrap_or_default();
+    let (arena_nodes, cross_epoch_deps, index_edges) = merge.unwrap_or_default();
     LineageShardRow {
         name: w.name.clone(),
         instrs: stream.len() as u64,
@@ -184,8 +173,6 @@ fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShar
         inputs: serial.inputs_seen(),
         arena_nodes,
         cross_epoch_deps,
-        chunks_moved,
-        chunks_merged,
         index_edges,
         points,
     }
@@ -230,16 +217,15 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
     let mut t = Table::new(
         "T9",
         "sharded lineage + slicing on the epoch pipeline: identical answers, modeled speedup",
-        "per-shard roBDD arenas hash-cons-merge into the primary manager and index \
-         fragments splice chunk-wise; every width reproduces the serial engine and \
-         index bit for bit",
+        "per-shard roBDD arenas hash-cons-merge into the primary manager and each \
+         epoch's dependence records replay into the merged index; every width \
+         reproduces the serial engine and index bit for bit",
         &[
             "benchmark",
             "instrs",
             "epochs",
             "arena nodes",
             "cross-epoch",
-            "moved/merged",
             "edges",
             "model w4/w1",
             "identical",
@@ -253,7 +239,6 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
             row.epochs.to_string(),
             row.arena_nodes.to_string(),
             row.cross_epoch_deps.to_string(),
-            format!("{}/{}", row.chunks_moved, row.chunks_merged),
             row.index_edges.to_string(),
             at4.map(|p| fx(p.modeled_speedup)).unwrap_or_default(),
             if row.points.iter().all(|p| p.identical) { "yes" } else { "NO" }.into(),
@@ -265,7 +250,6 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
         "-".into(),
         r.total_arena_nodes.to_string(),
         r.total_cross_epoch_deps.to_string(),
-        "-".into(),
         "-".into(),
         fx(r.modeled_speedup_geomean_4w),
         pct(r.identical_fraction),
@@ -294,11 +278,6 @@ mod tests {
             assert_eq!(row.epochs, row.instrs.div_ceil(r.epoch_len as u64), "{}", row.name);
             assert!(row.arena_nodes > 0, "{}: shards must build arena nodes", row.name);
             assert!(row.index_edges > 0, "{}: merged index must hold edges", row.name);
-            assert!(
-                row.chunks_moved + row.chunks_merged > 0,
-                "{}: composition must splice fragments",
-                row.name
-            );
             assert_eq!(row.points.len(), WORKER_SWEEP.len(), "{}", row.name);
             for p in &row.points {
                 assert!(p.identical, "{}@{}w: sharded != serial", row.name, p.workers);

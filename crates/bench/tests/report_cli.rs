@@ -282,7 +282,6 @@ fn lineage_shard_selection_writes_the_json_artifact() {
         "modeled_speedup_geomean_4w",
         "arena_nodes",
         "cross_epoch_deps",
-        "chunks_moved",
         "index_edges",
         "modeled_only",
         "rows",

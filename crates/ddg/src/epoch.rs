@@ -1,5 +1,5 @@
-//! Epoch-sharded dependence derivation and [`SliceIndex`] fragment
-//! composition.
+//! Epoch-sharded dependence derivation and its composition into one
+//! [`SliceIndex`].
 //!
 //! The serial [`OnTrac`](crate::OnTrac) deriver needs the last-writer
 //! shadow state of the whole stream prefix. To ride the epoch-parallel
@@ -8,7 +8,7 @@
 //! empty:
 //!
 //! * a use whose def lies in the same epoch resolves shard-side and is
-//!   indexed into a private per-shard [`SliceIndex`] fragment;
+//!   appended to the epoch's ordered list of records;
 //! * a use of a location not (yet) written in the epoch becomes a
 //!   **pending dependence** naming the location, resolved at
 //!   composition time against the global last-writer tables the
@@ -25,20 +25,32 @@
 //! `dift-slicing` holds sharded slices bit-identical to the serial
 //! tracer's.
 //!
-//! Composition ([`EpochDepComposer`]) is cheap where it matters:
-//! fragments splice into the merged index by `Arc`-moving whole chunks
-//! ([`SliceIndex::absorb_fragment`]); only the few cross-epoch pending
-//! records take the ordinary `on_push` path.
+//! Composition ([`EpochDepComposer`]) replays fragments in epoch
+//! order: it pushes each fragment's records, then its resolved
+//! pendings, through [`SliceIndex::on_push`] — the same O(1) path the
+//! serial tracer takes, so no index is ever built shard-side or
+//! spliced. The shards do the derivation (last-writer lookups, control
+//! stack); the composer only indexes.
+//!
+//! The step-keyed tables are vectors: a fragment's def-side metadata is
+//! indexed by `step - epoch_start`, the composer's run-long metadata by
+//! step, and register last-writers are per-thread register arrays (the
+//! [`crate::ShadowState`] layout). Only the memory last-writer tables
+//! are maps, because addresses are sparse.
 //!
 //! [`OnTracConfig::unoptimized`]: crate::OnTracConfig::unoptimized
 
 use crate::buffer::BufRecord;
 use crate::dep::{DepKind, Dependence};
-use crate::index::{FragmentMergeStats, SliceIndex};
+use crate::index::SliceIndex;
 use crate::shadow::ControlStack;
-use dift_isa::{Addr, MemAddr, Program, Reg, StmtId};
+use dift_isa::{Addr, MemAddr, Program, Reg, StmtId, NUM_REGS};
 use dift_vm::{ControlEffect, StepEffects, ThreadId};
 use std::collections::HashMap;
+
+/// Def-side metadata of a step that defined nothing — also what the
+/// serial tracer records for a def it holds no metadata for.
+const NO_META: (Addr, StmtId) = (0, 0);
 
 /// The location (or pre-epoch branch) a pending dependence reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,15 +72,52 @@ pub struct PendingDep {
     pub src: PendingSource,
 }
 
-/// One epoch's dependence delta: an indexed fragment of in-epoch
-/// records, the pending cross-epoch reads, and the epoch-exit
-/// last-writer tables the composer folds forward.
+/// Register last-writers: per thread, per register, `step + 1` (0 =
+/// never written).
+#[derive(Default)]
+struct RegDefs(Vec<[u64; NUM_REGS]>);
+
+impl RegDefs {
+    fn get(&self, tid: ThreadId, r: Reg) -> Option<u64> {
+        self.0.get(tid as usize)?[r.index()].checked_sub(1)
+    }
+
+    fn set(&mut self, tid: ThreadId, r: Reg, step: u64) {
+        let t = tid as usize;
+        if self.0.len() <= t {
+            self.0.resize(t + 1, [0; NUM_REGS]);
+        }
+        self.0[t][r.index()] = step + 1;
+    }
+
+    /// Fold a later epoch's exit table forward: every register it wrote
+    /// takes its last writer.
+    fn fold(&mut self, later: &RegDefs) {
+        if self.0.len() < later.0.len() {
+            self.0.resize(later.0.len(), [0; NUM_REGS]);
+        }
+        for (mine, theirs) in self.0.iter_mut().zip(&later.0) {
+            for (m, &t) in mine.iter_mut().zip(theirs) {
+                if t != 0 {
+                    *m = t;
+                }
+            }
+        }
+    }
+}
+
+/// One epoch's dependence delta: the ordered in-epoch records, the
+/// pending cross-epoch reads, and the epoch-exit last-writer tables
+/// and def metadata the composer folds forward.
 pub struct EpochDeps {
-    index: SliceIndex,
+    records: Vec<BufRecord>,
     pending: Vec<PendingDep>,
-    reg_defs: HashMap<(ThreadId, Reg), u64>,
+    reg_defs: RegDefs,
     mem_defs: HashMap<MemAddr, u64>,
-    def_meta: HashMap<u64, (Addr, StmtId)>,
+    /// Def-side metadata by `step - epoch_start` ([`NO_META`] for
+    /// steps that defined nothing).
+    def_meta: Vec<(Addr, StmtId)>,
+    epoch_start: u64,
     instrs: u64,
 }
 
@@ -78,9 +127,9 @@ impl EpochDeps {
         self.instrs
     }
 
-    /// In-epoch records indexed shard-side.
+    /// In-epoch records derived shard-side.
     pub fn edges(&self) -> u64 {
-        self.index.edges()
+        self.records.len() as u64
     }
 
     /// Cross-epoch reads awaiting composition.
@@ -94,7 +143,6 @@ impl EpochDeps {
 pub struct EpochDepSummarizer {
     frag: EpochDeps,
     control: ControlStack,
-    epoch_start: u64,
     /// Shadow-memory capacity: writes at or beyond are ignored, exactly
     /// as [`crate::ShadowState`] ignores them.
     mem_words: u64,
@@ -108,29 +156,33 @@ impl EpochDepSummarizer {
     pub fn new(control: ControlStack, epoch_start: u64, mem_words: usize) -> EpochDepSummarizer {
         EpochDepSummarizer {
             frag: EpochDeps {
-                index: SliceIndex::default(),
+                records: Vec::new(),
                 pending: Vec::new(),
-                reg_defs: HashMap::new(),
+                reg_defs: RegDefs::default(),
                 mem_defs: HashMap::new(),
-                def_meta: HashMap::new(),
+                def_meta: Vec::new(),
+                epoch_start,
                 instrs: 0,
             },
             control,
-            epoch_start,
             mem_words: mem_words as u64,
         }
     }
 
     fn record(&mut self, kind: DepKind, user: u64, def: u64, fx: &StepEffects) {
-        let (def_addr, def_stmt) = self.frag.def_meta.get(&def).copied().unwrap_or((0, 0));
-        let rec = BufRecord {
+        let frag = &mut self.frag;
+        let (def_addr, def_stmt) = def
+            .checked_sub(frag.epoch_start)
+            .and_then(|i| frag.def_meta.get(i as usize))
+            .copied()
+            .unwrap_or(NO_META);
+        frag.records.push(BufRecord {
             dep: Dependence::new(user, def, kind),
             user_addr: fx.addr,
             def_addr,
             user_stmt: fx.insn.stmt,
             def_stmt,
-        };
-        self.frag.index.on_push(&rec);
+        });
     }
 
     fn defer(&mut self, kind: DepKind, fx: &StepEffects, src: PendingSource) {
@@ -147,17 +199,23 @@ impl EpochDepSummarizer {
     pub fn step(&mut self, fx: &StepEffects) {
         let tid = fx.tid;
         let step = fx.step;
+        let epoch_start = self.frag.epoch_start;
         self.frag.instrs += 1;
 
         self.control.on_step(tid, fx.addr);
         if fx.reg_write.is_some() || fx.mem_write.is_some() || fx.insn.is_branch() {
-            self.frag.def_meta.insert(step, (fx.addr, fx.insn.stmt));
+            let i = (step - epoch_start) as usize;
+            let meta = &mut self.frag.def_meta;
+            if meta.len() <= i {
+                meta.resize(i + 1, NO_META);
+            }
+            meta[i] = (fx.addr, fx.insn.stmt);
         }
 
         // Register uses.
         for &r in fx.insn.reg_uses().as_slice() {
-            match self.frag.reg_defs.get(&(tid, r)) {
-                Some(&def) => self.record(DepKind::RegData, step, def, fx),
+            match self.frag.reg_defs.get(tid, r) {
+                Some(def) => self.record(DepKind::RegData, step, def, fx),
                 None => self.defer(DepKind::RegData, fx, PendingSource::Reg(tid, r)),
             }
         }
@@ -174,7 +232,7 @@ impl EpochDepSummarizer {
         // Control dependence: exact shard-side thanks to the entry
         // snapshot; only pre-epoch def metadata defers.
         if let Some(branch) = self.control.current_dep(tid) {
-            if branch >= self.epoch_start {
+            if branch >= epoch_start {
                 self.record(DepKind::Control, step, branch, fx);
             } else {
                 self.defer(DepKind::Control, fx, PendingSource::Branch(branch));
@@ -183,7 +241,7 @@ impl EpochDepSummarizer {
 
         // Last-writer updates.
         if let Some((r, _, _)) = fx.reg_write {
-            self.frag.reg_defs.insert((tid, r), step);
+            self.frag.reg_defs.set(tid, r, step);
         }
         if let Some((addr, _, _)) = fx.mem_write {
             if addr < self.mem_words {
@@ -213,6 +271,7 @@ pub fn summarize_dep_epoch(
     mem_words: usize,
 ) -> EpochDeps {
     let mut s = EpochDepSummarizer::new(control, epoch_start, mem_words);
+    s.frag.def_meta.reserve(fxs.len());
     for fx in fxs {
         s.step(fx);
     }
@@ -223,7 +282,7 @@ pub fn summarize_dep_epoch(
 /// at every epoch boundary so each shard starts from the exact control
 /// context of its first instruction. O(stream) stack operations, no
 /// shadow state — the same cheap-sequential-pass category as the taint
-/// pipeline's `IoBase` scan.
+/// pipeline's `IoBase` scan. The clones share the branch-region table.
 pub fn control_entry_snapshots(program: &Program, chunks: &[&[StepEffects]]) -> Vec<ControlStack> {
     let mut cs = ControlStack::new(program);
     let mut out = Vec::with_capacity(chunks.len());
@@ -246,8 +305,6 @@ pub fn control_entry_snapshots(program: &Program, chunks: &[&[StepEffects]]) -> 
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DepComposeStats {
     pub fragments: usize,
-    pub chunks_moved: usize,
-    pub chunks_merged: usize,
     /// Pending dependences resolved to a pre-epoch def and recorded.
     pub cross_epoch_records: u64,
     /// Pending dependences whose location had never been written (no
@@ -261,9 +318,10 @@ pub struct DepComposeStats {
 #[derive(Default)]
 pub struct EpochDepComposer {
     index: SliceIndex,
-    reg_defs: HashMap<(ThreadId, Reg), u64>,
+    reg_defs: RegDefs,
     mem_defs: HashMap<MemAddr, u64>,
-    step_meta: HashMap<u64, (Addr, StmtId)>,
+    /// Def-side metadata of every absorbed step, indexed by step.
+    step_meta: Vec<(Addr, StmtId)>,
     stats: DepComposeStats,
 }
 
@@ -272,16 +330,18 @@ impl EpochDepComposer {
         EpochDepComposer::default()
     }
 
-    /// Absorb the next epoch's fragment. Pendings are resolved against
-    /// the pre-epoch global tables *before* the fragment's exit tables
-    /// fold forward; a pending whose location was never written
-    /// resolves to no dependence, exactly like the serial tracer's
-    /// `None` shadow lookup.
-    pub fn absorb(&mut self, frag: EpochDeps) -> FragmentMergeStats {
-        let mut resolved: Vec<BufRecord> = Vec::with_capacity(frag.pending.len());
+    /// Absorb the next epoch's fragment: push its records, then resolve
+    /// its pendings against the pre-epoch global tables and push those,
+    /// then fold the fragment's exit tables forward. A pending whose
+    /// location was never written resolves to no dependence, exactly
+    /// like the serial tracer's `None` shadow lookup.
+    pub fn absorb(&mut self, frag: EpochDeps) {
+        for rec in &frag.records {
+            self.index.on_push(rec);
+        }
         for p in &frag.pending {
             let def = match p.src {
-                PendingSource::Reg(tid, r) => self.reg_defs.get(&(tid, r)).copied(),
+                PendingSource::Reg(tid, r) => self.reg_defs.get(tid, r),
                 PendingSource::Mem(addr) => self.mem_defs.get(&addr).copied(),
                 PendingSource::Branch(step) => Some(step),
             };
@@ -289,27 +349,25 @@ impl EpochDepComposer {
                 self.stats.unresolved_pendings += 1;
                 continue;
             };
-            let (def_addr, def_stmt) = self.step_meta.get(&def).copied().unwrap_or((0, 0));
-            resolved.push(BufRecord {
+            let (def_addr, def_stmt) = self.step_meta.get(def as usize).copied().unwrap_or(NO_META);
+            self.index.on_push(&BufRecord {
                 dep: Dependence::new(p.user, def, p.kind),
                 user_addr: p.user_addr,
                 def_addr,
                 user_stmt: p.user_stmt,
                 def_stmt,
             });
+            self.stats.cross_epoch_records += 1;
         }
-        let ms = self.index.absorb_fragment(frag.index);
-        for rec in &resolved {
-            self.index.on_push(rec);
-        }
-        self.stats.cross_epoch_records += resolved.len() as u64;
         self.stats.fragments += 1;
-        self.stats.chunks_moved += ms.chunks_moved;
-        self.stats.chunks_merged += ms.chunks_merged;
-        self.reg_defs.extend(frag.reg_defs);
+        self.reg_defs.fold(&frag.reg_defs);
         self.mem_defs.extend(frag.mem_defs);
-        self.step_meta.extend(frag.def_meta);
-        ms
+        let start = frag.epoch_start as usize;
+        let end = start + frag.def_meta.len();
+        if self.step_meta.len() < end {
+            self.step_meta.resize(end, NO_META);
+        }
+        self.step_meta[start..end].copy_from_slice(&frag.def_meta);
     }
 
     pub fn stats(&self) -> DepComposeStats {

@@ -19,40 +19,64 @@
 //! * user steps are **monotone non-decreasing** (the delta encoding in
 //!   [`crate::buffer`] already relies on this), so all records sharing
 //!   a user step are contiguous in the stream;
-//! * eviction is strictly oldest-first, so for any adjacency bucket the
-//!   evicted mention is always that bucket's front;
+//! * eviction is strictly oldest-first, so for any adjacency list the
+//!   evicted mention is always that list's head: each list is a FIFO
+//!   queue, appended at its tail on push and popped at its head on
+//!   eviction;
 //! * every mention of a step carries the same `(addr, stmt)` metadata
 //!   (an instruction instance has one address; def-side metadata is
 //!   captured at the def step itself), so per-step metadata can be
-//!   refcounted instead of re-derived.
+//!   refcounted in the step's slot instead of re-derived.
 //!
-//! # Chunked storage and O(dirty-chunk) snapshots
+//! # Flat chunks
 //!
-//! The index is stored as fixed-size **chunks** binned by step range
-//! (`step >> CHUNK_SHIFT`): each `Chunk` holds the adjacency deques,
-//! `StepEntry` metadata, and the addr→steps map for the steps in its
-//! range, behind an `Arc`. The chunk map (the *spine*) is itself behind
-//! an `Arc`. [`SliceIndex::snapshot`] is therefore O(1) — one `Arc`
-//! bump of the spine — and mutation is copy-on-write: the first write
-//! after a snapshot clones the spine (a map of pointers, O(chunks)),
-//! and the first write *into a chunk* a snapshot still shares
-//! deep-copies that one chunk. A snapshot interval thus pays exactly
-//! one spine clone plus one deep copy per **dirty** chunk (in steady
-//! state: the chunk receiving new records and the chunk being evicted
-//! from), never O(window). The [`IndexData::chunk_copies`] /
+//! The index is binned into **chunks** of [`CHUNK_STEPS`] consecutive
+//! steps (chunk id `step >> CHUNK_SHIFT`). A chunk is flat storage
+//! addressed by `step & (CHUNK_STEPS - 1)`:
+//!
+//! * one 28-byte **slot** per step: its live-mention count, its
+//!   `(addr, stmt)`, and the head and tail of its two FIFO adjacency
+//!   lists (`defs`: the records whose user is the step; `users`: the
+//!   records whose def is the step);
+//! * one **link arena** holding the entries of those lists (16 bytes
+//!   each: the record's other endpoint, its kind, the next link), with
+//!   a free list so links released by eviction are reused by later
+//!   pushes;
+//! * an `(addr, step)` list of the chunk's live steps for
+//!   [`IndexData::steps_at`], sorted on first use and dropped on the
+//!   next write to the chunk.
+//!
+//! A record's `defs` link lives in its user's chunk and its `users`
+//! link in its def's chunk, so a push or an eviction touches at most two
+//! chunks. Neither hashes nor allocates per step: a chunk allocates its
+//! slots once, and its arena grows amortized.
+//!
+//! # Copy-on-write chunks and O(dirty-chunk) snapshots
+//!
+//! Each chunk sits behind an `Arc`, and the chunk map (the *spine*,
+//! `(chunk id, chunk)` pairs sorted by id) is itself behind an `Arc`.
+//! [`SliceIndex::snapshot`] is therefore O(1) — one `Arc` bump of the
+//! spine — and mutation is copy-on-write: the first write after a
+//! snapshot clones the spine (a vector of pointers, O(chunks)), and the
+//! first write *into a chunk* a snapshot still shares copies that one
+//! chunk (two flat buffers). A snapshot interval thus pays exactly one
+//! spine clone plus one copy per **dirty** chunk (in steady state: the
+//! chunk receiving new records and the chunk being evicted from), never
+//! O(window). The [`IndexData::chunk_copies`] /
 //! [`IndexData::spine_copies`] counters expose that wear so tests and
 //! the T6 history bench can assert on it, and
-//! [`SliceIndex::snapshot_deep`] keeps the pre-chunking O(window) deep
-//! clone as the comparison baseline.
+//! [`SliceIndex::snapshot_deep`] keeps an O(window) deep clone as the
+//! comparison baseline.
 //!
 //! Eviction keeps a **desync ledger** instead of panicking: if an
 //! evicted record is not found where the FIFO facts say it must be
-//! (front of both adjacency buckets, live step entries), the index
-//! repairs what it can — removing the mention wherever it is, clamping
-//! refcounts — and increments [`IndexData::desyncs`], which the tracer
-//! publishes as the `ddg/index/desync` observability counter. A desync
-//! means a tracer bug upstream, but a release-mode tracer must degrade
-//! to a slightly stale index, not abort the traced program.
+//! (head of both adjacency lists, live step slots), the index repairs
+//! what it can — unlinking the mention wherever it is in the list,
+//! clamping refcounts — and increments [`IndexData::desyncs`], which
+//! the tracer publishes as the `ddg/index/desync` observability
+//! counter. A desync means a tracer bug upstream, but a release-mode
+//! tracer must degrade to a slightly stale index, not abort the traced
+//! program.
 //!
 //! Snapshots ([`SliceSnapshot`]) freeze the index behind an `Arc` so
 //! reader threads can answer queries while tracing continues; the
@@ -62,8 +86,8 @@
 use crate::buffer::BufRecord;
 use crate::dep::DepKind;
 use dift_isa::{Addr, StmtId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 /// Steps per chunk: chunk id is `step >> CHUNK_SHIFT`.
 const CHUNK_SHIFT: u32 = 12;
@@ -72,17 +96,64 @@ const CHUNK_SHIFT: u32 = 12;
 /// history bench can size windows in whole chunks.
 pub const CHUNK_STEPS: u64 = 1 << CHUNK_SHIFT;
 
-/// Refcounted per-step metadata: `count` live mentions (as user or def)
-/// keep the entry alive; the `(addr, stmt)` pair is fixed by the first
-/// mention (all mentions agree — debug-asserted on every touch).
-#[derive(Clone, Copy, Debug)]
-struct StepEntry {
-    addr: Addr,
-    stmt: StmtId,
-    count: u32,
+/// Slot of `step` within its chunk.
+fn slot_of(step: u64) -> usize {
+    (step & (CHUNK_STEPS - 1)) as usize
 }
 
-/// How an eviction-side removal went: clean FIFO front pop, repaired
+/// End of a link list (and of the free list).
+const NIL: u32 = u32::MAX;
+
+/// Which of a step's two adjacency lists.
+#[derive(Clone, Copy, Debug)]
+enum Side {
+    /// Records whose *user* is the step, as `(def, kind)`. Mirrors
+    /// `DdgGraph::defs_of`.
+    Defs = 0,
+    /// Records whose *def* is the step, as `(user, kind)`. Mirrors
+    /// `DdgGraph::users_of`.
+    Users = 1,
+}
+
+/// A FIFO list threaded through its chunk's link arena.
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+/// One step of a chunk: `count` live mentions (as user or def) keep it
+/// alive; the `(addr, stmt)` pair is fixed by the first mention (all
+/// mentions agree — debug-asserted on every touch) and meaningless
+/// while `count` is 0.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    count: u32,
+    addr: Addr,
+    stmt: StmtId,
+    /// Indexed by [`Side`].
+    lists: [List; 2],
+}
+
+impl Slot {
+    const EMPTY: Slot =
+        Slot { count: 0, addr: 0, stmt: 0, lists: [List { head: NIL, tail: NIL }; 2] };
+}
+
+/// One adjacency mention: the record's other endpoint and kind, and the
+/// next link of its list (or of the free list, once released).
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    other: u64,
+    next: u32,
+    kind: DepKind,
+}
+
+// `IndexData::approx_bytes` charges one slot per live step and one link
+// per adjacency mention; keep both entries at their budgeted sizes.
+const _: () = assert!(size_of::<Slot>() == 28 && size_of::<Link>() == 16);
+
+/// How an eviction-side removal went: clean FIFO head pop, repaired
 /// out-of-place removal, or nothing to remove at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Removal {
@@ -91,94 +162,191 @@ enum Removal {
     Missing,
 }
 
-/// One step-range bin of the index: adjacency, step metadata, and the
-/// addr→steps map restricted to steps in `[id << CHUNK_SHIFT,
-/// (id + 1) << CHUNK_SHIFT)`.
-#[derive(Clone, Debug, Default)]
+/// One step-range bin of the index: the slots and links of the steps in
+/// `[id << CHUNK_SHIFT, (id + 1) << CHUNK_SHIFT)`.
+#[derive(Debug)]
 struct Chunk {
-    /// Edges grouped by *user* step (what the user depends on), in
-    /// stream order. Mirrors `DdgGraph::defs_of`.
-    defs_of: HashMap<u64, VecDeque<(u64, DepKind)>>,
-    /// Edges grouped by *def* step (who depends on the def), in stream
-    /// order. Mirrors `DdgGraph::users_of`.
-    users_of: HashMap<u64, VecDeque<(u64, DepKind)>>,
-    /// Live steps (in this chunk's range) with their metadata.
-    steps: HashMap<u64, StepEntry>,
-    /// Program address → live steps executed there (sorted; chunk
-    /// ranges are disjoint and ordered, so chaining chunks in id order
-    /// keeps `steps_at`'s globally-sorted contract).
-    addr_steps: HashMap<Addr, BTreeSet<u64>>,
+    /// One slot per step of the range, addressed by [`slot_of`].
+    slots: Box<[Slot]>,
+    /// Entries of every slot's lists, plus released entries chained
+    /// from `free`.
+    links: Vec<Link>,
+    free: u32,
+    /// Slots with a live mention.
+    live_steps: u32,
+    /// Links on some slot's list (not on the free list).
+    live_links: u32,
+    /// `(addr, slot)` of every live step, sorted: built by the first
+    /// `steps_at` after a write, dropped by the next write.
+    by_addr: OnceLock<Box<[(Addr, u16)]>>,
+}
+
+impl Default for Chunk {
+    fn default() -> Chunk {
+        Chunk {
+            slots: vec![Slot::EMPTY; CHUNK_STEPS as usize].into_boxed_slice(),
+            links: Vec::new(),
+            free: NIL,
+            live_steps: 0,
+            live_links: 0,
+            by_addr: OnceLock::new(),
+        }
+    }
+}
+
+impl Clone for Chunk {
+    /// A copy-on-write copy is about to be written, which drops the
+    /// `steps_at` list, so the copy starts without one.
+    fn clone(&self) -> Chunk {
+        Chunk {
+            slots: self.slots.clone(),
+            links: self.links.clone(),
+            free: self.free,
+            live_steps: self.live_steps,
+            live_links: self.live_links,
+            by_addr: OnceLock::new(),
+        }
+    }
 }
 
 impl Chunk {
     fn is_empty(&self) -> bool {
-        self.defs_of.is_empty() && self.users_of.is_empty() && self.steps.is_empty()
+        self.live_steps == 0 && self.live_links == 0
     }
 
     /// Add one mention of `step`; returns true when the step is new.
     fn touch(&mut self, step: u64, addr: Addr, stmt: StmtId) -> bool {
-        let e = self.steps.entry(step).or_insert(StepEntry { addr, stmt, count: 0 });
+        let s = &mut self.slots[slot_of(step)];
         debug_assert!(
-            e.count == 0 || (e.addr, e.stmt) == (addr, stmt),
+            s.count == 0 || (s.addr, s.stmt) == (addr, stmt),
             "step {step}: mention metadata diverged ({:?} vs {:?})",
-            (e.addr, e.stmt),
+            (s.addr, s.stmt),
             (addr, stmt),
         );
-        e.count += 1;
-        if e.count == 1 {
-            self.addr_steps.entry(e.addr).or_default().insert(step);
-            true
-        } else {
-            false
+        if s.count == 0 {
+            (s.addr, s.stmt) = (addr, stmt);
+            self.live_steps += 1;
         }
+        s.count += 1;
+        s.count == 1
     }
 
     /// Drop one mention of `step`. `Ok(true)` removed the step's last
     /// mention, `Ok(false)` decremented the refcount, `Err(())` means
     /// the step was not live at all (a desync).
     fn untouch(&mut self, step: u64) -> Result<bool, ()> {
-        let Some(e) = self.steps.get_mut(&step) else {
+        let s = &mut self.slots[slot_of(step)];
+        if s.count == 0 {
             return Err(());
-        };
-        e.count -= 1;
-        if e.count > 0 {
+        }
+        s.count -= 1;
+        if s.count > 0 {
             return Ok(false);
         }
-        let addr = e.addr;
-        self.steps.remove(&step);
-        if let Some(set) = self.addr_steps.get_mut(&addr) {
-            set.remove(&step);
-            if set.is_empty() {
-                self.addr_steps.remove(&addr);
-            }
-        }
+        self.live_steps -= 1;
         Ok(true)
     }
 
-    /// Remove one adjacency mention. The FIFO fast path pops the front;
-    /// the recovery path scans the bucket so an out-of-order eviction
-    /// still resyncs the index instead of corrupting it.
-    fn remove_edge(
-        map: &mut HashMap<u64, VecDeque<(u64, DepKind)>>,
-        key: u64,
-        want: (u64, DepKind),
-    ) -> Removal {
-        let Some(bucket) = map.get_mut(&key) else {
-            return Removal::Missing;
-        };
-        let removal = if bucket.front() == Some(&want) {
-            bucket.pop_front();
-            Removal::Front
-        } else if let Some(pos) = bucket.iter().position(|e| *e == want) {
-            bucket.remove(pos);
-            Removal::Recovered
+    /// Append `(other, kind)` at the tail of `step`'s `side` list,
+    /// reusing a released link when there is one.
+    fn push_link(&mut self, step: u64, side: Side, other: u64, kind: DepKind) {
+        let link = Link { other, next: NIL, kind };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.links[i as usize].next;
+            self.links[i as usize] = link;
+            i
         } else {
-            return Removal::Missing;
+            let i = u32::try_from(self.links.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("a chunk holds fewer than 2^32 - 1 adjacency mentions");
+            self.links.push(link);
+            i
         };
-        if bucket.is_empty() {
-            map.remove(&key);
+        self.live_links += 1;
+        let list = &mut self.slots[slot_of(step)].lists[side as usize];
+        if list.tail == NIL {
+            list.head = i;
+        } else {
+            self.links[list.tail as usize].next = i;
         }
-        removal
+        list.tail = i;
+    }
+
+    /// Unlink one `want` mention from `step`'s `side` list and release
+    /// it. The FIFO fast path pops the head; the recovery path walks
+    /// the list, so an out-of-order eviction still resyncs the index
+    /// instead of corrupting it.
+    fn remove_link(&mut self, step: u64, side: Side, want: (u64, DepKind)) -> Removal {
+        let list = &mut self.slots[slot_of(step)].lists[side as usize];
+        let (mut prev, mut cur) = (NIL, list.head);
+        while cur != NIL {
+            let l = self.links[cur as usize];
+            if (l.other, l.kind) == want {
+                break;
+            }
+            (prev, cur) = (cur, l.next);
+        }
+        if cur == NIL {
+            return Removal::Missing;
+        }
+        let next = self.links[cur as usize].next;
+        if prev == NIL {
+            list.head = next;
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if list.tail == cur {
+            list.tail = prev;
+        }
+        self.links[cur as usize].next = self.free;
+        self.free = cur;
+        self.live_links -= 1;
+        if prev == NIL {
+            Removal::Front
+        } else {
+            Removal::Recovered
+        }
+    }
+
+    /// `step`'s `side` list, head first.
+    fn list(&self, step: u64, side: Side) -> Links<'_> {
+        Links { links: &self.links, cur: self.slots[slot_of(step)].lists[side as usize].head }
+    }
+
+    /// Live steps as sorted `(addr, slot)` pairs, built on first use
+    /// since the last write.
+    fn by_addr(&self) -> &[(Addr, u16)] {
+        self.by_addr.get_or_init(|| {
+            let mut v: Vec<(Addr, u16)> = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.count > 0)
+                .map(|(i, s)| (s.addr, i as u16))
+                .collect();
+            v.sort_unstable();
+            v.into_boxed_slice()
+        })
+    }
+}
+
+/// Iterator over one adjacency list, as `(other step, kind)` pairs.
+struct Links<'a> {
+    links: &'a [Link],
+    cur: u32,
+}
+
+impl Iterator for Links<'_> {
+    type Item = (u64, DepKind);
+
+    fn next(&mut self) -> Option<(u64, DepKind)> {
+        // `NIL` is never a valid index, so the end of a list (and the
+        // empty iterator over no links) falls out of `get`.
+        let l = self.links.get(self.cur as usize)?;
+        self.cur = l.next;
+        Some((l.other, l.kind))
     }
 }
 
@@ -188,10 +356,13 @@ impl Chunk {
 /// shared state (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct IndexData {
-    /// The spine: chunk id → chunk, ascending. Behind an `Arc` so
+    /// The spine: `(chunk id, chunk)` sorted by id. Behind an `Arc` so
     /// snapshots share it wholesale; `Arc::make_mut` gives writers
-    /// copy-on-write without any explicit dirty bookkeeping.
-    chunks: Arc<BTreeMap<u64, Arc<Chunk>>>,
+    /// copy-on-write without any explicit dirty bookkeeping. A sorted
+    /// vector rather than a search tree: user steps are monotone, so
+    /// new chunks append at the end and pruned ones leave from the
+    /// front, and releasing a snapshot walks a flat array.
+    chunks: Arc<Vec<(u64, Arc<Chunk>)>>,
     /// Live edge (record) count.
     edges: u64,
     /// Live step count (sum over chunks, maintained incrementally).
@@ -206,57 +377,104 @@ pub struct IndexData {
 }
 
 impl IndexData {
+    /// Position of chunk `id` in the spine, or where it would go.
+    fn find(&self, id: u64) -> Result<usize, usize> {
+        self.chunks.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
     fn chunk_of(&self, step: u64) -> Option<&Chunk> {
-        self.chunks.get(&(step >> CHUNK_SHIFT)).map(|c| &**c)
+        let i = self.find(step >> CHUNK_SHIFT).ok()?;
+        Some(&self.chunks[i].1)
     }
 
     /// Copy-on-write access to the chunk covering `step`, creating it
-    /// if absent. Counts spine and chunk copies actually performed.
+    /// if absent. Counts spine and chunk copies actually performed, and
+    /// drops the chunk's `steps_at` list, which the write may stale.
     fn chunk_mut(&mut self, step: u64) -> &mut Chunk {
         if Arc::strong_count(&self.chunks) > 1 {
             self.spine_copies += 1;
         }
-        let copies = &mut self.chunk_copies;
-        let spine = Arc::make_mut(&mut self.chunks);
-        let slot = spine.entry(step >> CHUNK_SHIFT).or_default();
-        if Arc::strong_count(slot) > 1 {
-            *copies += 1;
-        }
-        Arc::make_mut(slot)
-    }
-
-    /// Drop the chunk covering `step` if it is now empty, so the spine
-    /// stays O(window / CHUNK_STEPS) as the window slides.
-    fn prune_chunk(&mut self, step: u64) {
         let id = step >> CHUNK_SHIFT;
-        if self.chunks.get(&id).is_some_and(|c| c.is_empty()) {
-            if Arc::strong_count(&self.chunks) > 1 {
-                self.spine_copies += 1;
-            }
-            Arc::make_mut(&mut self.chunks).remove(&id);
+        let found = self.find(id);
+        let spine = Arc::make_mut(&mut self.chunks);
+        let i = found.unwrap_or_else(|i| {
+            spine.insert(i, (id, Arc::default()));
+            i
+        });
+        let slot = &mut spine[i].1;
+        if Arc::strong_count(slot) > 1 {
+            self.chunk_copies += 1;
+        }
+        let chunk = Arc::make_mut(slot);
+        chunk.by_addr.take();
+        chunk
+    }
+
+    /// Evict one side of a record: unlink its mention from `step`'s
+    /// `side` list and, if it was there, drop one mention of the step.
+    /// Anomalies go to the desync ledger; a chunk left empty is dropped
+    /// so the spine stays O(window / CHUNK_STEPS) as the window slides.
+    fn evict_mention(&mut self, step: u64, side: Side, want: (u64, DepKind)) -> Removal {
+        let chunk = self.chunk_mut(step);
+        let removal = chunk.remove_link(step, side, want);
+        // Only drop the step's mention when the list actually held the
+        // edge: untouching on a missing side would corrupt other
+        // records' refcounts on top of the original desync.
+        let untouched = (removal != Removal::Missing).then(|| chunk.untouch(step));
+        let empty = chunk.is_empty();
+        if removal != Removal::Front {
+            self.desyncs += 1;
+        }
+        match untouched {
+            Some(Ok(true)) => self.step_total -= 1,
+            Some(Err(())) => self.desyncs += 1,
+            Some(Ok(false)) | None => {}
+        }
+        if let (true, Ok(i)) = (empty, self.find(step >> CHUNK_SHIFT)) {
+            // `chunk_mut` left the spine unshared.
+            Arc::make_mut(&mut self.chunks).remove(i);
+        }
+        removal
+    }
+
+    /// One of `step`'s adjacency lists (empty when the chunk is absent).
+    fn list(&self, step: u64, side: Side) -> Links<'_> {
+        match self.chunk_of(step) {
+            Some(c) => c.list(step, side),
+            None => Links { links: &[], cur: NIL },
         }
     }
 
-    /// Dependences whose user is `step`: `(def, kind)` pairs.
+    /// Dependences whose user is `step`: `(def, kind)` pairs, in push
+    /// order.
     pub fn defs(&self, step: u64) -> impl Iterator<Item = (u64, DepKind)> + '_ {
-        self.chunk_of(step).and_then(|c| c.defs_of.get(&step)).into_iter().flatten().copied()
+        self.list(step, Side::Defs)
     }
 
-    /// Dependences whose def is `step`: `(user, kind)` pairs.
+    /// Dependences whose def is `step`: `(user, kind)` pairs, in push
+    /// order.
     pub fn users(&self, step: u64) -> impl Iterator<Item = (u64, DepKind)> + '_ {
-        self.chunk_of(step).and_then(|c| c.users_of.get(&step)).into_iter().flatten().copied()
+        self.list(step, Side::Users)
     }
 
     /// Metadata for a live step.
     pub fn meta_of(&self, step: u64) -> Option<(Addr, StmtId)> {
-        self.chunk_of(step).and_then(|c| c.steps.get(&step)).map(|e| (e.addr, e.stmt))
+        let s = self.chunk_of(step)?.slots[slot_of(step)];
+        (s.count > 0).then_some((s.addr, s.stmt))
     }
 
     /// Live steps whose instruction executed at `addr`, ascending
-    /// (chunks iterate in id order; each per-chunk set is sorted and
-    /// chunk step ranges are disjoint).
+    /// (chunks iterate in id order, each chunk's list is sorted by
+    /// `(addr, step)`, and chunk step ranges are disjoint).
     pub fn steps_at(&self, addr: Addr) -> impl Iterator<Item = u64> + '_ {
-        self.chunks.values().filter_map(move |c| c.addr_steps.get(&addr)).flatten().copied()
+        self.chunks.iter().flat_map(move |&(id, ref c)| {
+            let list = c.by_addr();
+            let from = list.partition_point(|&(a, _)| a < addr);
+            list[from..]
+                .iter()
+                .take_while(move |&&(a, _)| a == addr)
+                .map(move |&(_, i)| (id << CHUNK_SHIFT) | u64::from(i))
+        })
     }
 
     /// Number of live edges (= records in the window).
@@ -271,7 +489,13 @@ impl IndexData {
 
     /// All live steps, in no particular order.
     pub fn steps(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks.values().flat_map(|c| c.steps.keys().copied())
+        self.chunks.iter().flat_map(|&(id, ref c)| {
+            c.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.count > 0)
+                .map(move |(i, _)| (id << CHUNK_SHIFT) | i as u64)
+        })
     }
 
     /// Number of live chunks in the spine.
@@ -299,31 +523,20 @@ impl IndexData {
         self.desyncs
     }
 
-    /// Estimated resident bytes of the index (entries only; hash-map
-    /// load factors and allocator slack are not modeled). Feeds the
-    /// `ddg/index/resident_bytes` observability gauge.
+    /// Estimated resident bytes of the index: entries only (the slots
+    /// of dead steps, released links and allocator slack are not
+    /// modeled). Feeds the `ddg/index/resident_bytes` observability
+    /// gauge.
     pub fn approx_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        // Each edge appears once in `defs_of` and once in `users_of`.
-        let edge_bytes = 2 * self.edges * size_of::<(u64, DepKind)>() as u64;
-        // A step entry plus its key, plus its `addr_steps` set member.
-        let step_bytes =
-            self.step_total * (size_of::<u64>() as u64 * 2 + size_of::<StepEntry>() as u64);
-        // Spine entry + chunk struct + Arc header per chunk.
+        // Each edge is one link on its user's `defs` list and one on
+        // its def's `users` list.
+        let edge_bytes = 2 * self.edges * size_of::<Link>() as u64;
+        // One slot per live step.
+        let step_bytes = self.step_total * size_of::<Slot>() as u64;
+        // Spine entry + chunk header + Arc header per chunk.
         let chunk_bytes = self.chunks.len() as u64 * 96;
         edge_bytes + step_bytes + chunk_bytes
     }
-}
-
-/// Outcome counters of one [`SliceIndex::absorb_fragment`] call.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FragmentMergeStats {
-    /// Fragment chunks spliced in wholesale (O(1) `Arc` moves).
-    pub chunks_moved: usize,
-    /// Boundary chunks whose maps had to be unioned entry-by-entry.
-    pub chunks_merged: usize,
-    /// Edges the fragment contributed.
-    pub edges: u64,
 }
 
 /// The live, incrementally-maintained index. Owned by the tracer
@@ -340,56 +553,31 @@ impl SliceIndex {
     /// Index one record as it enters the window.
     pub fn on_push(&mut self, rec: &BufRecord) {
         let d = &mut self.data;
-        let uc = d.chunk_mut(rec.dep.user);
-        uc.defs_of.entry(rec.dep.user).or_default().push_back((rec.dep.def, rec.dep.kind));
-        let new_user = uc.touch(rec.dep.user, rec.user_addr, rec.user_stmt);
-        let dc = d.chunk_mut(rec.dep.def);
-        dc.users_of.entry(rec.dep.def).or_default().push_back((rec.dep.user, rec.dep.kind));
-        let new_def = dc.touch(rec.dep.def, rec.def_addr, rec.def_stmt);
+        let (user, def, kind) = (rec.dep.user, rec.dep.def, rec.dep.kind);
+        let uc = d.chunk_mut(user);
+        uc.push_link(user, Side::Defs, def, kind);
+        let new_user = uc.touch(user, rec.user_addr, rec.user_stmt);
+        let dc = d.chunk_mut(def);
+        dc.push_link(def, Side::Users, user, kind);
+        let new_def = dc.touch(def, rec.def_addr, rec.def_stmt);
         d.step_total += new_user as u64 + new_def as u64;
         d.edges += 1;
         self.generation += 1;
     }
 
     /// Remove one record as the buffer evicts it. Eviction is strictly
-    /// FIFO, so the record is normally the front of both of its
-    /// adjacency buckets; anything else is an integrity violation that
+    /// FIFO, so the record is normally the head of both of its
+    /// adjacency lists; anything else is an integrity violation that
     /// is repaired and counted in [`IndexData::desyncs`] instead of
     /// panicking (the tracer hot loop must not abort in release mode).
     pub fn on_evict(&mut self, rec: &BufRecord) {
         let d = &mut self.data;
-        let removed_user = Chunk::remove_edge(
-            &mut d.chunk_mut(rec.dep.user).defs_of,
-            rec.dep.user,
-            (rec.dep.def, rec.dep.kind),
-        );
-        let removed_def = Chunk::remove_edge(
-            &mut d.chunk_mut(rec.dep.def).users_of,
-            rec.dep.def,
-            (rec.dep.user, rec.dep.kind),
-        );
-        for r in [removed_user, removed_def] {
-            if r != Removal::Front {
-                d.desyncs += 1;
-            }
-        }
-        // Only drop step mentions for sides that actually held the
-        // edge: untouching on a missing side would corrupt other
-        // steps' refcounts on top of the original desync.
-        for (removed, step) in [(removed_user, rec.dep.user), (removed_def, rec.dep.def)] {
-            if removed != Removal::Missing {
-                match d.chunk_mut(step).untouch(step) {
-                    Ok(true) => d.step_total -= 1,
-                    Ok(false) => {}
-                    Err(()) => d.desyncs += 1,
-                }
-            }
-        }
+        let (user, def, kind) = (rec.dep.user, rec.dep.def, rec.dep.kind);
+        let removed_user = d.evict_mention(user, Side::Defs, (def, kind));
+        let removed_def = d.evict_mention(def, Side::Users, (user, kind));
         if removed_user != Removal::Missing || removed_def != Removal::Missing {
             d.edges = d.edges.saturating_sub(1);
         }
-        d.prune_chunk(rec.dep.user);
-        d.prune_chunk(rec.dep.def);
         self.generation += 1;
     }
 
@@ -397,79 +585,6 @@ impl SliceIndex {
     /// generations imply an identical window.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Splice a shard-built fragment into this index — the
-    /// epoch-parallel merge primitive ([`crate::epoch`]). Each helper
-    /// shard indexes its epoch's in-epoch dependences into a private
-    /// `SliceIndex`; because epochs partition the step range, a
-    /// fragment's chunks are disjoint from every other epoch's except
-    /// at the chunk-boundary seams, so the merge moves whole chunks by
-    /// `Arc` (O(1) per chunk) and only unions the seam chunks
-    /// entry-by-entry. Fragments must cover disjoint step ranges;
-    /// overlapping *step keys* would silently concatenate adjacency
-    /// buckets (queries still see the union, but refcounts are summed,
-    /// debug-asserted on metadata agreement).
-    pub fn absorb_fragment(&mut self, frag: SliceIndex) -> FragmentMergeStats {
-        use std::collections::btree_map::Entry as BEntry;
-        use std::collections::hash_map::Entry as HEntry;
-        let mut stats = FragmentMergeStats { edges: frag.data.edges, ..Default::default() };
-        let d = &mut self.data;
-        d.edges += frag.data.edges;
-        d.step_total += frag.data.step_total;
-        d.chunk_copies += frag.data.chunk_copies;
-        d.spine_copies += frag.data.spine_copies;
-        d.desyncs += frag.data.desyncs;
-        if Arc::strong_count(&d.chunks) > 1 {
-            d.spine_copies += 1;
-        }
-        let spine = Arc::make_mut(&mut d.chunks);
-        let frag_chunks =
-            Arc::try_unwrap(frag.data.chunks).unwrap_or_else(|shared| (*shared).clone());
-        for (id, chunk) in frag_chunks {
-            match spine.entry(id) {
-                BEntry::Vacant(v) => {
-                    v.insert(chunk);
-                    stats.chunks_moved += 1;
-                }
-                BEntry::Occupied(mut o) => {
-                    stats.chunks_merged += 1;
-                    if Arc::strong_count(o.get()) > 1 {
-                        d.chunk_copies += 1;
-                    }
-                    let dst = Arc::make_mut(o.get_mut());
-                    let src = Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone());
-                    for (k, v) in src.defs_of {
-                        dst.defs_of.entry(k).or_default().extend(v);
-                    }
-                    for (k, v) in src.users_of {
-                        dst.users_of.entry(k).or_default().extend(v);
-                    }
-                    for (k, e) in src.steps {
-                        match dst.steps.entry(k) {
-                            HEntry::Vacant(ve) => {
-                                ve.insert(e);
-                            }
-                            HEntry::Occupied(mut oe) => {
-                                debug_assert_eq!(
-                                    (oe.get().addr, oe.get().stmt),
-                                    (e.addr, e.stmt),
-                                    "step {k}: fragment metadata diverged"
-                                );
-                                oe.get_mut().count += e.count;
-                                // The step was counted by both sides.
-                                d.step_total -= 1;
-                            }
-                        }
-                    }
-                    for (a, set) in src.addr_steps {
-                        dst.addr_steps.entry(a).or_default().extend(set);
-                    }
-                }
-            }
-        }
-        self.generation += 1;
-        stats
     }
 
     /// Freeze the current window into an immutable, `Send + Sync`
@@ -482,12 +597,12 @@ impl SliceIndex {
         SliceSnapshot { data: Arc::new(self.data.clone()), generation: self.generation }
     }
 
-    /// The pre-chunking snapshot: deep-copy every chunk, O(window).
-    /// Kept as the reference the T6 history bench quantifies the
-    /// chunked snapshot against; not for production use.
+    /// A snapshot that copies every chunk, O(window). Kept as the
+    /// reference the T6 history bench quantifies the copy-on-write
+    /// snapshot against; not for production use.
     pub fn snapshot_deep(&self) -> SliceSnapshot {
-        let chunks: BTreeMap<u64, Arc<Chunk>> =
-            self.data.chunks.iter().map(|(&id, c)| (id, Arc::new((**c).clone()))).collect();
+        let chunks: Vec<(u64, Arc<Chunk>)> =
+            self.data.chunks.iter().map(|(id, c)| (*id, Arc::new((**c).clone()))).collect();
         SliceSnapshot {
             data: Arc::new(IndexData { chunks: Arc::new(chunks), ..self.data.clone() }),
             generation: self.generation,

@@ -81,7 +81,7 @@ pub use epoch::{
     EpochDepSummarizer, EpochDeps,
 };
 pub use graph::DdgGraph;
-pub use index::{FragmentMergeStats, IndexData, SliceIndex, SliceSnapshot};
+pub use index::{IndexData, SliceIndex, SliceSnapshot};
 pub use iofault::{IoFaultPlan, IoFaultSite, IoInjection, NoopIoFaults, ScriptedIoFaults};
 pub use offline::{OfflinePipeline, OfflineStats};
 pub use ontrac::{OnTrac, OnTracConfig, OnTracStats};

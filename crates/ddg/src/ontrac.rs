@@ -33,7 +33,8 @@ use dift_dbi::{Tool, TraceBuilder};
 use dift_isa::{Addr, FuncId, Opcode, Program, StmtId};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Tracer configuration.
 #[derive(Clone, Debug)]
@@ -158,7 +159,8 @@ impl OnTracStats {
 /// Per-thread hot-trace instance state.
 #[derive(Clone, Debug)]
 struct TraceInstance {
-    blocks: Vec<Addr>,
+    /// The trace's block entries, shared with [`OnTrac::trace_blocks`].
+    blocks: Arc<[Addr]>,
     pos: usize,
     start_step: u64,
     /// Start step of the immediately preceding instance of the *same*
@@ -174,6 +176,9 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     shadow: ShadowState,
     control: ControlStack,
     traces: TraceBuilder,
+    /// Block lists of the formed traces, by head, shared with every
+    /// instance entered.
+    trace_blocks: HashMap<Addr, Arc<[Addr]>>,
     buffer: CircularTraceBuffer,
     /// Per-thread step at which the current basic block instance began.
     block_start: Vec<u64>,
@@ -189,7 +194,7 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     /// Side table: def-step → (addr, stmt), kept for every step that
     /// produced a definition or opened a control region, so records carry
     /// full def-side metadata. Pruned to the buffer window.
-    step_meta: std::collections::HashMap<u64, (Addr, StmtId)>,
+    step_meta: HashMap<u64, (Addr, StmtId)>,
     /// Demand-driven slice index over the live window; kept in lockstep
     /// with the buffer (fed on push, pruned on eviction). `None` when
     /// `cfg.slice_index` is off.
@@ -222,13 +227,14 @@ impl<R: Recorder> OnTrac<R> {
         OnTrac {
             buffer: CircularTraceBuffer::new(cfg.buffer_bytes),
             traces: TraceBuilder::new(cfg.trace_hot_threshold, cfg.trace_max_blocks),
+            trace_blocks: HashMap::new(),
             shadow: ShadowState::new(mem_words),
             control: ControlStack::new(program),
             block_start: Vec::new(),
             trace_inst: Vec::new(),
             ctrl_recorded: Vec::new(),
             mem_last_read: vec![0; if cfg.record_war_waw { mem_words } else { 0 }],
-            step_meta: std::collections::HashMap::new(),
+            step_meta: HashMap::new(),
             index: cfg.slice_index.then(SliceIndex::default),
             cold: match &cfg.durable_dir {
                 Some(dir) => Some(ColdStore::durable_or_memory(dir)),
@@ -416,20 +422,20 @@ impl<R: Recorder> Tool for OnTrac<R> {
             self.trace_inst[t] = None;
         }
         if self.cfg.opt_trace_static {
-            self.traces.on_block(tid, entry);
+            if let Some(tr) = self.traces.on_block(tid, entry) {
+                self.trace_blocks.insert(tr.head, tr.blocks.into());
+            }
             if self.trace_inst[t].is_none() {
-                if let Some(tr) = self.traces.trace_for(entry) {
-                    if tr.blocks.len() > 1 {
-                        // Consecutive instances of the same trace (a loop)
-                        // remember the previous iteration's start.
-                        let prev = if prev_head == Some(entry) { prev_start } else { u64::MAX };
-                        self.trace_inst[t] = Some(TraceInstance {
-                            blocks: tr.blocks.clone(),
-                            pos: 0,
-                            start_step: u64::MAX, // set at the block's first instruction
-                            prev_start: prev,
-                        });
-                    }
+                if let Some(blocks) = self.trace_blocks.get(&entry).filter(|b| b.len() > 1) {
+                    // Consecutive instances of the same trace (a loop)
+                    // remember the previous iteration's start.
+                    let prev = if prev_head == Some(entry) { prev_start } else { u64::MAX };
+                    self.trace_inst[t] = Some(TraceInstance {
+                        blocks: Arc::clone(blocks),
+                        pos: 0,
+                        start_step: u64::MAX, // set at the block's first instruction
+                        prev_start: prev,
+                    });
                 }
             }
         }
@@ -444,7 +450,6 @@ impl<R: Recorder> Tool for OnTrac<R> {
         self.ensure_tid(tid);
         let t = tid as usize;
         let step = fx.step;
-        let program = m.program().clone();
 
         m.charge(costs::ONLINE_PER_INSN);
         self.stats.instrs += 1;
@@ -475,7 +480,7 @@ impl<R: Recorder> Tool for OnTrac<R> {
             }
         }
 
-        let in_scope = self.user_in_scope(&program, fx.addr);
+        let in_scope = self.user_in_scope(m.program(), fx.addr);
         let shadow_scope = in_scope || !self.cfg.naive_selective;
 
         // Input-taint evaluation (forward slice of inputs).

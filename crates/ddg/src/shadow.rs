@@ -5,7 +5,7 @@ use dift_isa::{
     control_dependence, Addr, Cfg, DomTree, MemAddr, Program, Reg, NUM_REGS, SHADOW_PAGE_WORDS,
 };
 use dift_vm::ThreadId;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sentinel end-address meaning "region closes when the frame pops".
 pub const FRAME_END: Addr = Addr::MAX;
@@ -174,11 +174,13 @@ impl ShadowState {
 /// `Clone` is deliberate: the epoch-sharded deriver
 /// ([`crate::epoch`]) snapshots the stack at each epoch boundary
 /// during the cheap sequential pre-scan, giving every shard the exact
-/// control context its first instruction runs under.
+/// control context its first instruction runs under. Clones share the
+/// static region table and copy only the dynamic stacks.
 #[derive(Clone)]
 pub struct ControlStack {
-    /// branch addr -> region end addr.
-    region_end: HashMap<Addr, Addr>,
+    /// Region end address by program address (`None` for addresses that
+    /// are not conditional branches).
+    region_end: Arc<[Option<Addr>]>,
     /// Per-thread stacks of frames; each frame is a stack of
     /// `(branch_step, end_addr)`.
     frames: Vec<Vec<Vec<(u64, Addr)>>>,
@@ -186,7 +188,7 @@ pub struct ControlStack {
 
 impl ControlStack {
     pub fn new(program: &Program) -> ControlStack {
-        let mut region_end = HashMap::new();
+        let mut region_end = vec![None; program.len()];
         for cfg in Cfg::build_all(program) {
             let n = cfg.blocks.len() as u32;
             let pdom = DomTree::postdominators(&cfg);
@@ -204,10 +206,14 @@ impl ControlStack {
                 } else {
                     cfg.blocks[ip as usize].start
                 };
-                region_end.insert(branch_addr, end);
+                let i = branch_addr as usize;
+                if region_end.len() <= i {
+                    region_end.resize(i + 1, None);
+                }
+                region_end[i] = Some(end);
             }
         }
-        ControlStack { region_end, frames: Vec::new() }
+        ControlStack { region_end: region_end.into(), frames: Vec::new() }
     }
 
     fn frame(&mut self, tid: ThreadId) -> &mut Vec<(u64, Addr)> {
@@ -238,7 +244,7 @@ impl ControlStack {
 
     /// Record the execution of conditional branch `addr` at `step`.
     pub fn on_branch(&mut self, tid: ThreadId, addr: Addr, step: u64) {
-        let Some(&end) = self.region_end.get(&addr) else { return };
+        let Some(end) = self.region_end.get(addr as usize).copied().flatten() else { return };
         let frame = self.frame(tid);
         // Re-execution of the branch whose region is already open (a loop
         // back-edge) replaces the top entry instead of growing the stack.
@@ -275,7 +281,7 @@ impl ControlStack {
 
     /// Number of precomputed branch regions (for tests).
     pub fn region_count(&self) -> usize {
-        self.region_end.len()
+        self.region_end.iter().filter(|e| e.is_some()).count()
     }
 }
 

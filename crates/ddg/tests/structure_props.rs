@@ -1,8 +1,11 @@
 //! Property tests on the dependence-graph structures.
 
-use dift_ddg::buffer::{record, varint_len, CircularTraceBuffer};
-use dift_ddg::{CompactDdg, DdgGraph, DepKind, Dependence, StepMeta};
+use dift_ddg::buffer::{record, varint_len, BufRecord, CircularTraceBuffer};
+use dift_ddg::index::CHUNK_STEPS;
+use dift_ddg::{CompactDdg, DdgGraph, DepKind, Dependence, IndexData, SliceIndex, StepMeta};
+use dift_isa::{Addr, Program, ProgramBuilder};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn kind(i: u8) -> DepKind {
     match i % 3 {
@@ -12,7 +15,121 @@ fn kind(i: u8) -> DepKind {
     }
 }
 
+/// Addresses the index property spreads steps over.
+const INDEX_ADDRS: u64 = 13;
+
+/// A record whose metadata is a pure function of each endpoint's step,
+/// as every mention of a step must agree on it.
+fn index_record(user: u64, def: u64, k: u8) -> BufRecord {
+    let addr = |s: u64| ((s * 7 + 3) % INDEX_ADDRS) as Addr;
+    let stmt = |s: u64| (s % 1000) as u32;
+    record(user, def, kind(k), addr(user), addr(def), stmt(user), stmt(def))
+}
+
+/// `DdgGraph::from_records` ignores the program; any program works.
+fn empty_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.func("main");
+    b.halt();
+    b.build().unwrap()
+}
+
+fn sorted_dedup(mut v: Vec<(u64, DepKind)>) -> Vec<(u64, DepKind)> {
+    v.sort_unstable_by_key(|e| (e.0, e.1 as u8));
+    v.dedup();
+    v
+}
+
+/// The index must describe exactly the window `g` was built from, which
+/// held `records` records. `from_records` dedups identical records while
+/// the index keeps one mention per record, so adjacency is compared as
+/// sets and `edges` against the record count. `seen` holds every step
+/// ever mentioned, so evicted steps must be gone, not just live ones
+/// present.
+fn assert_index_is_window(
+    idx: &IndexData,
+    g: &DdgGraph,
+    records: usize,
+    seen: &BTreeSet<u64>,
+    ctx: &str,
+) {
+    assert_eq!(idx.edges(), records as u64, "{ctx}: edges");
+    assert_eq!(idx.step_count(), g.steps().count(), "{ctx}: step_count");
+    for &step in seen {
+        let want = sorted_dedup(g.defs_of(step).iter().map(|d| (d.def, d.kind)).collect());
+        assert_eq!(sorted_dedup(idx.defs(step).collect()), want, "{ctx}: defs({step})");
+        let want = sorted_dedup(g.users_of(step).map(|d| (d.user, d.kind)).collect());
+        assert_eq!(sorted_dedup(idx.users(step).collect()), want, "{ctx}: users({step})");
+        let want = g.meta(step).map(|m| (m.addr, m.stmt));
+        assert_eq!(idx.meta_of(step), want, "{ctx}: meta_of({step})");
+    }
+    for addr in 0..INDEX_ADDRS as Addr {
+        let got: Vec<u64> = idx.steps_at(addr).collect();
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "{ctx}: steps_at({addr}) ascending");
+        assert_eq!(got, g.steps_at_addr(addr), "{ctx}: steps_at({addr})");
+    }
+}
+
 proptest! {
+    /// The slice index equals a whole-window rebuild after every push,
+    /// across arbitrary record streams: monotone user steps, defs in the
+    /// user's own chunk, defs several chunks back and reused defs,
+    /// duplicate records,
+    /// any byte budget (so link slots are released and reused, and
+    /// chunks die and are recreated), and a snapshot held across later
+    /// pushes, which must keep answering for the window it froze.
+    #[test]
+    fn slice_index_matches_window_rebuild(
+        budget in 8usize..1024,
+        stream in proptest::collection::vec(
+            ((0u64..1500, 0u8..5, 1u64..200), (1u64..6, 0u8..3, 0usize..3)),
+            1..90,
+        ),
+        snap_pick in 0usize..90,
+    ) {
+        let program = empty_program();
+        let mut buf = CircularTraceBuffer::new(budget);
+        let mut idx = SliceIndex::default();
+        let mut seen = BTreeSet::new();
+        let snap_at = snap_pick % stream.len();
+        let mut held = None;
+        let mut user = 1u64;
+        // Recent defs, reused so a def's `users` list drains on eviction
+        // and refills later (and its chunk dies and comes back).
+        let mut hot: Vec<u64> = Vec::new();
+        for (i, &((gap, reach, near), (chunks_back, k, dups))) in stream.iter().enumerate() {
+            user += gap;
+            // A def reaches `chunks_back` chunks behind the user, reuses
+            // a recent def, or stays within `near` steps of the user,
+            // clamped to the user's own chunk.
+            let def = match reach {
+                0 => user.saturating_sub(chunks_back * CHUNK_STEPS + near),
+                1 | 2 if !hot.is_empty() => hot[near as usize % hot.len()],
+                _ => user.saturating_sub(near).max(user & !(CHUNK_STEPS - 1)).min(user - 1),
+            };
+            if !hot.contains(&def) {
+                if hot.len() == 4 {
+                    hot.remove(0);
+                }
+                hot.push(def);
+            }
+            for _ in 0..=dups {
+                let r = index_record(user, def, k);
+                idx.on_push(&r);
+                buf.push_with(r, |evicted| idx.on_evict(evicted));
+            }
+            seen.extend([user, def]);
+            let g = DdgGraph::from_records(buf.records(), &program);
+            assert_index_is_window(&idx, &g, buf.len(), &seen, &format!("push {i}"));
+            prop_assert_eq!(idx.desyncs(), 0);
+            if i == snap_at {
+                held = Some((idx.snapshot(), g, buf.len(), seen.clone()));
+            }
+        }
+        let (snap, g, records, seen_then) = held.expect("snapshot taken");
+        assert_index_is_window(&snap, &g, records, &seen_then, "held snapshot");
+    }
+
     /// The circular buffer never exceeds its byte budget, evicts oldest
     /// first, and accounts appended totals exactly.
     #[test]

@@ -12,11 +12,12 @@
 //!   canonicity-preserving hash-cons merge and resolves the symbolic
 //!   reads, reproducing the serial [`LineageEngine`] bit for bit.
 //! * **Slicing** — paired with the lineage summary, each epoch's
-//!   dependences are derived into a private `SliceIndex` fragment
-//!   ([`dift_ddg::epoch`]); composition splices fragments chunk-by-chunk
-//!   and resolves the few cross-epoch pending dependences, so
-//!   `dift-slicing`'s `SliceService` can answer queries against a sharded
-//!   run.
+//!   dependences are derived into a fragment ([`dift_ddg::epoch`]): the
+//!   epoch's in-epoch records in stream order plus the cross-epoch
+//!   reads left pending. Composition replays each fragment's records
+//!   into one whole-run `SliceIndex` and resolves its pendings, so
+//!   `dift-slicing`'s `SliceService` can answer queries against a
+//!   sharded run. The shards derive; only the composer indexes.
 //!
 //! Both run on the crate's epoch engine (`engine.rs`), the same worker
 //! pool and recovery ladder as the taint runners: summaries are pure
@@ -73,7 +74,7 @@ pub struct LineageShardStats {
     /// Busiest worker's summarize time — the parallel critical path.
     pub max_worker_nanos: u64,
     /// Sequential composition time (arena merges, symbolic resolution,
-    /// fragment splicing).
+    /// fragment replay into the index).
     pub compose_nanos: u64,
     /// roBDD nodes built in shard arenas (upper bound on merge traffic).
     pub arena_nodes: u64,
@@ -82,9 +83,6 @@ pub struct LineageShardStats {
     pub cross_epoch_deps: u64,
     /// Pending reads of never-written locations (no dependence exists).
     pub unresolved_pendings: u64,
-    /// Index chunks spliced by `Arc` move vs merged key-by-key.
-    pub chunks_moved: u64,
-    pub chunks_merged: u64,
 }
 
 impl LineageShardStats {
@@ -210,9 +208,7 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
         stats.arena_nodes += sum.arena_nodes() as u64;
         sum.apply(&mut engine, sinks.as_mut());
         if let (Some(c), Some(d)) = (composer.as_mut(), deps) {
-            let ms = c.absorb(d);
-            stats.chunks_moved += ms.chunks_moved as u64;
-            stats.chunks_merged += ms.chunks_merged as u64;
+            c.absorb(d);
         }
     }
     stats.compose_nanos = t0.elapsed().as_nanos() as u64;
