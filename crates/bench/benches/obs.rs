@@ -15,22 +15,10 @@
 //!   (what a real DBI run pays via `on_finish`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dift_dbi::{Engine, Tool};
+use dift_bench::throughput::capture;
 use dift_obs::StatsRecorder;
 use dift_taint::{BitTaint, TaintEngine, TaintPolicy};
-use dift_vm::{Machine, StepEffects};
 use dift_workloads::spec::{mcf_like, Size};
-
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
 
 fn bench_obs(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs-hot-path");
@@ -38,12 +26,7 @@ fn bench_obs(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_millis(1500));
     let policy = TaintPolicy::propagate_only();
-    let w = mcf_like(Size::Tiny);
-    let m = w.machine();
-    let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
-    let stream = cap.fxs;
+    let (stream, mem_words) = capture(&mcf_like(Size::Tiny));
 
     g.bench_function("noop-recorder", |b| {
         b.iter(|| {

@@ -19,26 +19,9 @@
 //! in isolation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dift_dbi::{Engine, Tool};
+use dift_bench::throughput::capture;
 use dift_taint::{BitTaint, SummaryCacheConfig, SummaryCachedEngine, TaintEngine, TaintPolicy};
-use dift_vm::{Machine, StepEffects};
 use dift_workloads::loops::{sliding_like, ssum_like, Size};
-use dift_workloads::Workload;
-
-fn capture(w: &Workload) -> (Vec<StepEffects>, usize) {
-    #[derive(Default)]
-    struct Cap(Vec<StepEffects>);
-    impl Tool for Cap {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.0.push(fx.clone());
-        }
-    }
-    let m = w.machine();
-    let mem_words = m.mem_words();
-    let mut cap = Cap::default();
-    Engine::new(m).run_tool(&mut cap);
-    (cap.0, mem_words)
-}
 
 fn cfg() -> SummaryCacheConfig {
     SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }

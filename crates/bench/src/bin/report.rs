@@ -1,87 +1,44 @@
 //! `report` — regenerate the experiment tables and gate regressions.
 //!
 //! ```text
-//! report              # all experiments at paper scale
-//! report e1 e4        # selected experiments
-//! report ablations    # E2a/E3a/E5a/E7a
-//! report taint        # T1 wall-clock DIFT throughput (+ BENCH_taint.json)
-//! report multicore-scaling
-//!                     # T2 epoch-parallel scaling (+ BENCH_multicore_scaling.json)
-//! report obs          # dift-obs counter sweep (+ BENCH_obs.json)
-//! report resilience   # T3 fault matrix + zero-fault overhead
-//!                     #   (+ BENCH_resilience.json)
-//! report slicing      # T4 demand-driven slice queries, indexed vs
-//!                     #   rebuild-per-query (+ BENCH_slicing.json)
-//! report summaries    # T5 hot-code summary cache, plain vs cached
-//!                     #   taint throughput (+ BENCH_summaries.json)
-//! report history      # T6 tiered trace history: chunked snapshots +
-//!                     #   cold tier (+ BENCH_history.json)
-//! report sentinel     # T7 taint-boundary sentinel detection quality
-//!                     #   over the scenario corpus (+ BENCH_sentinel.json
-//!                     #   and SENTINEL_alerts.json)
-//! report durability   # T8 durable cold tier: segment spill/scan,
-//!                     #   torn-write recovery, disk-backed stitched
-//!                     #   queries (+ BENCH_durability.json)
-//! report lineage-shard
-//!                     # T9 sharded lineage + slice fragments on the
-//!                     #   epoch pipeline (+ BENCH_lineage_shard.json)
+//! report [SELECTION...] [--test] [--json]
 //! report compare <baseline.json> <candidate.json> [--thresholds <file>]
-//!                     # diff two BENCH_*.json; exit 1 on regression
-//! report --test       # CI scale
-//! report --json       # machine-readable output
 //! ```
 //!
-//! Running `taint` (included in the default/`all` selection) also writes
-//! `BENCH_taint.json` to the working directory: per-benchmark instrs/sec
-//! for the paged-shadow hot path vs the HashMap reference engine, and
-//! for inline / sw-helper / hw-helper end-to-end DIFT. Likewise
-//! `multicore-scaling` writes `BENCH_multicore_scaling.json` (wall-clock
-//! and modeled epoch-parallel DIFT at 1/2/4/8 helper shards), `obs`
-//! writes `BENCH_obs.json` (the full dift-obs metric tree), `resilience`
-//! writes `BENCH_resilience.json` (single-fault recovery matrix plus the
-//! zero-fault overhead of the tolerant runner), and `slicing` writes
-//! `BENCH_slicing.json` (indexed vs rebuild-per-query slice latency,
-//! single and batched, across kernels and buffer budgets), and
-//! `summaries` writes `BENCH_summaries.json` (plain vs summary-cached
-//! taint throughput over the loop kernels, with bit-exactness and
-//! cache-coverage columns), and `history` writes `BENCH_history.json`
-//! (steady-state chunked-snapshot cost across a 16x window spread,
-//! cold-tier bytes per evicted record, and stitched-query bit-identity
-//! against the offline full-trace slicer), and `sentinel` writes
-//! `BENCH_sentinel.json` (recall / precision / root-cause-hit /
-//! replay-determinism / overhead over the attack-scenario corpus) plus
-//! `SENTINEL_alerts.json` (the deterministic per-scenario alert dump
-//! the CI replay-determinism step byte-diffs), and `durability` writes
-//! `BENCH_durability.json` (checksummed-segment spill/scan throughput,
-//! on-disk bytes per record, torn-write recovery fraction and scrub
-//! time, and disk-backed stitched-query bit-identity), and
-//! `lineage-shard` writes `BENCH_lineage_shard.json` (epoch-sharded
-//! lineage/slicing vs serial: bit-identity fraction, modeled shard
-//! speedup, and arena-merge / fragment-splice costs).
+//! The selections, what each one measures and the `BENCH_*.json`
+//! artifacts it writes to the working directory all come from
+//! [`dift_bench::EXPERIMENTS`]; `report --help` lists them. No selection
+//! means `all`, and `ablations` runs the `eNa` sweeps. `--test` runs at
+//! CI scale, `--json` prints machine-readable tables.
 //!
 //! `compare` is the CI bench gate: it flattens both JSON files, checks
 //! every metric a `bench_thresholds.toml` rule matches, and exits
 //! nonzero when any metric (or the geomean across them) regressed past
-//! its noise threshold. Exit codes: 0 ok, 1 regression, 2 usage or I/O
-//! error.
+//! its noise threshold, or when a gated metric is gone from the
+//! candidate. Exit codes: 0 ok, 1 regression, 2 usage or I/O error.
 
-use dift_bench::{
-    e10_races, e1_slowdown, e2_trace_density, e2a_optimization_ablation, e3_multicore,
-    e3a_channel_sweep, e4_execution_reduction, e5_tm, e5a_spin_length, e6_attacks, e7_lineage,
-    e7a_overlap_sweep, e8_omission, e9_value_replacement, Scale, Table, Thresholds,
-};
+use dift_bench::{Scale, Thresholds, EXPERIMENTS};
 use serde::Value;
 
-const SELECTIONS: &str =
-    "e1..e10, mix, e1b, e2a, e2b, e3a, e5a, e7a, taint, multicore-scaling, obs, resilience, \
-     slicing, summaries, history, sentinel, durability, lineage-shard, ablations, all";
-
 fn usage() {
+    let mut selections = String::new();
+    let mut line = |id: &str, about: &str| selections.push_str(&format!("  {id:<18} {about}\n"));
+    for e in EXPERIMENTS {
+        line(e.id, e.about);
+        if !e.artifacts.is_empty() {
+            line("", &format!("  writes {}", e.artifacts.join(", ")));
+        }
+    }
+    let sweeps: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.is_ablation()).map(|e| e.id).collect();
+    line("ablations", &format!("the sweeps {}", sweeps.join(" ")));
+    line("all", "every selection above (the default)");
     eprintln!(
         "usage: report [SELECTION...] [--test] [--json]\n\
          \x20      report compare <baseline.json> <candidate.json> [--thresholds <file>]\n\
          \n\
-         selections: {SELECTIONS}\n\
+         selections:\n\
+         {selections}\
+         \n\
          \x20 --test        run at CI scale (default: paper scale)\n\
          \x20 --json        machine-readable table output\n\
          \n\
@@ -112,150 +69,43 @@ fn main() {
     let selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
 
-    type Gen = (&'static str, fn(Scale) -> Table);
-    let main_exps: &[Gen] = &[
-        ("e1", e1_slowdown),
-        ("e2", e2_trace_density),
-        ("e3", e3_multicore),
-        ("e4", e4_execution_reduction),
-        ("e5", e5_tm),
-        ("e6", e6_attacks),
-        ("e7", e7_lineage),
-        ("e8", e8_omission),
-        ("e9", e9_value_replacement),
-        ("e10", e10_races),
-    ];
-    let ablations: &[Gen] = &[
-        ("mix", dift_bench::mix_table),
-        ("e1b", dift_bench::e1b_compaction),
-        ("e2a", e2a_optimization_ablation),
-        ("e2b", dift_bench::e2b_selective),
-        ("e3a", e3a_channel_sweep),
-        ("e5a", e5a_spin_length),
-        ("e7a", e7a_overlap_sweep),
-    ];
-
     // Reject unknown selections up front — a typo must not silently run
     // nothing (or everything).
-    let known = |id: &str| -> bool {
-        id == "all"
-            || id == "ablations"
-            || id == "taint"
-            || id == "multicore-scaling"
-            || id == "obs"
-            || id == "resilience"
-            || id == "slicing"
-            || id == "summaries"
-            || id == "history"
-            || id == "sentinel"
-            || id == "durability"
-            || id == "lineage-shard"
-            || main_exps.iter().chain(ablations).any(|(k, _)| *k == id)
-    };
+    let known =
+        |id: &&str| ["all", "ablations"].contains(id) || EXPERIMENTS.iter().any(|e| e.id == *id);
     if let Some(bad) = selected.iter().find(|id| !known(id)) {
         eprintln!("unknown selection `{bad}`\n");
         usage();
         std::process::exit(2);
     }
+    let everything = selected.is_empty() || selected.contains(&"all");
+    let ablations = selected.contains(&"ablations");
 
-    let wanted = |id: &str| -> bool {
-        if selected.is_empty() || selected.contains(&"all") {
-            return true;
+    let mut write_failed = false;
+    for e in EXPERIMENTS {
+        if !(everything || (ablations && e.is_ablation()) || selected.contains(&e.id)) {
+            continue;
         }
-        (selected.contains(&"ablations") && id.ends_with('a')) || selected.contains(&id)
-    };
-    let print = |t: &Table| {
+        let run = (e.run)(scale);
         if json {
-            println!("{}", t.to_json());
+            println!("{}", run.table.to_json());
         } else {
-            println!("{t}");
+            println!("{}", run.table);
         }
-    };
-    let write_json = |name: &str, payload: &str| match std::fs::write(name, payload) {
-        Ok(()) => eprintln!("wrote {name}"),
-        Err(e) => eprintln!("could not write {name}: {e}"),
-    };
-
-    for (id, gen) in main_exps.iter().chain(ablations) {
-        if wanted(id) {
-            print(&gen(scale));
+        assert_eq!(run.artifacts.len(), e.artifacts.len(), "{}: one payload per artifact", e.id);
+        for (name, payload) in e.artifacts.iter().zip(&run.artifacts) {
+            match std::fs::write(name, payload) {
+                Ok(()) => eprintln!("wrote {name}"),
+                Err(err) => {
+                    eprintln!("could not write {name}: {err}");
+                    write_failed = true;
+                }
+            }
         }
     }
-    if wanted("taint") {
-        // Measured once; the table and BENCH_taint.json share the run.
-        let report = dift_bench::taint_throughput_report(scale);
-        print(&dift_bench::report_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_taint.json", &payload);
-    }
-    if wanted("multicore-scaling") {
-        // Measured once; the table and BENCH_multicore_scaling.json
-        // share the run.
-        let report = dift_bench::multicore_scaling_report(scale);
-        print(&dift_bench::scaling_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_multicore_scaling.json", &payload);
-    }
-    if wanted("obs") {
-        let report = dift_bench::obs_report(scale);
-        print(&report.to_table());
-        let payload = serde_json::to_string_pretty(&report.to_value()).expect("obs serializes");
-        write_json("BENCH_obs.json", &payload);
-    }
-    if wanted("resilience") {
-        // Measured once; the table and BENCH_resilience.json share the
-        // run.
-        let report = dift_bench::resilience_report(scale);
-        print(&dift_bench::resilience_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_resilience.json", &payload);
-    }
-    if wanted("slicing") {
-        // Measured once; the table and BENCH_slicing.json share the run.
-        let report = dift_bench::slicing_report(scale);
-        print(&dift_bench::slicing_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_slicing.json", &payload);
-    }
-    if wanted("summaries") {
-        // Measured once; the table and BENCH_summaries.json share the
-        // run.
-        let report = dift_bench::summaries_report(scale);
-        print(&dift_bench::summaries_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_summaries.json", &payload);
-    }
-    if wanted("history") {
-        // Measured once; the table and BENCH_history.json share the run.
-        let report = dift_bench::history_report(scale);
-        print(&dift_bench::history_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_history.json", &payload);
-    }
-    if wanted("sentinel") {
-        // Measured once; the table, BENCH_sentinel.json, and the alert
-        // dump all share the run.
-        let (report, alerts) = dift_bench::sentinel_report(scale);
-        print(&dift_bench::sentinel_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_sentinel.json", &payload);
-        write_json("SENTINEL_alerts.json", &alerts);
-    }
-    if wanted("durability") {
-        // Measured once; the table and BENCH_durability.json share the
-        // run.
-        let report = dift_bench::durability_report(scale);
-        print(&dift_bench::durability_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_durability.json", &payload);
-    }
-    if wanted("lineage-shard") {
-        // Measured once; the table and BENCH_lineage_shard.json share
-        // the run.
-        let report = dift_bench::lineage_shard_report(scale);
-        print(&dift_bench::lineage_shard_to_table(&report));
-        let payload = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_json("BENCH_lineage_shard.json", &payload);
+    // Every selection still runs, but a lost artifact is an I/O error.
+    if write_failed {
+        std::process::exit(2);
     }
 }
 

@@ -270,14 +270,18 @@ pub struct MetricDelta {
 pub struct Comparison {
     /// Metrics a rule matched in both files, in path order.
     pub checked: Vec<MetricDelta>,
-    /// Gated paths present in only one of the two files.
+    /// Gated baseline paths the candidate lacks. A gated metric that
+    /// disappears fails the gate.
     pub missing: Vec<String>,
-    /// Gated paths skipped with a reason: base or candidate was <= 0
-    /// (a ratio would be meaningless — e.g. stall cycles that are
-    /// legitimately zero at one width), or either side flags the row
-    /// `modeled_only` (the number is an artifact, not a measurement).
+    /// Gated paths only the candidate has (informational).
+    pub added: Vec<String>,
+    /// Gated paths skipped with a reason: the baseline is <= 0 (a ratio
+    /// would be meaningless — e.g. stall cycles that are legitimately
+    /// zero at one width), or either side flags the row `modeled_only`
+    /// (the number is an artifact, not a measurement).
     pub skipped: Vec<String>,
-    /// Geomean of `checked[*].ratio` (1.0 when nothing was checked).
+    /// Geomean of the finite `checked[*].ratio`s (1.0 when there are
+    /// none).
     pub geomean_ratio: f64,
     pub geomean_max_regress_pct: f64,
 }
@@ -293,7 +297,7 @@ impl Comparison {
 
     /// Anything at all to fail CI over?
     pub fn regressed(&self) -> bool {
-        !self.violations().is_empty() || self.geomean_violated()
+        !self.violations().is_empty() || self.geomean_violated() || !self.missing.is_empty()
     }
 }
 
@@ -310,7 +314,6 @@ pub fn compare(base: &Value, cand: &Value, thresholds: &Thresholds) -> Compariso
         geomean_max_regress_pct: thresholds.geomean_max_regress_pct,
         ..Comparison::default()
     };
-    let mut ln_sum = 0.0;
     for (path, &b) in &base {
         let Some(rule) = thresholds.rules.iter().find(|r| r.matches(path)) else {
             continue;
@@ -323,11 +326,19 @@ pub fn compare(base: &Value, cand: &Value, thresholds: &Thresholds) -> Compariso
             out.missing.push(format!("{path} (baseline only)"));
             continue;
         };
-        if b <= 0.0 || c <= 0.0 {
-            out.skipped.push(format!("{path} (base or candidate <= 0)"));
+        if b <= 0.0 {
+            out.skipped.push(format!("{path} (baseline <= 0)"));
             continue;
         }
-        let ratio = if rule.higher_is_better { c / b } else { b / c };
+        let ratio = match (c > 0.0, rule.higher_is_better) {
+            (true, true) => c / b,
+            (true, false) => b / c,
+            // Fell to zero: nothing is left of a higher-is-better
+            // metric, while a lower-is-better one improved past what a
+            // ratio can express (kept out of the geomean below).
+            (false, true) => 0.0,
+            (false, false) => f64::INFINITY,
+        };
         let regress_pct = (1.0 - ratio) * 100.0;
         out.checked.push(MetricDelta {
             path: path.clone(),
@@ -338,18 +349,18 @@ pub fn compare(base: &Value, cand: &Value, thresholds: &Thresholds) -> Compariso
             max_regress_pct: rule.max_regress_pct,
             violated: regress_pct > rule.max_regress_pct,
         });
-        ln_sum += ratio.ln();
     }
     for path in cand.keys() {
         if !base.contains_key(path)
             && !modeled.contains(path)
             && thresholds.rules.iter().any(|r| r.matches(path))
         {
-            out.missing.push(format!("{path} (candidate only)"));
+            out.added.push(format!("{path} (candidate only)"));
         }
     }
-    if !out.checked.is_empty() {
-        out.geomean_ratio = (ln_sum / out.checked.len() as f64).exp();
+    let finite: Vec<f64> = out.checked.iter().map(|d| d.ratio).filter(|r| r.is_finite()).collect();
+    if !finite.is_empty() {
+        out.geomean_ratio = crate::geomean(finite);
     }
     out
 }
@@ -369,7 +380,10 @@ pub fn render(c: &Comparison) -> String {
         s.push_str(&format!("{:9} {p}\n", "skipped"));
     }
     for p in &c.missing {
-        s.push_str(&format!("{:9} {p}\n", "missing"));
+        s.push_str(&format!("{:9} {p}\n", "MISSING"));
+    }
+    for p in &c.added {
+        s.push_str(&format!("{:9} {p}\n", "new"));
     }
     let verdict = if c.geomean_violated() { "REGRESSED" } else { "ok" };
     s.push_str(&format!(
@@ -466,6 +480,61 @@ mod tests {
         let cand = Value::Map(vec![("geomean_hot_speedup".into(), Value::F64(3.0))]);
         let c = compare(&base, &cand, &Thresholds::default());
         assert!(c.missing.iter().any(|m| m.contains("baseline only")), "{:?}", c.missing);
+    }
+
+    #[test]
+    fn higher_is_better_metric_falling_to_zero_is_a_full_regression() {
+        let c = compare(&report(3.0, 1000), &report(0.0, 1000), &Thresholds::default());
+        assert!(c.regressed(), "{c:?}");
+        let hot = c.checked.iter().find(|d| d.path == "geomean_hot_speedup").expect("gated");
+        assert!(hot.violated && hot.ratio == 0.0 && hot.regress_pct == 100.0, "{hot:?}");
+        assert!(c.skipped.is_empty(), "a zero candidate must be gated: {:?}", c.skipped);
+        assert!(c.geomean_ratio.is_finite() && c.geomean_violated(), "{}", c.geomean_ratio);
+    }
+
+    #[test]
+    fn lower_is_better_metric_falling_to_zero_is_an_improvement() {
+        let c = compare(&report(3.0, 1000), &report(3.0, 0), &Thresholds::default());
+        assert!(!c.regressed(), "{c:?}");
+        let cycles = c.checked.iter().find(|d| d.path.contains("completion_cycles")).unwrap();
+        assert!(!cycles.violated && cycles.ratio > 1.0, "{cycles:?}");
+        assert!((c.geomean_ratio - 1.0).abs() < 1e-12, "{}", c.geomean_ratio);
+    }
+
+    #[test]
+    fn zero_baseline_is_still_skipped() {
+        // Stall cycles are legitimately zero at some widths.
+        let rules = Thresholds {
+            rules: vec![MetricRule {
+                pattern: "stall_cycles".into(),
+                higher_is_better: false,
+                max_regress_pct: 5.0,
+            }],
+            geomean_max_regress_pct: 5.0,
+        };
+        let stall = |cycles| Value::Map(vec![("stall_cycles".into(), Value::U64(cycles))]);
+        let c = compare(&stall(0), &stall(5), &rules);
+        assert!(c.checked.is_empty() && !c.regressed(), "{c:?}");
+        assert!(c.skipped.iter().any(|p| p.contains("baseline <= 0")), "{:?}", c.skipped);
+    }
+
+    #[test]
+    fn gated_metric_missing_from_the_candidate_fails() {
+        let base = report(3.0, 1000);
+        let cand = Value::Map(vec![("geomean_hot_speedup".into(), Value::F64(3.0))]);
+        let c = compare(&base, &cand, &Thresholds::default());
+        assert!(c.violations().is_empty() && !c.geomean_violated(), "{c:?}");
+        assert!(c.regressed(), "a vanished gated metric must fail the gate");
+        assert!(render(&c).contains("MISSING"));
+    }
+
+    #[test]
+    fn candidate_only_metric_is_informational() {
+        let base = Value::Map(vec![("geomean_hot_speedup".into(), Value::F64(3.0))]);
+        let c = compare(&base, &report(3.0, 1000), &Thresholds::default());
+        assert!(!c.regressed(), "{c:?}");
+        assert!(c.missing.is_empty());
+        assert!(c.added.iter().any(|p| p.contains("candidate only")), "{:?}", c.added);
     }
 
     /// A wall row as `report multicore-scaling` now writes it: stamped

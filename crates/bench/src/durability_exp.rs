@@ -22,14 +22,14 @@
 //!   [`Slicer`](dift_slicing::Slicer) over the full never-evicted
 //!   trace (`identical_fraction`, gated at 1.0 by the shared rule).
 
-use crate::slicing_exp::{best_of, query_set};
+// `synth` is the history experiment's record stream, so on-disk density
+// is directly comparable to the in-memory cold tier's.
+use crate::history_exp::{stitched_vs_offline, synth};
+use crate::slicing_exp::run_ontrac;
 use crate::{Scale, Table};
-use dift_dbi::Engine;
-use dift_ddg::buffer::{record, BufRecord};
 use dift_ddg::cold::SEGMENT_RECORDS;
 use dift_ddg::iofault::{IoFaultSite, ScriptedIoFaults};
-use dift_ddg::{ColdStore, DdgGraph, DepKind, OnTrac, OnTracConfig};
-use dift_slicing::{batch_via_rebuild, Slice, SliceQuery, SliceService};
+use dift_ddg::ColdStore;
 use dift_workloads::spec::all_spec;
 use dift_workloads::Workload;
 use serde::Serialize;
@@ -100,21 +100,6 @@ pub struct DurabilityReport {
     pub total_queries: u64,
 }
 
-/// A dense monotone record whose metadata is a pure function of the
-/// step — the same shape the history experiment uses, so on-disk
-/// density is directly comparable to the in-memory cold tier's.
-fn synth(step: u64) -> BufRecord {
-    record(
-        step,
-        step - 1,
-        DepKind::RegData,
-        (step % 509) as u32,
-        ((step - 1) % 509) as u32,
-        (step % 8191) as u32,
-        ((step - 1) % 8191) as u32,
-    )
-}
-
 /// Fresh scratch directory under the OS tmpdir (the bench binary runs
 /// from the repo root; segment files must not land there).
 fn scratch(tag: &str) -> PathBuf {
@@ -179,48 +164,12 @@ fn recovery_row(segments: u64) -> RecoveryRow {
     }
 }
 
-/// Full-fidelity tracing with the durable cold tier (or a roomy
-/// reference run without it) — same dependence stream either way.
-fn run_ontrac(w: &Workload, budget: usize, durable_dir: Option<PathBuf>) -> OnTrac {
-    let mut cfg = OnTracConfig::unoptimized(budget);
-    cfg.record_war_waw = true;
-    cfg.durable_dir = durable_dir;
-    let m = w.machine();
-    let mem = m.config().mem_words;
-    let mut tracer = OnTrac::new(&w.program, mem, cfg);
-    Engine::new(m).run_tool(&mut tracer);
-    tracer
-}
-
 fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> DurabilityRow {
     let dir = scratch(&w.name);
-    let tracer = run_ontrac(w, budget, Some(dir.clone()));
-    let full = run_ontrac(w, 1 << 30, None);
-    debug_assert_eq!(full.buffer().evicted, 0, "reference budget must retain the full trace");
-    let g = DdgGraph::from_records(full.buffer().records(), &w.program);
-    let queries = query_set(&g, per_row);
-    let reference = batch_via_rebuild(&g, &queries);
-
-    let idx = tracer.slice_index().expect("presets enable the index");
+    let tracer = run_ontrac(w, budget, |c| c.durable_dir = Some(dir.clone()));
+    let (queries, stitched_s, identical) = stitched_vs_offline(w, &tracer, per_row, reps);
     let cold = tracer.cold_store().expect("durable_dir implies the cold tier");
     debug_assert!(cold.is_durable(), "the durable dir was usable");
-    let (stitched_s, stitched) = best_of(reps, || {
-        let mut svc = SliceService::new(idx);
-        queries
-            .iter()
-            .map(|q| match q {
-                SliceQuery::Backward { criterion, mask } => {
-                    svc.backward_stitched(cold, criterion, *mask)
-                }
-                SliceQuery::Forward { criterion, mask } => {
-                    svc.forward_stitched(cold, criterion, *mask)
-                }
-                SliceQuery::BackwardFromAddr { addr, mask } => {
-                    svc.backward_from_addr_stitched(cold, *addr, *mask)
-                }
-            })
-            .collect::<Vec<Slice>>()
-    });
     let scrub_clean = cold.verify().is_empty();
 
     let evicted = tracer.buffer().evicted;
@@ -233,9 +182,9 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Dura
         cold_segments: cold.segment_count() as u64,
         disk_bytes,
         disk_bytes_per_record: disk_bytes as f64 / evicted.max(1) as f64,
-        queries: queries.len() as u64,
-        stitched_us_per_query: stitched_s / queries.len().max(1) as f64 * 1e6,
-        identical: stitched == reference,
+        queries: queries as u64,
+        stitched_us_per_query: stitched_s / queries.max(1) as f64 * 1e6,
+        identical,
         scrub_clean,
     };
     drop(tracer);
@@ -332,11 +281,6 @@ pub fn durability_to_table(r: &DurabilityReport) -> Table {
         format!("{:.0}%", r.identical_fraction * 100.0),
     ]);
     t
-}
-
-/// T8 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t8_durability(scale: Scale) -> Table {
-    durability_to_table(&durability_report(scale))
 }
 
 #[cfg(test)]

@@ -21,12 +21,11 @@
 //!   [`Slicer`](dift_slicing::Slicer) run over the full never-evicted
 //!   trace (`identical_fraction`, gated at 1.0).
 
-use crate::slicing_exp::{best_of, query_set};
+use crate::slicing_exp::{best_of, query_set, run_ontrac};
 use crate::{fx, Scale, Table};
-use dift_dbi::Engine;
 use dift_ddg::buffer::{record, BufRecord};
 use dift_ddg::index::CHUNK_STEPS;
-use dift_ddg::{DdgGraph, DepKind, OnTrac, OnTracConfig, SliceIndex};
+use dift_ddg::{DdgGraph, DepKind, OnTrac, SliceIndex};
 use dift_slicing::{batch_via_rebuild, Slice, SliceQuery, SliceService};
 use dift_workloads::spec::all_spec;
 use dift_workloads::Workload;
@@ -100,7 +99,7 @@ pub struct HistoryReport {
 
 /// A synthetic dense record whose metadata is a pure function of the
 /// step, so pushes and evictions always agree on per-step metadata.
-fn synth(step: u64) -> BufRecord {
+pub(crate) fn synth(step: u64) -> BufRecord {
     record(
         step,
         step - 1,
@@ -160,31 +159,26 @@ fn snapshot_point(records: u64, cycles: usize, churn: u64, reps: usize) -> Snaps
     }
 }
 
-/// Full-fidelity tracing with the cold tier switched on (or a roomy
-/// reference run with it off) — same dependence stream either way.
-fn run_ontrac(w: &Workload, budget: usize, cold_tier: bool) -> OnTrac {
-    let mut cfg = OnTracConfig::unoptimized(budget);
-    cfg.record_war_waw = true;
-    cfg.cold_tier = cold_tier;
-    let m = w.machine();
-    let mem = m.config().mem_words;
-    let mut tracer = OnTrac::new(&w.program, mem, cfg);
-    Engine::new(m).run_tool(&mut tracer);
-    tracer
-}
-
-fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> HistoryRow {
-    let tracer = run_ontrac(w, budget, true);
+/// Stitched queries (live window + `tracer`'s cold tier) against the
+/// offline slicer over a never-evicted run of `w`: the query count, the
+/// best-of-`reps` seconds for the whole set, and whether every answer
+/// was bit-identical.
+pub(crate) fn stitched_vs_offline(
+    w: &Workload,
+    tracer: &OnTrac,
+    per_row: usize,
+    reps: usize,
+) -> (usize, f64, bool) {
     // Roomy reference run: nothing evicted, so the offline graph covers
     // the whole execution.
-    let full = run_ontrac(w, 1 << 30, false);
+    let full = run_ontrac(w, 1 << 30, |_| {});
     debug_assert_eq!(full.buffer().evicted, 0, "reference budget must retain the full trace");
     let g = DdgGraph::from_records(full.buffer().records(), &w.program);
     let queries = query_set(&g, per_row);
     let reference = batch_via_rebuild(&g, &queries);
 
     let idx = tracer.slice_index().expect("presets enable the index");
-    let cold = tracer.cold_store().expect("cold_tier was requested");
+    let cold = tracer.cold_store().expect("the tracer has a cold tier");
     let (stitched_s, stitched) = best_of(reps, || {
         let mut svc = SliceService::new(idx);
         queries
@@ -202,7 +196,13 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Hist
             })
             .collect::<Vec<Slice>>()
     });
+    (queries.len(), stitched_s, stitched == reference)
+}
 
+fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> HistoryRow {
+    let tracer = run_ontrac(w, budget, |c| c.cold_tier = true);
+    let (queries, stitched_s, identical) = stitched_vs_offline(w, &tracer, per_row, reps);
+    let cold = tracer.cold_store().expect("cold_tier was requested");
     let evicted = tracer.buffer().evicted;
     HistoryRow {
         name: format!("{}@{budget}B", w.name),
@@ -213,9 +213,9 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Hist
         cold_segments: cold.segment_count() as u64,
         cold_bytes: cold.bytes(),
         cold_bytes_per_record: cold.bytes() as f64 / (evicted.max(1)) as f64,
-        queries: queries.len() as u64,
-        stitched_us_per_query: stitched_s / queries.len().max(1) as f64 * 1e6,
-        identical: stitched == reference,
+        queries: queries as u64,
+        stitched_us_per_query: stitched_s / queries.max(1) as f64 * 1e6,
+        identical,
     }
 }
 
@@ -314,11 +314,6 @@ pub fn history_to_table(r: &HistoryReport) -> Table {
         format!("{:.0}%", r.identical_fraction * 100.0),
     ]);
     t
-}
-
-/// T6 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t6_history(scale: Scale) -> Table {
-    history_to_table(&history_report(scale))
 }
 
 #[cfg(test)]

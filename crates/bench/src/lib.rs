@@ -1,10 +1,13 @@
 //! # dift-bench — the experiment harness
 //!
-//! One function per experiment (E1–E10 from `DESIGN.md`), each returning
-//! a [`Table`] that the `report` binary prints and `EXPERIMENTS.md`
-//! records. The same functions back the Criterion benches and the
-//! scaled-down shape tests, so CI catches regressions in *who wins and by
-//! roughly how much* — the paper's reproducible content.
+//! One function per experiment (E1–E10 from `DESIGN.md`, their
+//! ablations, and the T-series measurements), each producing a
+//! [`Table`] that the `report` binary prints and `EXPERIMENTS.md`
+//! records. [`EXPERIMENTS`] lists them all: the `report` binary, its
+//! CLI tests and the CI bench gate are driven from that one table. The
+//! same functions back the scaled-down shape tests, so CI catches
+//! regressions in *who wins and by roughly how much* — the paper's
+//! reproducible content.
 //!
 //! Scale: every experiment takes a [`Scale`]; `Scale::Test` keeps CI
 //! fast, `Scale::Paper` is what `report` uses.
@@ -16,6 +19,7 @@ pub mod durability_exp;
 pub mod history_exp;
 pub mod lineage_shard_exp;
 pub mod obs_report;
+pub mod registry;
 pub mod resilience;
 pub mod scaling;
 pub mod sentinel_exp;
@@ -25,43 +29,9 @@ pub mod table;
 pub mod throughput;
 pub mod tracing_exps;
 
-pub use ablations::{
-    e2a_optimization_ablation, e2b_selective, e3a_channel_sweep, e5a_spin_length, e7a_overlap_sweep,
-};
-pub use apps_exps::{e10_races, e5_tm, e6_attacks, e7_lineage, e8_omission, e9_value_replacement};
-pub use compare::{compare, render, Comparison, Thresholds};
-pub use durability_exp::{
-    durability_report, durability_to_table, t8_durability, DurabilityReport, DurabilityRow,
-    RecoveryRow,
-};
-pub use history_exp::{
-    history_report, history_to_table, t6_history, HistoryReport, HistoryRow, SnapshotRow,
-};
-pub use lineage_shard_exp::{
-    lineage_shard_report, lineage_shard_to_table, t9_lineage_shard, LineageShardPoint,
-    LineageShardReport, LineageShardRow,
-};
-pub use obs_report::{obs_report, ObsReport};
-pub use resilience::{
-    resilience_report, resilience_to_table, t3_resilience, FaultMatrixRow, ResilienceReport,
-};
-pub use scaling::{
-    multicore_scaling_report, scaling_to_table, t2_multicore_scaling, MulticoreScalingReport,
-};
-pub use sentinel_exp::{
-    sentinel_report, sentinel_to_table, t7_sentinel, SentinelReport, SentinelRow,
-};
-pub use slicing_exp::{slicing_report, slicing_to_table, t4_slicing, SlicingReport, SlicingRow};
-pub use summaries_exp::{
-    summaries_report, summaries_to_table, t5_summaries, SummariesReport, SummaryRow,
-};
+pub use compare::{compare, render, Thresholds};
+pub use registry::{Experiment, Run, EXPERIMENTS};
 pub use table::Table;
-pub use throughput::{
-    report_to_table, t1_taint_throughput, taint_throughput_report, TaintThroughputReport,
-};
-pub use tracing_exps::{
-    e1_slowdown, e1b_compaction, e2_trace_density, e3_multicore, e4_execution_reduction, mix_table,
-};
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,4 +66,41 @@ pub(crate) fn fx(v: f64) -> String {
 /// Format a percentage like `48%`.
 pub(crate) fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
+}
+
+/// Format a throughput in instrs/sec like `12.3M/s`.
+pub(crate) fn mps(v: f64) -> String {
+    format!("{:.1}M/s", v / 1e6)
+}
+
+/// Geometric mean. Values at or below zero are clamped to `1e-12`, so
+/// the result stays finite and positive (a negative input would make it
+/// NaN). An empty input has no mean and reads 0.0: "nothing measured"
+/// must fail a higher-is-better gate rather than pass as a neutral 1.0.
+pub(crate) fn geomean(vals: impl IntoIterator<Item = f64>) -> f64 {
+    let (sum, n) = vals.into_iter().fold((0.0, 0usize), |(s, n), v| (s + v.max(1e-12).ln(), n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        (sum / n as f64).exp()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn geomean_of_nothing_is_zero() {
+        assert_eq!(geomean([]), 0.0);
+    }
+
+    #[test]
+    fn geomean_clamps_zeros_and_stays_finite() {
+        assert!((geomean([2.0, 8.0]) - 4.0).abs() < 1e-12);
+        let g = geomean([0.0, 4.0]);
+        assert!(g.is_finite() && g > 0.0 && g < 1e-5, "{g}");
+        let g = geomean([-1.0, 4.0]);
+        assert!(g.is_finite() && g > 0.0, "a negative input must not yield NaN: {g}");
+    }
 }

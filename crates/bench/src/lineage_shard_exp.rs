@@ -22,8 +22,8 @@
 //! index chunks spliced vs merged) quantify what composition pays to
 //! keep the answer bit-identical.
 
-use crate::throughput::Capture;
-use crate::{fx, pct, Scale, Table};
+use crate::throughput::capture;
+use crate::{fx, geomean, pct, Scale, Table};
 use dift_dbi::Engine;
 use dift_ddg::{OnTrac, OnTracConfig};
 use dift_lineage::{BddBackend, LineageEngine};
@@ -124,11 +124,7 @@ fn serial_index_edges(w: &Workload) -> u64 {
 }
 
 fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShardRow {
-    let m = w.machine();
-    let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
-    let stream = cap.fxs;
+    let (stream, mem_words) = capture(w);
 
     let mut serial = LineageEngine::new(BddBackend::new(ID_BITS));
     for fxs in &stream {
@@ -176,11 +172,6 @@ fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShar
         index_edges,
         points,
     }
-}
-
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = vals.fold((0.0, 0usize), |(s, n), v| (s + v.max(1e-12).ln(), n + 1));
-    (sum / n.max(1) as f64).exp()
 }
 
 /// Measure the sharded-lineage sweep.
@@ -255,11 +246,6 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
         pct(r.identical_fraction),
     ]);
     t
-}
-
-/// T9 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t9_lineage_shard(scale: Scale) -> Table {
-    lineage_shard_to_table(&lineage_shard_report(scale))
 }
 
 #[cfg(test)]

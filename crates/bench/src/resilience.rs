@@ -19,9 +19,8 @@
 //! * **recovery accounting** — total epochs recovered, retries, spare
 //!   vs degraded split, summed over the matrix.
 
-use crate::throughput::{time_stream, Capture};
+use crate::throughput::{capture, time_stream};
 use crate::{pct, Scale, Table};
-use dift_dbi::Engine;
 use dift_multicore::{
     epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_tolerant,
     silence_injected_panics, ChannelModel, EpochModel, FaultSite, NoopFaults, RecoveryPolicy,
@@ -122,11 +121,7 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
 
     // Serial baselines: the inline engine for bit-identity, the captured
     // stream for wall-clock A/B.
-    let m = w.machine();
-    let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
-    let stream = cap.fxs;
+    let (stream, mem_words) = capture(&w);
     let mut serial = TaintEngine::<PcTaint>::new(policy);
     serial.pre_size(mem_words);
     for fx in &stream {
@@ -247,11 +242,6 @@ pub fn resilience_to_table(r: &ResilienceReport) -> Table {
         format!("wall {:.2}x", r.zero_fault_wall_overhead),
     ]);
     t
-}
-
-/// T3 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t3_resilience(scale: Scale) -> Table {
-    resilience_to_table(&resilience_report(scale))
 }
 
 #[cfg(test)]

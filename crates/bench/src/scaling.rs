@@ -19,9 +19,8 @@
 //! The `report multicore-scaling` selection serializes both to
 //! `BENCH_multicore_scaling.json`.
 
-use crate::throughput::{time_stream, Capture};
-use crate::{fx, Scale, Table};
-use dift_dbi::Engine;
+use crate::throughput::{capture, time_stream};
+use crate::{fx, geomean, mps, Scale, Table};
 use dift_isa::{BinOp, BranchCond, ProgramBuilder, Reg};
 use dift_multicore::{epoch_process_stream, run_epoch_dift, ChannelModel, EpochModel};
 use dift_taint::{BitTaint, TaintEngine, TaintPolicy};
@@ -164,11 +163,6 @@ fn modeled_fanout(workers: usize) -> EpochModel {
     }
 }
 
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = vals.fold((0.0, 0usize), |(s, n), v| (s + v.ln(), n + 1));
-    (sum / n.max(1) as f64).exp()
-}
-
 /// Measure the scaling sweep.
 pub fn multicore_scaling_report(scale: Scale) -> MulticoreScalingReport {
     let (target, epoch_len): (u64, usize) = match scale {
@@ -179,11 +173,7 @@ pub fn multicore_scaling_report(scale: Scale) -> MulticoreScalingReport {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut rows = Vec::new();
     for w in &suite(scale) {
-        let m = w.machine();
-        let mem_words = m.mem_words();
-        let mut cap = Capture::default();
-        Engine::new(m).run_tool(&mut cap);
-        let stream = cap.fxs;
+        let (stream, mem_words) = capture(w);
 
         // Taint-heaviness and the serial baseline from one engine.
         let mut serial = TaintEngine::<BitTaint>::new(policy);
@@ -258,10 +248,6 @@ pub fn multicore_scaling_report(scale: Scale) -> MulticoreScalingReport {
     }
 }
 
-fn mps(v: f64) -> String {
-    format!("{:.1}M/s", v / 1e6)
-}
-
 /// T2 as a printable table (shares measurements with the JSON report).
 pub fn scaling_to_table(r: &MulticoreScalingReport) -> Table {
     let mut t = Table::new(
@@ -305,11 +291,6 @@ pub fn scaling_to_table(r: &MulticoreScalingReport) -> Table {
         fx(r.geomean_modeled_speedup_4w),
     ]);
     t
-}
-
-/// T2 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t2_multicore_scaling(scale: Scale) -> Table {
-    scaling_to_table(&multicore_scaling_report(scale))
 }
 
 #[cfg(test)]

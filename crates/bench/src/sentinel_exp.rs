@@ -140,11 +140,6 @@ pub fn sentinel_to_table(r: &SentinelReport) -> Table {
     t
 }
 
-/// T7 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t7_sentinel(scale: Scale) -> Table {
-    sentinel_to_table(&sentinel_report(scale).0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@
 //! All four must produce bit-identical slices (`identical_fraction`,
 //! gated at 1.0 — rebuild is the reference).
 
-use crate::{fx, Scale, Table};
+use crate::{fx, geomean, Scale, Table};
 use dift_dbi::Engine;
 use dift_ddg::{DdgGraph, OnTrac, OnTracConfig};
 use dift_obs::{Metric, Recorder, StatsRecorder};
@@ -75,11 +75,18 @@ pub struct SlicingReport {
     pub total_queries: u64,
 }
 
-fn run_ontrac(w: &Workload, budget: usize) -> OnTrac {
-    // Full-fidelity tracing (every dependence recorded, WAR/WAW on) so
-    // the window is dense and the multithreaded mask has edges to walk.
+/// Full-fidelity tracing (every dependence recorded, WAR/WAW on) so the
+/// window is dense and the multithreaded mask has edges to walk. `tier`
+/// switches on a cold tier; the dependence stream is the same either
+/// way.
+pub(crate) fn run_ontrac(
+    w: &Workload,
+    budget: usize,
+    tier: impl FnOnce(&mut OnTracConfig),
+) -> OnTrac {
     let mut cfg = OnTracConfig::unoptimized(budget);
     cfg.record_war_waw = true;
+    tier(&mut cfg);
     let m = w.machine();
     let mem = m.config().mem_words;
     let mut tracer = OnTrac::new(&w.program, mem, cfg);
@@ -123,7 +130,7 @@ pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> SlicingRow {
-    let tracer = run_ontrac(w, budget);
+    let tracer = run_ontrac(w, budget, |_| {});
     let buf = tracer.buffer();
     let idx = tracer.slice_index().expect("presets enable the index");
     let g = DdgGraph::from_records(buf.records(), &w.program);
@@ -208,15 +215,6 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Slic
     }
 }
 
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = vals.fold((0.0, 0u32), |(s, n), v| (s + v.max(1e-12).ln(), n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64).exp()
-    }
-}
-
 /// Measure the slicing report.
 pub fn slicing_report(scale: Scale) -> SlicingReport {
     // One roomy budget (whole run retained) and one eviction-heavy one
@@ -288,11 +286,6 @@ pub fn slicing_to_table(r: &SlicingReport) -> Table {
         format!("{:.0}%", r.identical_fraction * 100.0),
     ]);
     t
-}
-
-/// T4 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t4_slicing(scale: Scale) -> Table {
-    slicing_to_table(&slicing_report(scale))
 }
 
 #[cfg(test)]

@@ -28,15 +28,15 @@
 //! per row (the "L+summaries" ladder level; the suite mean is gated in
 //! `bench_thresholds.toml`).
 
-use crate::{fx, pct, Scale, Table};
-use dift_dbi::{Engine, Tool};
+use crate::slicing_exp::best_of;
+use crate::throughput::capture;
+use crate::{fx, geomean, pct, Scale, Table};
+use dift_dbi::Engine;
 use dift_ddg::{OnTrac, OnTracConfig};
 use dift_taint::{BitTaint, SummaryCacheConfig, SummaryCachedEngine, TaintEngine, TaintPolicy};
-use dift_vm::{Machine, StepEffects};
 use dift_workloads::loops::{all_loops, cacheable_loop_names};
 use dift_workloads::Workload;
 use serde::Serialize;
-use std::time::Instant;
 
 /// One kernel's cell.
 #[derive(Clone, Debug, Serialize)]
@@ -97,22 +97,6 @@ pub struct SummariesReport {
     pub total_hits: u64,
 }
 
-/// Capture the full effects stream of one workload run.
-fn capture_stream(w: &Workload) -> (Vec<StepEffects>, usize) {
-    #[derive(Default)]
-    struct Cap(Vec<StepEffects>);
-    impl Tool for Cap {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.0.push(fx.clone());
-        }
-    }
-    let m = w.machine();
-    let mem_words = m.mem_words();
-    let mut cap = Cap::default();
-    Engine::new(m).run_tool(&mut cap);
-    (cap.0, mem_words)
-}
-
 /// Cache tuning for the benchmark: hot at 2 sweeps so all but the
 /// first few of the [`dift_workloads::loops::SWEEPS`] sweeps run out of
 /// the cache (detection + recording still happen inside the timed run).
@@ -120,21 +104,8 @@ fn bench_cache_cfg() -> SummaryCacheConfig {
     SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }
 }
 
-/// Best-of-N wall time of `f`, in seconds, together with its output.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(v);
-    }
-    (best, out.unwrap())
-}
-
 fn measure_row(w: &Workload, reps: usize) -> SummaryRow {
-    let (stream, mem_words) = capture_stream(w);
+    let (stream, mem_words) = capture(w);
     let policy = TaintPolicy::default();
     let instrs = stream.len() as u64;
 
@@ -200,15 +171,6 @@ fn measure_row(w: &Workload, reps: usize) -> SummaryRow {
         summarized_bytes_per_instr: elided_stats.bytes_per_instr(),
         deps_summarized: elided_stats.deps_summarized,
         identical,
-    }
-}
-
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = vals.fold((0.0, 0u32), |(s, n), v| (s + v.max(1e-12).ln(), n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64).exp()
     }
 }
 
@@ -296,11 +258,6 @@ pub fn summaries_to_table(r: &SummariesReport) -> Table {
         pct(r.identical_fraction),
     ]);
     t
-}
-
-/// T5 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t5_summaries(scale: Scale) -> Table {
-    summaries_to_table(&summaries_report(scale))
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //! The `report` binary serializes the same measurements to
 //! `BENCH_taint.json` for machine consumption.
 
-use crate::{fx, Scale, Table};
+use crate::{fx, geomean, mps, Scale, Table};
 use dift_dbi::{Engine, Tool};
 use dift_multicore::{run_helper_dift, run_inline_dift, ChannelModel};
 use dift_taint::{BitTaint, ReferenceTaintEngine, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, StepEffects};
 use dift_workloads::spec::all_spec;
+use dift_workloads::Workload;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -58,14 +59,22 @@ pub struct TaintThroughputReport {
 /// Records the effects stream of a run so engines can be timed on pure
 /// analysis work, no VM in the loop.
 #[derive(Default)]
-pub(crate) struct Capture {
-    pub(crate) fxs: Vec<StepEffects>,
-}
+struct Capture(Vec<StepEffects>);
 
 impl Tool for Capture {
     fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
+        self.0.push(fx.clone());
     }
+}
+
+/// Run `w` once and return its effects stream together with the
+/// machine's memory size in words (for `pre_size`).
+pub fn capture(w: &Workload) -> (Vec<StepEffects>, usize) {
+    let m = w.machine();
+    let mem_words = m.mem_words();
+    let mut cap = Capture::default();
+    Engine::new(m).run_tool(&mut cap);
+    (cap.0, mem_words)
 }
 
 /// Time `f` over enough repetitions to cover ~`target` guest
@@ -94,10 +103,6 @@ pub(crate) fn time_stream(
     best
 }
 
-fn mps(v: f64) -> String {
-    format!("{:.1}M/s", v / 1e6)
-}
-
 /// Measure every configuration on the SPEC-like suite.
 pub fn taint_throughput_report(scale: Scale) -> TaintThroughputReport {
     let target: u64 = match scale {
@@ -108,11 +113,7 @@ pub fn taint_throughput_report(scale: Scale) -> TaintThroughputReport {
     let mut rows = Vec::new();
     for w in &all_spec(scale.spec_size()) {
         // Capture once; both hot-path engines see the identical stream.
-        let m = w.machine();
-        let mem_words = m.mem_words();
-        let mut cap = Capture::default();
-        Engine::new(m).run_tool(&mut cap);
-        let stream = cap.fxs;
+        let (stream, mem_words) = capture(w);
 
         let shadow_hot = time_stream(&stream, target, |s| {
             let mut e = TaintEngine::<BitTaint>::new(policy);
@@ -155,8 +156,7 @@ pub fn taint_throughput_report(scale: Scale) -> TaintThroughputReport {
             helper_hw_e2e,
         });
     }
-    let geomean_hot_speedup =
-        (rows.iter().map(|r| r.hot_speedup.ln()).sum::<f64>() / rows.len().max(1) as f64).exp();
+    let geomean_hot_speedup = geomean(rows.iter().map(|r| r.hot_speedup));
     TaintThroughputReport {
         scale: format!("{scale:?}").to_lowercase(),
         label: "BitTaint, propagate-only".into(),
@@ -205,11 +205,6 @@ pub fn report_to_table(r: &TaintThroughputReport) -> Table {
         "-".into(),
     ]);
     t
-}
-
-/// T1 entry point matching the other experiments' `fn(Scale) -> Table`.
-pub fn t1_taint_throughput(scale: Scale) -> Table {
-    report_to_table(&taint_throughput_report(scale))
 }
 
 #[cfg(test)]

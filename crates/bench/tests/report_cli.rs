@@ -31,13 +31,10 @@ fn stderr(o: &Output) -> String {
 
 #[test]
 fn every_table_selection_runs_in_test_mode() {
-    // One invocation covering every table-producing selection; each
-    // prints its own JSON table, so presence of each id's title line
-    // proves it ran.
-    let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "mix", "e1b", "e2a", "e2b",
-        "e3a", "e5a", "e7a",
-    ];
+    // One invocation covering every table-producing selection (the
+    // E-series and ablations lead the list); each prints its own JSON
+    // table, so presence of each id's title line proves it ran.
+    let all = &SELECTIONS[..17];
     let dir = scratch("tables");
     let mut args: Vec<&str> = all.to_vec();
     args.extend(["--test", "--json"]);
@@ -298,115 +295,78 @@ fn lineage_shard_selection_writes_the_json_artifact() {
     );
 }
 
-#[test]
-fn lineage_shard_selection_rejects_unknown_flags() {
-    let dir = scratch("lineage_shard_badflag");
-    let o = run_in(&dir, &["lineage-shard", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_lineage_shard.json").exists(), "must not run on bad flags");
-}
+/// Every selection `report` accepts, written out so that dropping an
+/// entry from the registry fails a test rather than silently shrinking
+/// the CLI.
+const SELECTIONS: [&str; 29] = [
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e6",
+    "e7",
+    "e8",
+    "e9",
+    "e10",
+    "mix",
+    "e1b",
+    "e2a",
+    "e2b",
+    "e3a",
+    "e5a",
+    "e7a",
+    "taint",
+    "multicore-scaling",
+    "obs",
+    "resilience",
+    "slicing",
+    "summaries",
+    "history",
+    "sentinel",
+    "durability",
+    "lineage-shard",
+    "ablations",
+    "all",
+];
 
 #[test]
-fn lineage_shard_appears_in_usage_and_unknown_selection_still_fails() {
-    let dir = scratch("lineage_shard_usage");
+fn help_lists_every_selection() {
+    let dir = scratch("help");
     let o = run_in(&dir, &["--help"]);
     assert!(o.status.success());
-    assert!(stderr(&o).contains("lineage-shard"), "usage must list the lineage-shard selection");
-    let o = run_in(&dir, &["lineage-shards", "--test"]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(stderr(&o).contains("unknown selection"), "{}", stderr(&o));
-}
-
-#[test]
-fn durability_selection_rejects_unknown_flags() {
-    let dir = scratch("durability_badflag");
-    let o = run_in(&dir, &["durability", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
     let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_durability.json").exists(), "must not run on bad flags");
+    assert!(err.contains("compare"), "{err}");
+    for id in SELECTIONS {
+        assert!(
+            err.lines().any(|l| l.split_whitespace().next() == Some(id)),
+            "usage must list the `{id}` selection:\n{err}"
+        );
+    }
 }
 
 #[test]
-fn durability_appears_in_usage_and_unknown_selection_still_fails() {
-    let dir = scratch("durability_usage");
-    let o = run_in(&dir, &["--help"]);
-    assert!(o.status.success());
-    assert!(stderr(&o).contains("durability"), "usage must list the durability selection");
-    let o = run_in(&dir, &["durabilty", "--test"]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(stderr(&o).contains("unknown selection"), "{}", stderr(&o));
+fn every_selection_rejects_unknown_flags_without_running() {
+    let dir = scratch("badflag_every");
+    for id in SELECTIONS {
+        let o = run_in(&dir, &[id, "--frobnicate"]);
+        assert_eq!(o.status.code(), Some(2), "{id}");
+        let err = stderr(&o);
+        assert!(err.contains("unknown flag") && err.contains("usage:"), "{id}: {err}");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "{id} must not run on bad flags: {written:?}");
+    }
 }
 
 #[test]
-fn sentinel_selection_rejects_unknown_flags() {
-    let dir = scratch("sentinel_badflag");
-    let o = run_in(&dir, &["sentinel", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_sentinel.json").exists(), "must not run on bad flags");
-    assert!(!dir.join("SENTINEL_alerts.json").exists(), "must not run on bad flags");
-}
-
-#[test]
-fn sentinel_appears_in_usage_and_unknown_selection_still_fails() {
-    let dir = scratch("sentinel_usage");
-    let o = run_in(&dir, &["--help"]);
-    assert!(o.status.success());
-    assert!(stderr(&o).contains("sentinel"), "usage must list the sentinel selection");
-    // A near-miss typo of the selection exits 2 like any other.
-    let o = run_in(&dir, &["sentinal", "--test"]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(stderr(&o).contains("unknown selection"), "{}", stderr(&o));
-}
-
-#[test]
-fn history_selection_rejects_unknown_flags() {
-    let dir = scratch("history_badflag");
-    let o = run_in(&dir, &["history", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_history.json").exists(), "must not run on bad flags");
-}
-
-#[test]
-fn summaries_selection_rejects_unknown_flags() {
-    let dir = scratch("summaries_badflag");
-    let o = run_in(&dir, &["summaries", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_summaries.json").exists(), "must not run on bad flags");
-}
-
-#[test]
-fn slicing_selection_rejects_unknown_flags() {
-    let dir = scratch("slicing_badflag");
-    let o = run_in(&dir, &["slicing", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
-    assert!(!dir.join("BENCH_slicing.json").exists(), "must not run on bad flags");
-}
-
-#[test]
-fn unknown_selection_prints_usage_and_exits_2() {
+fn unknown_selections_print_usage_and_exit_2() {
     let dir = scratch("unknown");
-    let o = run_in(&dir, &["e99", "--test"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown selection"), "{err}");
-    assert!(err.contains("usage:"), "usage text must be printed: {err}");
+    for bad in ["e99", "lineage-shards", "durabilty", "sentinal"] {
+        let o = run_in(&dir, &[bad, "--test"]);
+        assert_eq!(o.status.code(), Some(2), "{bad}");
+        let err = stderr(&o);
+        assert!(err.contains("unknown selection") && err.contains("usage:"), "{bad}: {err}");
+    }
 }
 
 #[test]
@@ -418,11 +378,32 @@ fn unknown_flag_prints_usage_and_exits_2() {
 }
 
 #[test]
-fn help_exits_0_with_usage() {
-    let dir = scratch("help");
-    let o = run_in(&dir, &["--help"]);
-    assert!(o.status.success());
-    assert!(stderr(&o).contains("compare"));
+fn every_ci_baseline_is_a_declared_artifact() {
+    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baselines");
+    let declared: Vec<&str> =
+        dift_bench::EXPERIMENTS.iter().flat_map(|e| e.artifacts).copied().collect();
+    let mut n = 0;
+    for entry in std::fs::read_dir(&baselines).expect("ci/baselines") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(declared.contains(&name.as_str()), "{name} is not any selection's artifact");
+        n += 1;
+    }
+    assert!(n > 0, "no baselines under {}", baselines.display());
+}
+
+#[test]
+fn unwritable_artifact_exits_2_after_finishing_the_run() {
+    // A directory squatting on the alert dump's name makes that one
+    // write fail, whatever the user's permissions.
+    let dir = scratch("unwritable");
+    std::fs::create_dir_all(dir.join("SENTINEL_alerts.json")).unwrap();
+    let o = run_in(&dir, &["sentinel", "--test", "--json"]);
+    assert_eq!(o.status.code(), Some(2), "stderr: {}", stderr(&o));
+    assert!(stderr(&o).contains("could not write SENTINEL_alerts.json"), "{}", stderr(&o));
+    // The run still finished: the table printed and the other artifact
+    // landed.
+    assert!(stdout(&o).contains("\"id\""), "{}", stdout(&o));
+    assert!(dir.join("BENCH_sentinel.json").is_file());
 }
 
 /// A tiny taint-report-shaped document the default thresholds gate.
@@ -514,4 +495,43 @@ fn compare_bad_inputs_exit_2() {
     std::fs::write(&empty, "{ \"unrelated\": 1 }").unwrap();
     let o = run_in(&dir, &["compare", empty.to_str().unwrap(), empty.to_str().unwrap()]);
     assert_eq!(o.status.code(), Some(2), "no-matches must fail loudly");
+}
+
+/// The taint document plus the gated `identical_fraction` (left out
+/// when `None`).
+fn with_fraction(frac: Option<f64>) -> String {
+    let doc = synthetic(3.0);
+    match frac {
+        Some(f) => doc.replacen('{', &format!("{{\n  \"identical_fraction\": {f},"), 1),
+        None => doc,
+    }
+}
+
+#[test]
+fn compare_fails_when_a_gated_fraction_drops_to_zero_or_disappears() {
+    let dir = scratch("cmp_zero");
+    let toml = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_thresholds.toml");
+    let base = dir.join("base.json");
+    std::fs::write(&base, with_fraction(Some(1.0))).unwrap();
+    for (tag, frac, verdict) in [
+        ("half", Some(0.5), "REGRESSED"),
+        ("zero", Some(0.0), "REGRESSED"),
+        ("gone", None, "MISSING"),
+    ] {
+        let cand = dir.join(format!("{tag}.json"));
+        std::fs::write(&cand, with_fraction(frac)).unwrap();
+        let o = run_in(
+            &dir,
+            &[
+                "compare",
+                base.to_str().unwrap(),
+                cand.to_str().unwrap(),
+                "--thresholds",
+                toml.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(o.status.code(), Some(1), "{tag}: {}", stdout(&o));
+        let line = stdout(&o).lines().find(|l| l.contains("identical_fraction")).map(String::from);
+        assert!(line.is_some_and(|l| l.starts_with(verdict)), "{tag}: {}", stdout(&o));
+    }
 }

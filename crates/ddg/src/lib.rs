@@ -55,7 +55,6 @@
 //! counter via explicit constants in [`costs`]; the *ratios* between the
 //! online and offline pipelines are what the experiments reproduce.
 
-pub mod adaptive;
 pub mod buffer;
 pub mod cold;
 pub mod compact;
@@ -70,7 +69,6 @@ pub mod offline;
 pub mod ontrac;
 pub mod shadow;
 
-pub use adaptive::{AdaptLevel, Adaptation, AdaptiveTracer};
 pub use buffer::CircularTraceBuffer;
 pub use cold::{ColdStore, ColdView, CompactionReport, QuarantineEvent, SegMeta};
 pub use compact::CompactDdg;
