@@ -20,12 +20,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dift_bench::throughput::capture;
-use dift_taint::{BitTaint, SummaryCacheConfig, SummaryCachedEngine, TaintEngine, TaintPolicy};
+use dift_taint::{BitTaint, SummaryCachedEngine, TaintEngine, TaintPolicy};
 use dift_workloads::loops::{sliding_like, ssum_like, Size};
-
-fn cfg() -> SummaryCacheConfig {
-    SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }
-}
 
 fn bench_summary(c: &mut Criterion) {
     let mut g = c.benchmark_group("summary-cache");
@@ -50,18 +46,15 @@ fn bench_summary(c: &mut Criterion) {
 
     g.bench_function("cached-cold", |b| {
         b.iter(|| {
-            let mut e = SummaryCachedEngine::<BitTaint>::new(policy, cfg());
+            let mut e = SummaryCachedEngine::<BitTaint>::new(policy, &w.program);
             e.engine_mut().pre_size(mem_words);
-            e.pin_program(&w.program);
             e.process_stream(&stream);
-            e.finish();
             black_box(e.stats().hits)
         })
     });
 
-    let mut warm = SummaryCachedEngine::<BitTaint>::new(policy, cfg());
+    let mut warm = SummaryCachedEngine::<BitTaint>::new(policy, &w.program);
     warm.engine_mut().pre_size(mem_words);
-    warm.pin_program(&w.program);
     warm.process_stream(&stream); // detect + record once, outside the timing
     g.bench_function("cached-warm", |b| {
         b.iter(|| {
@@ -74,11 +67,9 @@ fn bench_summary(c: &mut Criterion) {
     let (hstream, hmem) = capture(&h);
     g.bench_function("hostile-sliding", |b| {
         b.iter(|| {
-            let mut e = SummaryCachedEngine::<BitTaint>::new(policy, cfg());
+            let mut e = SummaryCachedEngine::<BitTaint>::new(policy, &h.program);
             e.engine_mut().pre_size(hmem);
-            e.pin_program(&h.program);
             e.process_stream(&hstream);
-            e.finish();
             black_box(e.stats().guard_bails)
         })
     });

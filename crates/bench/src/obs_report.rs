@@ -18,6 +18,7 @@
 //! has hot regions to elide while the generic rungs stay honest on
 //! loop-heavy streams too.
 
+use crate::throughput::capture;
 use crate::{Scale, Table};
 use dift_dbi::{Engine, ProfileTool};
 use dift_ddg::{costs, OnTrac, OnTracConfig};
@@ -25,7 +26,7 @@ use dift_multicore::{run_epoch_dift_obs, ChannelModel, EpochModel};
 use dift_obs::snapshot::section_value;
 use dift_obs::{Metric, Recorder, StatsRecorder, SCHEMA_VERSION};
 use dift_slicing::{KindMask, SliceQuery, SliceService};
-use dift_taint::{BitTaint, SummaryCacheConfig, SummaryTool, TaintEngine, TaintPolicy};
+use dift_taint::{BitTaint, SummaryCachedEngine, TaintEngine, TaintPolicy};
 use dift_workloads::loops::all_loops;
 use dift_workloads::spec::all_spec;
 use dift_workloads::Workload;
@@ -106,22 +107,25 @@ pub fn obs_report(scale: Scale) -> ObsReport {
         merged.merge(&eng.obs);
     }
 
-    // Summary cache: the hot-code caching front-end as a DBI tool over
-    // the ladder suite. Its counters (hits, bails, regions, bytes
-    // saved) land in the `taint/summary_cache` section, and each
-    // workload's hit ranges feed the `l4_summaries` ladder rung below.
+    // Summary cache: the hot-code caching front-end over each ladder
+    // workload's captured effects stream. Its counters (hits, bails,
+    // regions, bytes saved) land in the `taint/summary_cache` section,
+    // and each workload's hit ranges feed the `l4_summaries` ladder rung
+    // below.
     let ladder = ladder_suite(scale);
     let mut elides: Vec<Vec<(u64, u64)>> = Vec::with_capacity(ladder.len());
     for w in &ladder {
-        let cache_cfg = SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() };
-        let mut tool = SummaryTool::<BitTaint, StatsRecorder>::with_recorder(
+        let (stream, mem_words) = capture(w);
+        let mut cached = SummaryCachedEngine::<BitTaint, StatsRecorder>::with_recorder(
             policy,
-            cache_cfg,
+            &w.program,
             StatsRecorder::new(),
         );
-        Engine::new(w.machine()).run_tool(&mut tool);
-        elides.push(tool.cached.hit_ranges().to_vec());
-        merged.merge(&tool.cached.engine().obs);
+        cached.engine_mut().pre_size(mem_words);
+        cached.process_stream(&stream);
+        cached.engine_mut().flush_obs();
+        elides.push(cached.hit_ranges().to_vec());
+        merged.merge(&cached.engine().obs);
     }
 
     // DDG: the optimized tracer feeds the main tree; the level ladder

@@ -33,7 +33,7 @@ use crate::throughput::capture;
 use crate::{fx, geomean, pct, Scale, Table};
 use dift_dbi::Engine;
 use dift_ddg::{OnTrac, OnTracConfig};
-use dift_taint::{BitTaint, SummaryCacheConfig, SummaryCachedEngine, TaintEngine, TaintPolicy};
+use dift_taint::{BitTaint, SummaryCachedEngine, TaintEngine, TaintPolicy};
 use dift_workloads::loops::{all_loops, cacheable_loop_names};
 use dift_workloads::Workload;
 use serde::Serialize;
@@ -97,13 +97,6 @@ pub struct SummariesReport {
     pub total_hits: u64,
 }
 
-/// Cache tuning for the benchmark: hot at 2 sweeps so all but the
-/// first few of the [`dift_workloads::loops::SWEEPS`] sweeps run out of
-/// the cache (detection + recording still happen inside the timed run).
-fn bench_cache_cfg() -> SummaryCacheConfig {
-    SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }
-}
-
 fn measure_row(w: &Workload, reps: usize) -> SummaryRow {
     let (stream, mem_words) = capture(w);
     let policy = TaintPolicy::default();
@@ -119,13 +112,13 @@ fn measure_row(w: &Workload, reps: usize) -> SummaryRow {
     });
 
     // Fresh caches every rep: warm-up (detection + recording) is part
-    // of the measured time, exactly as a real run would pay it.
+    // of the measured time, exactly as a real run would pay it. Heads
+    // turn hot at their second sweep, so all but the first few of the
+    // `dift_workloads::loops::SWEEPS` sweeps run out of the cache.
     let (cached_s, cached) = best_of(reps, || {
-        let mut e = SummaryCachedEngine::<BitTaint>::new(policy, bench_cache_cfg());
+        let mut e = SummaryCachedEngine::<BitTaint>::new(policy, &w.program);
         e.engine_mut().pre_size(mem_words);
-        e.pin_program(&w.program);
         e.process_stream(&stream);
-        e.finish();
         e
     });
 

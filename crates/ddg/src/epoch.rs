@@ -131,11 +131,6 @@ impl EpochDeps {
     pub fn edges(&self) -> u64 {
         self.records.len() as u64
     }
-
-    /// Cross-epoch reads awaiting composition.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Shard-side deriver for one epoch — the sharded mirror of the

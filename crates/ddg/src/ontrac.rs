@@ -36,6 +36,11 @@ use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Block executions at which [`TraceBuilder`] forms a hot trace.
+const TRACE_HOT_THRESHOLD: u32 = 16;
+/// Most blocks in one formed hot trace.
+const TRACE_MAX_BLOCKS: usize = 16;
+
 /// Tracer configuration.
 #[derive(Clone, Debug)]
 pub struct OnTracConfig {
@@ -51,18 +56,9 @@ pub struct OnTracConfig {
     pub naive_selective: bool,
     /// Record only input-tainted dependences.
     pub forward_slice_input: bool,
-    /// Hot-trace formation parameters.
-    pub trace_hot_threshold: u32,
-    pub trace_max_blocks: usize,
     /// Additionally record WAR/WAW memory dependences (multithreaded
     /// slicing extension used by race detection, §3.1).
     pub record_war_waw: bool,
-    /// Maintain the incremental [`SliceIndex`] alongside the buffer so
-    /// slice queries over the live window are demand-driven (walk only
-    /// the edges they visit) instead of rebuilding a whole-window
-    /// [`DdgGraph`] per query. Off disables the maintenance entirely
-    /// for ablations.
-    pub slice_index: bool,
     /// Spill evicted records into the compressed cold tier
     /// ([`crate::cold::ColdStore`]) so stitched slice queries span the
     /// whole execution instead of dying at the eviction horizon. Off by
@@ -96,10 +92,7 @@ impl OnTracConfig {
             selective_funcs: None,
             naive_selective: false,
             forward_slice_input: false,
-            trace_hot_threshold: 16,
-            trace_max_blocks: 16,
             record_war_waw: false,
-            slice_index: true,
             cold_tier: false,
             durable_dir: None,
             elide_steps: Vec::new(),
@@ -116,10 +109,7 @@ impl OnTracConfig {
             selective_funcs: None,
             naive_selective: false,
             forward_slice_input: false,
-            trace_hot_threshold: 16,
-            trace_max_blocks: 16,
             record_war_waw: false,
-            slice_index: true,
             cold_tier: false,
             durable_dir: None,
             elide_steps: Vec::new(),
@@ -196,9 +186,10 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     /// full def-side metadata. Pruned to the buffer window.
     step_meta: HashMap<u64, (Addr, StmtId)>,
     /// Demand-driven slice index over the live window; kept in lockstep
-    /// with the buffer (fed on push, pruned on eviction). `None` when
-    /// `cfg.slice_index` is off.
-    index: Option<SliceIndex>,
+    /// with the buffer (fed on push, pruned on eviction), so slice
+    /// queries walk only the edges they visit instead of rebuilding a
+    /// whole-window [`DdgGraph`] per query.
+    index: SliceIndex,
     /// Compressed cold tier of evicted records; fed from the same
     /// eviction callback that prunes the index. `None` when
     /// `cfg.cold_tier` is off.
@@ -226,7 +217,7 @@ impl<R: Recorder> OnTrac<R> {
     ) -> OnTrac<R> {
         OnTrac {
             buffer: CircularTraceBuffer::new(cfg.buffer_bytes),
-            traces: TraceBuilder::new(cfg.trace_hot_threshold, cfg.trace_max_blocks),
+            traces: TraceBuilder::new(TRACE_HOT_THRESHOLD, TRACE_MAX_BLOCKS),
             trace_blocks: HashMap::new(),
             shadow: ShadowState::new(mem_words),
             control: ControlStack::new(program),
@@ -235,7 +226,7 @@ impl<R: Recorder> OnTrac<R> {
             ctrl_recorded: Vec::new(),
             mem_last_read: vec![0; if cfg.record_war_waw { mem_words } else { 0 }],
             step_meta: HashMap::new(),
-            index: cfg.slice_index.then(SliceIndex::default),
+            index: SliceIndex::default(),
             cold: match &cfg.durable_dir {
                 Some(dir) => Some(ColdStore::durable_or_memory(dir)),
                 None => cfg.cold_tier.then(ColdStore::new),
@@ -265,12 +256,15 @@ impl<R: Recorder> OnTrac<R> {
         DdgGraph::from_records(self.buffer.records(), program)
     }
 
-    /// The incremental slice index over the live window (`None` when
-    /// `cfg.slice_index` is off). Bit-identical to
-    /// [`graph`](Self::graph) over the same window; query it directly
+    /// The incremental slice index over the live window. Bit-identical
+    /// to [`graph`](Self::graph) over the same window; query it directly
     /// (O(|slice|)) or snapshot it for concurrent readers.
+    ///
+    /// Always `Some`: the index is maintained unconditionally. The
+    /// `Option` is kept because the pipeline benchmark (`perfbench/`)
+    /// calls `.expect`/`.map` on it.
     pub fn slice_index(&self) -> Option<&SliceIndex> {
-        self.index.as_ref()
+        Some(&self.index)
     }
 
     /// The compressed cold tier of evicted records (`None` when
@@ -372,9 +366,7 @@ impl<R: Recorder> OnTrac<R> {
         // Index before pushing: with a budget smaller than one record
         // the buffer may evict the record it just accepted, and the
         // eviction hook must find it indexed.
-        if let Some(idx) = self.index.as_mut() {
-            idx.on_push(&rec);
-        }
+        self.index.on_push(&rec);
         let index = &mut self.index;
         let cold = &mut self.cold;
         self.buffer.push_with(rec, |evicted| {
@@ -383,9 +375,7 @@ impl<R: Recorder> OnTrac<R> {
             if let Some(store) = cold.as_mut() {
                 store.append(evicted);
             }
-            if let Some(idx) = index.as_mut() {
-                idx.on_evict(evicted);
-            }
+            index.on_evict(evicted);
         });
         self.stats.deps_recorded += 1;
         self.stats.bytes_appended = self.buffer.bytes_appended;
@@ -658,14 +648,13 @@ impl<R: Recorder> Tool for OnTrac<R> {
         if R::ENABLED {
             self.obs.gauge(Metric::DdgWindowLen, self.buffer.window_len());
             self.obs.gauge(Metric::DdgResidentBytes, self.buffer.bytes() as u64);
-            if let Some(idx) = &self.index {
-                self.obs.gauge(Metric::DdgIndexEdges, idx.edges());
-                self.obs.gauge(Metric::DdgIndexBytes, idx.approx_bytes());
-                self.obs.gauge(Metric::DdgIndexChunks, idx.chunk_count() as u64);
-                self.obs.gauge(Metric::DdgIndexChunkCopies, idx.chunk_copies());
-                self.obs.gauge(Metric::DdgIndexSpineCopies, idx.spine_copies());
-                self.obs.add(Metric::DdgIndexDesync, idx.desyncs());
-            }
+            let idx = &self.index;
+            self.obs.gauge(Metric::DdgIndexEdges, idx.edges());
+            self.obs.gauge(Metric::DdgIndexBytes, idx.approx_bytes());
+            self.obs.gauge(Metric::DdgIndexChunks, idx.chunk_count() as u64);
+            self.obs.gauge(Metric::DdgIndexChunkCopies, idx.chunk_copies());
+            self.obs.gauge(Metric::DdgIndexSpineCopies, idx.spine_copies());
+            self.obs.add(Metric::DdgIndexDesync, idx.desyncs());
             if let Some(cold) = &self.cold {
                 self.obs.gauge(Metric::DdgColdSegments, cold.segment_count() as u64);
                 self.obs.gauge(Metric::DdgColdBytes, cold.bytes());

@@ -279,13 +279,6 @@ impl ProgramBuilder {
         )
     }
 
-    /// `if rs == 0 goto t` (compares against `r0`'s value only when the
-    /// caller has zeroed it; prefer [`ProgramBuilder::branch`] with an
-    /// explicit zero register for clarity).
-    pub fn beqz(&mut self, rs: Reg, zero: Reg, t: impl Into<Target>) -> Addr {
-        self.branch(BranchCond::Eq, rs, zero, t)
-    }
-
     pub fn call(&mut self, t: impl Into<Target>) -> Addr {
         self.emit_target(|a| Opcode::Call { target: a }, t.into(), Fixup::Call)
     }

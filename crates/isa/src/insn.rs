@@ -397,12 +397,6 @@ impl Instruction {
         matches!(self.op, Opcode::Branch { .. })
     }
 
-    /// True for any control-transfer instruction.
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        self.is_block_end()
-    }
-
     /// True for instructions that can block or reschedule the thread.
     #[inline]
     pub fn is_sync_point(&self) -> bool {

@@ -16,9 +16,6 @@
 //! * [`mod@cfg`] — basic-block discovery and control-flow graphs.
 //! * [`dom`] — dominator / post-dominator trees and static control
 //!   dependence (needed by slicing and by ONTRAC's static optimizations).
-//! * [`static_dep`] — intra-block static def-use inference, the analysis
-//!   behind ONTRAC's "don't store what the binary already tells you"
-//!   optimization.
 //! * [`asm`] — a text assembler that round-trips with [`disasm`].
 //!
 //! ```
@@ -42,7 +39,6 @@ pub mod dom;
 pub mod insn;
 pub mod program;
 pub mod reg;
-pub mod static_dep;
 
 pub use asm::{assemble, AsmError};
 pub use builder::{BuildError, ProgramBuilder};
@@ -53,7 +49,6 @@ pub use insn::{
 };
 pub use program::{FuncId, FuncInfo, Program};
 pub use reg::{Reg, NUM_REGS};
-pub use static_dep::{block_static_deps, StaticDep};
 
 /// Instruction address (index into [`Program`]'s instruction array).
 pub type Addr = u32;

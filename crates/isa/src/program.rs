@@ -128,11 +128,6 @@ impl Program {
     pub fn data_extent(&self) -> MemAddr {
         self.data.keys().next_back().map(|a| a + 1).unwrap_or(0)
     }
-
-    /// Total static instruction count per function, for reports.
-    pub fn func_sizes(&self) -> Vec<(String, usize)> {
-        self.funcs.iter().map(|f| (f.name.clone(), (f.end - f.entry) as usize)).collect()
-    }
 }
 
 #[cfg(test)]

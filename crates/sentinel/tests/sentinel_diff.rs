@@ -14,9 +14,7 @@ use dift_sentinel::{
     apply_policy, combine_events, BoundaryPolicy, LineagePredicate, SinkClass, SinkObservations,
     SinkObserver, SourceSpec, TaintBoundary, Verdict,
 };
-use dift_taint::{
-    PcTaint, SummaryCacheConfig, SummaryCachedEngine, TaintAlert, TaintEngine, TaintPolicy,
-};
+use dift_taint::{PcTaint, SummaryCachedEngine, TaintAlert, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -246,14 +244,9 @@ proptest! {
         prop_assert_eq!(&via_epoch, &baseline, "epoch-parallel sentinel outcome diverged");
 
         // Summary-cached engine.
-        let mut cached = SummaryCachedEngine::<PcTaint>::new(
-            policy,
-            SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() },
-        );
+        let mut cached = SummaryCachedEngine::<PcTaint>::new(policy, &p);
         cached.engine_mut().pre_size(mem_words);
-        cached.pin_program(&p);
         cached.process_stream(&cap.fxs);
-        cached.finish();
         let e = cached.engine();
         prop_assert_eq!(&e.alerts, &plain.alerts, "cached alert stream must agree");
         let via_cache = verdicts(&mut observer, &e.alerts, &e.output_labels);

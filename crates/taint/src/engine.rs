@@ -189,12 +189,6 @@ impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
         }
     }
 
-    /// Externally taint a register (tests, attack setup).
-    pub fn taint_reg(&mut self, tid: ThreadId, r: Reg, label: T) {
-        self.ensure_tid(tid);
-        self.regs[tid as usize][r.index()] = label;
-    }
-
     /// Number of currently tainted memory words.
     pub fn tainted_words(&self) -> usize {
         self.mem.tainted_words()

@@ -36,9 +36,7 @@ pub use summary::{
     process_by_epochs, summarize_epoch, ApplyMemo, EpochSummarizer, EpochSummary, IoBase, Loc,
     SymLabel,
 };
-pub use summary_cache::{
-    StepOutcome, SummaryCacheConfig, SummaryCacheStats, SummaryCachedEngine, SummaryTool,
-};
+pub use summary_cache::{SummaryCacheStats, SummaryCachedEngine};
 
 /// Cycle charges for the software (same-core) DIFT engine. Calibrated so
 /// inline software DIFT lands at a few-× slowdown, the regime from which
@@ -48,14 +46,4 @@ pub mod costs {
     pub const TAINT_PER_INSN: u64 = 6;
     /// Extra per memory-shadow access.
     pub const TAINT_PER_MEM: u64 = 2;
-    /// Per-instruction guard comparison on the summary-cache fast path
-    /// (a fingerprint compare is far cheaper than shadow propagation).
-    pub const SUMMARY_GUARD_PER_INSN: u64 = 1;
-    /// Flat cost of composing one cached summary onto the engine.
-    pub const SUMMARY_APPLY_BASE: u64 = 16;
-    /// Per summary event (shadow write, alert check, output) replayed by
-    /// an application.
-    pub const SUMMARY_APPLY_PER_EVENT: u64 = 2;
-    /// Summarization overhead per instruction while recording a region.
-    pub const SUMMARY_RECORD_PER_INSN: u64 = 2;
 }

@@ -81,16 +81,6 @@ impl<T: TaintLabel> ShadowMap<T> {
         }
     }
 
-    /// Borrowed label of `addr`, when its page is resident.
-    #[inline]
-    pub fn get_ref(&self, addr: MemAddr) -> Option<&T> {
-        let (p, off) = Self::split(addr);
-        match self.pages.get(p) {
-            Some(Some(page)) => Some(&page.labels[off]),
-            _ => None,
-        }
-    }
-
     /// Write `label` at `addr`, maintaining the running counters.
     pub fn set(&mut self, addr: MemAddr, label: T) {
         let (p, off) = Self::split(addr);

@@ -639,14 +639,21 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
     /// stream serially: same labels, alerts, output lineage, shadow
     /// state, and exact peak statistics.
     pub fn apply_summary(&mut self, s: &EpochSummary<T>) {
-        self.apply_summary_rebased(s, 0);
+        self.apply_summary_inner(s, 0, None);
     }
 
-    /// [`Self::apply_summary`] with every recorded alert step shifted
-    /// forward by `step_delta` — the composition primitive of the hot-code
-    /// summary cache (`crate::summary_cache`), which replays a summary
-    /// recorded at one step range at a later, guard-identical execution
-    /// of the same region.
+    /// [`Self::apply_summary`] through an [`ApplyMemo`], with every
+    /// recorded alert step shifted forward by `step_delta` — the
+    /// composition primitive of the hot-code summary cache
+    /// (`crate::summary_cache`), which replays a summary recorded at one
+    /// step range at a later, guard-identical execution of the same
+    /// region. When the summary's incoming labels are unchanged since
+    /// the memo's last recorded application, the concretized action list
+    /// replays without evaluating the node DAG — the cache's
+    /// steady-state hit path. Falls back to (and re-records) the full
+    /// application whenever any incoming label changed. Either way the
+    /// engine ends bit-identical to [`Self::apply_summary`] with the
+    /// alert steps rebased.
     ///
     /// Only alert steps are rebased: they are the sole absolute step
     /// values a summary stores. Output emit indices are per-channel
@@ -655,17 +662,6 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
     /// recorded `ctx` (including the recorded step), which is exact for
     /// labels with [`TaintLabel::STEP_INVARIANT`] — the cache refuses to
     /// install regions for labels without it.
-    pub fn apply_summary_rebased(&mut self, s: &EpochSummary<T>, step_delta: u64) {
-        self.apply_summary_inner(s, step_delta, None);
-    }
-
-    /// [`Self::apply_summary_rebased`] through an [`ApplyMemo`]: when
-    /// the summary's incoming labels are unchanged since the memo's last
-    /// recorded application, the concretized action list replays without
-    /// evaluating the node DAG — the summary cache's steady-state hit
-    /// path. Falls back to (and re-records) the full application
-    /// whenever any incoming label changed. Either way the engine ends
-    /// bit-identical to [`Self::apply_summary_rebased`].
     ///
     /// Returns true when the memo matched (the concrete replay ran);
     /// false when the full path ran and re-recorded the memo. The

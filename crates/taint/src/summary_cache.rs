@@ -11,20 +11,21 @@
 //!
 //! So the cache records one iteration of a hot region (head address →
 //! next occurrence of the head), summarizes it once, and keys the
-//! summary by head address plus a **shape fingerprint** (`GuardStep`
-//! per instruction: address, instruction, destination register, and
-//! concrete memory addresses — the *minimal exact* set, every fact
-//! [`TaintEngine::process`] reads except data values). On re-entry at a
-//! cached head the front-end ([`SummaryCachedEngine`]) checks incoming
-//! effects against the fingerprint step by step; only when the whole
-//! region matches does it apply the cached summary (via the bit-exact
-//! [`TaintEngine::apply_summary_memoized`] composition) — on any
-//! mismatch it falls back to the plain path mid-region, replaying the
-//! deferred prefix. Correctness is never speculative: the guard pins
-//! every input `process` reads except data *values*, which the engine
-//! provably never consults, and the step counter, which step-invariant
-//! labels ([`TaintLabel::STEP_INVARIANT`]) provably ignore. Control
-//! outcomes and faults are pinned *transitively*, not directly —
+//! summary by head address plus a **shape fingerprint** (`FastStep` per
+//! instruction: address, destination register, and concrete memory
+//! addresses). [`SummaryCachedEngine::process_stream`] checks the
+//! stream in place against the fingerprint at every cached head; only
+//! when the whole region matches does it apply the cached summary (via
+//! the bit-exact [`TaintEngine::apply_summary_memoized`] composition) —
+//! on a mismatch the head step runs on the plain path and the stream
+//! continues from there. Correctness is never speculative: the guard
+//! pins every input `process` reads except data *values*, which the
+//! engine provably never consults, and the step counter, which
+//! step-invariant labels ([`TaintLabel::STEP_INVARIANT`]) provably
+//! ignore. The instruction itself is pinned by the program: the engine
+//! is built for one immutable [`Program`] and every stream it sees must
+//! come from machine execution of it, so `addr` determines `insn`.
+//! Control outcomes and faults are pinned *transitively*, not directly —
 //! `process` reads neither: a diverging branch changes the next step's
 //! `addr`, and a fault suppresses the step's `reg_write`/`mem_write`,
 //! both caught by the compared fields. The exactness argument is
@@ -33,13 +34,10 @@
 //! Three stacked fast paths take the steady-state cost from "cheaper
 //! than shadow propagation" to a few ns/instruction:
 //!
-//! 1. **Pinned packed guards** ([`SummaryCachedEngine::pin_program`],
-//!    `FastStep`): once the caller asserts the effects stream comes
-//!    from machine execution of an immutable program, `addr` determines
-//!    the instruction and the opcode determines which effect classes a
-//!    step can carry, so the compare shrinks to 24 packed bytes and
-//!    touches only the [`StepEffects`] cache lines the recorded step
-//!    actually used.
+//! 1. **Packed guards** (`FastStep`): with the program fixed, the
+//!    opcode at `addr` determines which effect classes a step can carry,
+//!    so the compare is 24 packed bytes and touches only the
+//!    [`StepEffects`] cache lines the recorded step actually used.
 //! 2. **Memoized application** ([`ApplyMemo`]): when a region's
 //!    incoming labels are unchanged since its last application, the
 //!    concretized action list replays instead of re-evaluating the
@@ -51,77 +49,44 @@
 //!    appending observables (alerts, output lineage, statistics) with
 //!    no label resolution and no writes at all.
 //!
-//! Regions containing I/O or faults are never cached: `In`/`Out` labels
-//! and lineage indices advance with *global* per-channel counts, so two
-//! iterations are never guard-identical. Regions that bail repeatedly
-//! are invalidated and re-recorded a bounded number of times
-//! (versioned invalidation), then marked uncacheable.
-//!
-//! [`SummaryTool`] packages the front-end as a DBI tool: the NET-style
-//! [`TraceBuilder`] feeds trace-formation events (a formed [`HotTrace`]
-//! head becomes a candidate region head; with a function filter, a hot
-//! function's entry does), and instrumentation cycles are charged
-//! honestly per [`StepOutcome`] — guard comparisons are cheap, summary
-//! applications pay per event, and bails pay the full replayed cost.
+//! Hot heads are nominated by counting taken backward branches and
+//! jumps in the stream itself. Regions containing I/O or faults are
+//! never cached: `In`/`Out` labels and lineage indices advance with
+//! *global* per-channel counts, so two iterations are never
+//! guard-identical. Regions that bail repeatedly are invalidated and
+//! re-recorded a bounded number of times (versioned invalidation), then
+//! marked uncacheable.
 
-use crate::costs;
 use crate::engine::TaintEngine;
 use crate::label::TaintLabel;
 use crate::policy::TaintPolicy;
 use crate::summary::{ApplyMemo, EpochSummarizer, EpochSummary, IoBase};
-use dift_dbi::{Tool, TraceBuilder};
-use dift_isa::{Addr, FuncId, Instruction, MemAddr, Program};
+use dift_isa::{Addr, Program};
 use dift_obs::{Metric, NoopRecorder, Recorder};
-use dift_vm::{ControlEffect, Machine, RunResult, StepEffects, ThreadId};
-use std::collections::{HashMap, HashSet};
+use dift_vm::{ControlEffect, StepEffects, ThreadId};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-#[cfg(doc)]
-use dift_dbi::HotTrace;
 
 /// Raw trace encoding density (bytes/instr) the paper's unoptimized
 /// regime pays; `bytes_saved` reports summarized instructions in this
 /// currency so the obs number lines up with the 16 → 0.8 B/instr axis.
 const RAW_TRACE_BYTES_PER_INSN: u64 = 16;
 
-/// Tuning knobs of the summary cache.
-#[derive(Clone, Debug)]
-pub struct SummaryCacheConfig {
-    /// Back-edge executions at which a target becomes a candidate head
-    /// (the built-in detector; [`SummaryTool`] additionally feeds formed
-    /// hot traces).
-    pub hot_threshold: u32,
-    /// Longest region (one head-to-head iteration) recorded or matched.
-    pub max_region_len: usize,
-    /// Most regions ever summarized; further heads become uncacheable
-    /// (bounds both memory and summarization work).
-    pub max_regions: usize,
-    /// Guard-mismatch bails after which a region version is invalidated.
-    pub max_bails: u32,
-    /// Recordings per head before giving up on it (versioned
-    /// invalidation budget).
-    pub max_versions: u32,
-    /// Bound on the back-edge hotness counter table (cold counters decay
-    /// and evict past this, mirroring the [`TraceBuilder`] fix).
-    pub max_counters: usize,
-    /// Detect hot heads from taken backward branches in the effects
-    /// stream itself (in addition to [`SummaryCachedEngine::mark_hot`]).
-    pub detect_backedges: bool,
-}
-
-impl Default for SummaryCacheConfig {
-    fn default() -> SummaryCacheConfig {
-        SummaryCacheConfig {
-            hot_threshold: 8,
-            max_region_len: 8192,
-            max_regions: 512,
-            max_bails: 4,
-            max_versions: 3,
-            max_counters: 4096,
-            detect_backedges: true,
-        }
-    }
-}
+/// Back-edge executions at which a target becomes a candidate head.
+const HOT_THRESHOLD: u32 = 2;
+/// Longest region (one head-to-head iteration) recorded or matched.
+const MAX_REGION_LEN: usize = 8192;
+/// Most regions ever summarized; further heads become uncacheable
+/// (bounds both memory and summarization work).
+const MAX_REGIONS: usize = 512;
+/// Guard-mismatch bails after which a region version is invalidated.
+const MAX_BAILS: u32 = 4;
+/// Recordings per head before giving up on it (versioned invalidation
+/// budget).
+const MAX_VERSIONS: u32 = 3;
+/// Bound on the back-edge hotness counter table (cold counters decay
+/// and evict past this).
+const MAX_COUNTERS: usize = 4096;
 
 /// Cache effectiveness counters (all monotone).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -130,7 +95,7 @@ pub struct SummaryCacheStats {
     pub hits: u64,
     /// Hot-head entries with no cached region yet (recordings started).
     pub misses: u64,
-    /// Guard mismatches that fell back to the plain path mid-region.
+    /// Guard mismatches that fell back to the plain path.
     pub guard_bails: u64,
     /// Regions summarized and installed (including re-records).
     pub regions_recorded: u64,
@@ -144,76 +109,18 @@ pub struct SummaryCacheStats {
     pub bytes_saved: u64,
 }
 
-/// What [`SummaryCachedEngine::process`] did with one step — the honest
-/// cycle-charging interface ([`SummaryTool`] maps each outcome to its
-/// cost; direct drivers may ignore it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Processed by the plain engine.
-    Plain,
-    /// Processed plainly while also being buffered into a recording.
-    Recorded,
-    /// Matched against a guard; processing deferred until the region
-    /// fully matches (hit) or mismatches (bail).
-    Deferred,
-    /// A full region matched: one summary application replaced `instrs`
-    /// per-instruction updates by `events` replayed events.
-    Hit { instrs: u64, events: u64 },
-    /// Guard mismatch: the deferred prefix (plus this step) was replayed
-    /// through the plain path.
-    Bail { replayed_instrs: u64, replayed_mem: u64 },
-}
-
-/// One step of the shape fingerprint: every fact
-/// [`TaintEngine::process`] reads from a [`StepEffects`] except data
-/// values (never consulted) and the step index (checked separately
-/// against the region base). `process` never reads `control` or
-/// `fault`, so neither is pinned directly: a diverging branch outcome
-/// changes the *next* step's `addr` (caught there), and a fault
-/// suppresses the step's `reg_write`/`mem_write` (caught here).
-#[derive(Clone, Debug, PartialEq)]
-struct GuardStep {
-    addr: Addr,
-    insn: Instruction,
-    /// Destination register of `reg_write` (presence + which register;
-    /// the written value is data).
-    reg_write: Option<dift_isa::Reg>,
-    mem_read: Option<MemAddr>,
-    mem_write: Option<MemAddr>,
-}
-
-impl GuardStep {
-    fn of(fx: &StepEffects) -> GuardStep {
-        GuardStep {
-            addr: fx.addr,
-            insn: fx.insn,
-            reg_write: fx.reg_write.map(|(r, _, _)| r),
-            mem_read: fx.mem_read.map(|(a, _)| a),
-            mem_write: fx.mem_write.map(|(a, _, _)| a),
-        }
-    }
-
-    #[inline]
-    fn matches(&self, fx: &StepEffects) -> bool {
-        self.addr == fx.addr
-            && self.insn == fx.insn
-            && self.reg_write == fx.reg_write.map(|(r, _, _)| r)
-            && self.mem_read == fx.mem_read.map(|(a, _)| a)
-            && self.mem_write == fx.mem_write.map(|(a, _, _)| a)
-            && region_step_ok(fx)
-    }
-}
-
 /// Sentinel for "no memory effect" in [`FastStep`] (no data address can
 /// be `u64::MAX`: shadow memory is word-indexed and bounded far below).
 const NO_MEM: u64 = u64::MAX;
 
-/// The packed fingerprint step the **pinned** fast path compares
-/// (24 bytes, vs ~72 for [`GuardStep`]): with the program pinned,
-/// `addr` determines `insn`, and the opcode in turn determines whether
-/// a step *can* carry memory or I/O effects — so the compare touches
-/// only the effect fields the recorded step actually had, instead of
-/// every cache line of a 272-byte [`StepEffects`].
+/// One step of the shape fingerprint (24 bytes): every fact
+/// [`TaintEngine::process`] reads from a [`StepEffects`] except data
+/// values (never consulted), the instruction (fixed by the program at
+/// `addr`) and the step index (checked separately against the region
+/// base). `process` never reads `control` or `fault`, so neither is
+/// pinned directly: a diverging branch outcome changes the *next*
+/// step's `addr` (caught there), and a fault suppresses the step's
+/// `reg_write`/`mem_write` (caught here).
 #[derive(Clone, Debug)]
 struct FastStep {
     /// `addr | (reg_write register + 1) << 32` — one word pins the code
@@ -235,11 +142,8 @@ impl FastStep {
         }
     }
 
-    /// The pinned-path compare. Sound only under [`program pinning`]
-    /// (see [`SummaryCachedEngine::pin_program`]): skipped fields are
-    /// those the pinned opcode at `addr` cannot produce.
-    ///
-    /// [`program pinning`]: SummaryCachedEngine::pin_program
+    /// The guard compare. Sound because the program is fixed: skipped
+    /// fields are those the opcode at `addr` cannot produce.
     #[inline]
     fn matches(&self, fx: &StepEffects) -> bool {
         let key = fx.addr as u64 | fx.reg_write.map_or(0, |(r, _, _)| (r.index() as u64 + 1) << 32);
@@ -247,9 +151,9 @@ impl FastStep {
             return false;
         }
         // Guard-side flags decide which effect fields to touch: a step
-        // recorded without a memory effect cannot grow one (the pinned
-        // opcode has no memory operand), and a recorded Load/Store that
-        // faults mid-region diverges in the compared address (or in the
+        // recorded without a memory effect cannot grow one (its opcode
+        // has no memory operand), and a recorded Load/Store that faults
+        // mid-region diverges in the compared address (or in the
         // suppressed reg_write above).
         (self.mem_read == NO_MEM || self.mem_read == fx.mem_read.map_or(NO_MEM, |(a, _)| a))
             && (self.mem_write == NO_MEM
@@ -271,14 +175,11 @@ struct CachedRegion<T: TaintLabel> {
     /// matched step `base_step + k`, and applications rebase alerts by
     /// the difference to the matched base.
     base_step: u64,
-    guard: Vec<GuardStep>,
-    /// Packed fingerprint for the pinned fast path (same steps as
-    /// `guard`).
-    fast: Vec<FastStep>,
+    /// The shape fingerprint, one entry per region step.
+    guard: Vec<FastStep>,
     summary: EpochSummary<T>,
     version: u32,
     bails: u32,
-    hits: u64,
     /// Per-region memo for [`TaintEngine::apply_summary_memoized`]: in
     /// steady state the incoming labels stop changing and applications
     /// replay a concrete action list instead of re-evaluating the node
@@ -296,11 +197,25 @@ struct CachedRegion<T: TaintLabel> {
     fixpoint: bool,
 }
 
+impl<T: TaintLabel> CachedRegion<T> {
+    /// True when `window` (as long as the region) is a guard-exact
+    /// execution of this region — the per-instruction cost the cache
+    /// pays in steady state.
+    fn matches(&self, window: &[StepEffects]) -> bool {
+        let base = window[0].step;
+        window
+            .iter()
+            .zip(&self.guard)
+            .enumerate()
+            .all(|(k, (fx, g))| fx.tid == self.tid && fx.step == base + k as u64 && g.matches(fx))
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum HeadState {
     /// Never nominated (the dense-table default).
     Cold,
-    /// Marked hot; the next entry starts recording `version`.
+    /// Hot; the next entry starts recording `version`.
     Hot { version: u32 },
     /// A live region in `regions[slot]`.
     Cached { slot: usize },
@@ -341,25 +256,6 @@ impl HeadTable {
     }
 }
 
-enum Mode {
-    Plain,
-    /// Buffering one iteration of `head` (steps also processed plainly).
-    Recording {
-        head: Addr,
-        tid: ThreadId,
-        buf: Vec<StepEffects>,
-    },
-    /// Guard-matching `regions[slot]`; `buffered` holds the deferred
-    /// prefix for replay on a bail.
-    Matching {
-        head: Addr,
-        slot: usize,
-        pos: usize,
-        base_step: u64,
-        buffered: Vec<StepEffects>,
-    },
-}
-
 /// Caching front-end to [`TaintEngine`]: behaviorally identical to the
 /// plain engine (labels, alerts, peaks, stats — bit for bit; the
 /// differential proptest `summary_cache_diff.rs` pins this), but hot
@@ -380,77 +276,49 @@ pub struct SummaryCachedEngine<T: TaintLabel, R: Recorder = NoopRecorder> {
     /// ([`TaintEngine::apply_summary_sealed`]) — no label resolution,
     /// no writes.
     gen: u64,
-    cfg: SummaryCacheConfig,
     heads: HeadTable,
     regions: Vec<Option<CachedRegion<T>>>,
-    /// Back-edge hotness counters (bounded by `cfg.max_counters`).
+    /// Back-edge hotness counters (bounded by [`MAX_COUNTERS`]).
     counts: HashMap<Addr, u32>,
-    mode: Mode,
     stats: SummaryCacheStats,
     /// `[start, end)` global-step ranges covered by hits, in completion
     /// order — the elision input for the DDG "summaries" ladder level.
     hit_ranges: Vec<(u64, u64)>,
-    /// False for labels without [`TaintLabel::STEP_INVARIANT`]: the
-    /// cache then never installs regions and every step takes the plain
-    /// path (still correct, no speedup).
-    enabled: bool,
-    /// The immutable program the effects stream is generated from, when
-    /// the caller asserts it (see [`Self::pin_program`]); enables the
-    /// `FastStep` compare.
-    pinned: Option<Arc<Program>>,
+    /// The immutable program every effects stream is generated from;
+    /// it fixes `insn` at each `addr`, which the packed guard relies on.
+    program: Arc<Program>,
 }
 
 impl<T: TaintLabel> SummaryCachedEngine<T> {
     /// Unprobed front-end (same `new`/`with_recorder` split as
     /// [`TaintEngine`]).
-    pub fn new(policy: TaintPolicy, cfg: SummaryCacheConfig) -> SummaryCachedEngine<T> {
-        SummaryCachedEngine::with_recorder(policy, cfg, NoopRecorder)
+    pub fn new(policy: TaintPolicy, program: &Arc<Program>) -> SummaryCachedEngine<T> {
+        SummaryCachedEngine::with_recorder(policy, program, NoopRecorder)
     }
 }
 
 impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
+    /// A cache for effects streams generated by machine execution of
+    /// `program` (immutable — there is no self-modifying code on this
+    /// substrate). Every stream passed to [`Self::process_stream`] must
+    /// come from that program; `install` checks each recorded step's
+    /// `insn` against it, so a foreign stream falls back to never
+    /// caching, not to wrong answers.
     pub fn with_recorder(
         policy: TaintPolicy,
-        cfg: SummaryCacheConfig,
+        program: &Arc<Program>,
         obs: R,
     ) -> SummaryCachedEngine<T, R> {
         SummaryCachedEngine {
             engine: TaintEngine::with_recorder(policy, obs),
             gen: 1,
-            cfg,
             heads: HeadTable::default(),
             regions: Vec::new(),
             counts: HashMap::new(),
-            mode: Mode::Plain,
             stats: SummaryCacheStats::default(),
             hit_ranges: Vec::new(),
-            enabled: T::STEP_INVARIANT,
-            pinned: None,
+            program: program.clone(),
         }
-    }
-
-    /// Assert that every effects stream this engine will see is
-    /// generated by machine execution of `program` (which is immutable —
-    /// there is no self-modifying code on this substrate). Under that
-    /// contract `addr` determines `insn`, and the opcode determines
-    /// which effect classes a step can carry at all, so guard matching
-    /// uses the packed `FastStep` compare instead of re-checking the
-    /// full instruction per step. `install` still verifies each recorded
-    /// step's `insn` against the pinned program — a stream that violates
-    /// the contract falls back to never caching, not to wrong answers.
-    ///
-    /// Pinning a *different* program flushes the cache (the DBI analogue
-    /// of a code-cache flush); re-pinning the same one is a no-op.
-    pub fn pin_program(&mut self, program: &Arc<Program>) {
-        if self.pinned.as_ref().is_some_and(|p| Arc::ptr_eq(p, program)) {
-            return;
-        }
-        if self.pinned.is_some() {
-            self.regions.clear();
-            self.heads = HeadTable::default();
-            self.counts.clear();
-        }
-        self.pinned = Some(program.clone());
     }
 
     /// The wrapped engine's observable state (alerts, `output_labels`,
@@ -486,11 +354,6 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
         &self.hit_ranges
     }
 
-    /// Live cached regions.
-    pub fn regions_live(&self) -> usize {
-        self.regions.iter().flatten().count()
-    }
-
     /// Approximate resident bytes of the live cache (guards + summary
     /// arenas) — the storage side of the bytes/instr ledger.
     pub fn cache_bytes(&self) -> u64 {
@@ -498,21 +361,11 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             .iter()
             .flatten()
             .map(|r| {
-                64 + r.guard.len() as u64
-                    * (std::mem::size_of::<GuardStep>() + std::mem::size_of::<FastStep>()) as u64
+                64 + (r.guard.len() * std::mem::size_of::<FastStep>()) as u64
                     + (r.summary.node_count() + r.summary.event_count()) as u64 * 16
                     + r.memo.approx_bytes()
             })
             .sum()
-    }
-
-    /// Nominate `head` as a region head (trace formation, function
-    /// filtering, or tests). Idempotent; a no-op for non-step-invariant
-    /// labels.
-    pub fn mark_hot(&mut self, head: Addr) {
-        if self.enabled && self.heads.get(head) == HeadState::Cold {
-            self.heads.set(head, HeadState::Hot { version: 0 });
-        }
     }
 
     fn mark_uncacheable(&mut self, head: Addr) {
@@ -520,11 +373,15 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
         self.heads.set(head, HeadState::Uncacheable);
     }
 
-    /// Count a taken backward edge toward `cfg.hot_threshold`. The
-    /// counter table is bounded: past `cfg.max_counters` cold counters
-    /// decay (halve, drop zeros) before a new head is admitted.
+    /// Count a taken backward edge toward [`HOT_THRESHOLD`]; the target
+    /// turns hot when it gets there. The counter table is bounded: past
+    /// [`MAX_COUNTERS`] cold counters decay (halve, drop zeros) before a
+    /// new head is admitted.
     fn note_backedge(&mut self, fx: &StepEffects) {
-        if !self.enabled || !self.cfg.detect_backedges {
+        // Labels without `TaintLabel::STEP_INVARIANT` never nominate a
+        // head, so every step takes the plain path (still correct, no
+        // speedup).
+        if !T::STEP_INVARIANT {
             return;
         }
         let target = match fx.control {
@@ -535,27 +392,27 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
         if target > fx.addr || self.heads.get(target) != HeadState::Cold {
             return;
         }
-        if self.counts.len() >= self.cfg.max_counters && !self.counts.contains_key(&target) {
+        if self.counts.len() >= MAX_COUNTERS && !self.counts.contains_key(&target) {
             self.counts.retain(|_, c| {
                 *c /= 2;
                 *c > 0
             });
-            if self.counts.len() >= self.cfg.max_counters {
+            if self.counts.len() >= MAX_COUNTERS {
                 self.counts.clear();
             }
         }
         let c = self.counts.entry(target).or_insert(0);
         *c += 1;
-        if *c >= self.cfg.hot_threshold {
+        if *c >= HOT_THRESHOLD {
             self.counts.remove(&target);
-            self.mark_hot(target);
+            self.heads.set(target, HeadState::Hot { version: 0 });
         }
     }
 
     /// Summarize and install one recorded iteration.
     fn install(&mut self, head: Addr, tid: ThreadId, fxs: &[StepEffects]) {
         debug_assert!(!fxs.is_empty(), "a region has at least its head instruction");
-        if self.regions.len() >= self.cfg.max_regions {
+        if self.regions.len() >= MAX_REGIONS {
             self.mark_uncacheable(head);
             return;
         }
@@ -563,23 +420,19 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             HeadState::Hot { version } => version,
             _ => 0,
         };
-        // Pinning contract check, once per install: every recorded
-        // step's instruction must be the pinned program's instruction at
-        // that address. A stream that violates it is not accelerated.
-        if let Some(p) = &self.pinned {
-            if fxs.iter().any(|fx| p.get(fx.addr) != Some(&fx.insn)) {
-                self.mark_uncacheable(head);
-                return;
-            }
+        // Program contract check, once per install: every recorded
+        // step's instruction must be the program's instruction at that
+        // address. A stream that violates it is not accelerated.
+        if fxs.iter().any(|fx| self.program.get(fx.addr) != Some(&fx.insn)) {
+            self.mark_uncacheable(head);
+            return;
         }
         // No I/O inside a region, so the summarizer needs no stream
         // prefix counts: the IoBase is irrelevant by construction.
         let mut sum = EpochSummarizer::new(self.engine.policy(), &IoBase::default());
         let mut guard = Vec::with_capacity(fxs.len());
-        let mut fast = Vec::with_capacity(fxs.len());
         for fx in fxs {
-            guard.push(GuardStep::of(fx));
-            fast.push(FastStep::of(fx));
+            guard.push(FastStep::of(fx));
             sum.step(fx);
         }
         let slot = self.regions.len();
@@ -587,11 +440,9 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             tid,
             base_step: fxs[0].step,
             guard,
-            fast,
             summary: sum.finish(),
             version,
             bails: 0,
-            hits: 0,
             memo: ApplyMemo::default(),
             last_apply_gen: 0,
             fixpoint: false,
@@ -607,12 +458,10 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
     }
 
     /// Apply `regions[slot]` rebased to `base_step`.
-    fn apply_hit(&mut self, slot: usize, base_step: u64) -> StepOutcome {
+    fn apply_hit(&mut self, slot: usize, base_step: u64) {
         let gen = self.gen;
         let r = self.regions[slot].as_mut().expect("hit on a live region");
-        r.hits += 1;
-        let (instrs, events, delta) =
-            (r.summary.instrs(), r.summary.event_count() as u64, base_step - r.base_step);
+        let (instrs, delta) = (r.summary.instrs(), base_step - r.base_step);
         // Split borrow: the engine and the region live in disjoint
         // fields, and the memo is the only part of the region mutated.
         let sealed = r.fixpoint
@@ -631,7 +480,6 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             // The application wrote labels: unseal every other region.
             self.gen = gen.wrapping_add(1);
         }
-        let r = self.regions[slot].as_mut().expect("hit on a live region");
         r.last_apply_gen = self.gen;
         self.stats.hits += 1;
         self.stats.instrs_summarized += instrs;
@@ -642,168 +490,25 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             self.engine.obs.add(Metric::TaintScInstrsSummarized, instrs);
             self.engine.obs.add(Metric::TaintScBytesSaved, instrs * RAW_TRACE_BYTES_PER_INSN);
         }
-        StepOutcome::Hit { instrs, events }
     }
 
-    /// Account a guard mismatch; past `cfg.max_bails` the version is
+    /// Account a guard mismatch; past [`MAX_BAILS`] the version is
     /// invalidated (freed) and the head re-records or becomes
-    /// uncacheable once `cfg.max_versions` recordings are spent.
+    /// uncacheable once [`MAX_VERSIONS`] recordings are spent.
     fn bail(&mut self, head: Addr, slot: usize) {
         self.stats.guard_bails += 1;
         if R::ENABLED {
             self.engine.obs.add(Metric::TaintScGuardBails, 1);
         }
-        let invalidate = {
-            let r = self.regions[slot].as_mut().expect("bail on a live region");
-            r.bails += 1;
-            r.bails >= self.cfg.max_bails
-        };
-        if invalidate {
+        let r = self.regions[slot].as_mut().expect("bail on a live region");
+        r.bails += 1;
+        if r.bails >= MAX_BAILS {
             let version = self.regions[slot].take().expect("live region").version;
-            if version + 1 >= self.cfg.max_versions {
+            if version + 1 >= MAX_VERSIONS {
                 self.mark_uncacheable(head);
             } else {
                 self.heads.set(head, HeadState::Hot { version: version + 1 });
             }
-        }
-    }
-
-    /// Replay a deferred prefix (plus the mismatching step) plainly.
-    fn replay(&mut self, buffered: &[StepEffects], extra: Option<&StepEffects>) -> StepOutcome {
-        let mut replayed_instrs = 0u64;
-        let mut replayed_mem = 0u64;
-        for b in buffered.iter().chain(extra) {
-            self.engine_process(b);
-            replayed_instrs += 1;
-            if b.mem_read.is_some() || b.mem_write.is_some() {
-                replayed_mem += 1;
-            }
-        }
-        StepOutcome::Bail { replayed_instrs, replayed_mem }
-    }
-
-    /// Process one step with cache lookups — the per-step (DBI tool)
-    /// path. Streaming callers should prefer
-    /// [`Self::process_stream`], which matches in place without cloning.
-    pub fn process(&mut self, fx: &StepEffects) -> StepOutcome {
-        match std::mem::replace(&mut self.mode, Mode::Plain) {
-            Mode::Plain => self.step_plain(fx),
-            Mode::Recording { head, tid, mut buf } => {
-                if fx.tid == tid && fx.addr == head {
-                    // One full iteration buffered: install, then treat
-                    // this head entry as a fresh (likely matching) one.
-                    self.install(head, tid, &buf);
-                    self.step_plain(fx)
-                } else if fx.tid != tid {
-                    // Interleaved thread: abandon the attempt (the head
-                    // stays hot and may record cleanly later).
-                    self.engine_process(fx);
-                    StepOutcome::Plain
-                } else if !region_step_ok(fx) || buf.len() >= self.cfg.max_region_len {
-                    self.mark_uncacheable(head);
-                    self.engine_process(fx);
-                    StepOutcome::Plain
-                } else {
-                    buf.push(fx.clone());
-                    self.engine_process(fx);
-                    self.mode = Mode::Recording { head, tid, buf };
-                    StepOutcome::Recorded
-                }
-            }
-            Mode::Matching { head, slot, pos, base_step, mut buffered } => {
-                let pinned = self.pinned.is_some();
-                let (matched, len) = {
-                    let r = self.regions[slot].as_ref().expect("matching a live region");
-                    let step_ok =
-                        if pinned { r.fast[pos].matches(fx) } else { r.guard[pos].matches(fx) };
-                    (fx.tid == r.tid && fx.step == base_step + pos as u64 && step_ok, r.guard.len())
-                };
-                if !matched {
-                    self.bail(head, slot);
-                    return self.replay(&buffered, Some(fx));
-                }
-                if pos + 1 == len {
-                    self.apply_hit(slot, base_step)
-                } else {
-                    buffered.push(fx.clone());
-                    self.mode = Mode::Matching { head, slot, pos: pos + 1, base_step, buffered };
-                    StepOutcome::Deferred
-                }
-            }
-        }
-    }
-
-    fn step_plain(&mut self, fx: &StepEffects) -> StepOutcome {
-        match self.heads.get(fx.addr) {
-            HeadState::Cached { slot } => {
-                let (matched, len) = {
-                    let r = self.regions[slot].as_ref().expect("cached head has a live region");
-                    (fx.tid == r.tid && r.guard[0].matches(fx), r.guard.len())
-                };
-                if matched {
-                    if len == 1 {
-                        return self.apply_hit(slot, fx.step);
-                    }
-                    self.mode = Mode::Matching {
-                        head: fx.addr,
-                        slot,
-                        pos: 1,
-                        base_step: fx.step,
-                        buffered: vec![fx.clone()],
-                    };
-                    return StepOutcome::Deferred;
-                }
-                self.bail(fx.addr, slot);
-                self.replay(&[], Some(fx))
-            }
-            HeadState::Hot { .. } => {
-                if !region_step_ok(fx) {
-                    // An I/O or faulting head can never anchor a
-                    // guard-identical region.
-                    self.mark_uncacheable(fx.addr);
-                    self.engine_process(fx);
-                    return StepOutcome::Plain;
-                }
-                self.stats.misses += 1;
-                if R::ENABLED {
-                    self.engine.obs.add(Metric::TaintScMisses, 1);
-                }
-                self.engine_process(fx);
-                self.mode = Mode::Recording { head: fx.addr, tid: fx.tid, buf: vec![fx.clone()] };
-                StepOutcome::Recorded
-            }
-            HeadState::Uncacheable | HeadState::Cold => {
-                self.note_backedge(fx);
-                self.engine_process(fx);
-                StepOutcome::Plain
-            }
-        }
-    }
-
-    /// True when `fxs[..guard.len()]` is a guard-exact execution of
-    /// `regions[slot]`.
-    fn stream_match(&self, slot: usize, window: &[StepEffects]) -> bool {
-        let Some(r) = self.regions[slot].as_ref() else {
-            return false;
-        };
-        let base = window[0].step;
-        if r.guard.len() != window.len() {
-            return false;
-        }
-        if self.pinned.is_some() {
-            // The packed compare — the per-instruction cost the cache
-            // actually pays in steady state.
-            window
-                .iter()
-                .zip(&r.fast)
-                .enumerate()
-                .all(|(k, (fx, g))| fx.tid == r.tid && fx.step == base + k as u64 && g.matches(fx))
-        } else {
-            window
-                .iter()
-                .zip(&r.guard)
-                .enumerate()
-                .all(|(k, (fx, g))| fx.tid == r.tid && fx.step == base + k as u64 && g.matches(fx))
         }
     }
 
@@ -823,7 +528,7 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             if fx.addr == head {
                 return Some(i + 1 + off);
             }
-            if !region_step_ok(fx) || off + 1 >= self.cfg.max_region_len {
+            if !region_step_ok(fx) || off + 1 >= MAX_REGION_LEN {
                 self.mark_uncacheable(head);
                 return None;
             }
@@ -831,21 +536,21 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
         None // stream ended before the loop closed
     }
 
-    /// Process a whole effects stream — the zero-copy fast path: guard
+    /// Process a whole effects stream of the engine's program. Guard
     /// matching compares against the slice in place (no per-step
     /// cloning, no deferral buffer), and recording summarizes straight
-    /// from the slice.
+    /// from the slice. Consecutive calls continue one execution: the
+    /// cache, the taint state and the step-indexed hit ranges carry over.
     pub fn process_stream(&mut self, fxs: &[StepEffects]) {
-        self.finish();
         let mut i = 0;
         while i < fxs.len() {
             let fx = &fxs[i];
             match self.heads.get(fx.addr) {
                 HeadState::Cached { slot } => {
-                    let len =
-                        self.regions[slot].as_ref().map(|r| r.guard.len()).unwrap_or_default();
-                    if i + len <= fxs.len() {
-                        if self.stream_match(slot, &fxs[i..i + len]) {
+                    let r = self.regions[slot].as_ref().expect("a cached head has a live region");
+                    let len = r.guard.len();
+                    if let Some(window) = fxs.get(i..i + len) {
+                        if r.matches(window) {
                             self.apply_hit(slot, fx.step);
                             i += len;
                             continue;
@@ -876,138 +581,15 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             i += 1;
         }
     }
-
-    /// Drain the state machine at end of stream: a pending match replays
-    /// its deferred prefix plainly (not a bail — the stream ended, the
-    /// guard did not fail). Returns `(instrs, mem ops)` replayed so a
-    /// charging caller can settle the deferred cost.
-    pub fn finish(&mut self) -> (u64, u64) {
-        match std::mem::replace(&mut self.mode, Mode::Plain) {
-            // A recording's steps were already processed plainly.
-            Mode::Plain | Mode::Recording { .. } => (0, 0),
-            Mode::Matching { buffered, .. } => match self.replay(&buffered, None) {
-                StepOutcome::Bail { replayed_instrs, replayed_mem } => {
-                    (replayed_instrs, replayed_mem)
-                }
-                _ => unreachable!("replay always reports a bail outcome"),
-            },
-        }
-    }
-}
-
-/// The summary cache as a DBI tool: [`TraceBuilder`] trace formation
-/// nominates heads (optionally filtered to whole hot functions), the
-/// cached engine processes effects, and instrumentation cycles are
-/// charged honestly per [`StepOutcome`].
-pub struct SummaryTool<T: TaintLabel, R: Recorder = NoopRecorder> {
-    /// The caching front-end (observable state lives in
-    /// [`SummaryCachedEngine::engine`]).
-    pub cached: SummaryCachedEngine<T, R>,
-    traces: TraceBuilder,
-    func_filter: Option<HashSet<FuncId>>,
-}
-
-impl<T: TaintLabel> SummaryTool<T> {
-    pub fn new(policy: TaintPolicy, cfg: SummaryCacheConfig) -> SummaryTool<T> {
-        SummaryTool::with_recorder(policy, cfg, NoopRecorder)
-    }
-}
-
-impl<T: TaintLabel, R: Recorder> SummaryTool<T, R> {
-    pub fn with_recorder(
-        policy: TaintPolicy,
-        cfg: SummaryCacheConfig,
-        obs: R,
-    ) -> SummaryTool<T, R> {
-        let traces = TraceBuilder::new(cfg.hot_threshold, 16);
-        SummaryTool {
-            cached: SummaryCachedEngine::with_recorder(policy, cfg, obs),
-            traces,
-            func_filter: None,
-        }
-    }
-
-    /// Only nominate heads inside `funcs` — e.g. summarize a whole hot
-    /// function by caching the head-to-head regions of its entry and
-    /// loop heads while leaving cold library code on the plain path.
-    pub fn filter_funcs(mut self, funcs: HashSet<FuncId>) -> SummaryTool<T, R> {
-        self.func_filter = Some(funcs);
-        self
-    }
-}
-
-/// Instrumentation cycles one step outcome costs (see
-/// [`crate::costs`]): the guard compare is cheap, a hit pays a flat
-/// application charge plus per-event replay, and bails pay the full
-/// plain-path cost of everything replayed.
-fn charge_for(out: &StepOutcome, fx: &StepEffects) -> u64 {
-    let plain = costs::TAINT_PER_INSN
-        + if fx.mem_read.is_some() || fx.mem_write.is_some() { costs::TAINT_PER_MEM } else { 0 };
-    match out {
-        StepOutcome::Plain => plain,
-        StepOutcome::Recorded => plain + costs::SUMMARY_RECORD_PER_INSN,
-        StepOutcome::Deferred => costs::SUMMARY_GUARD_PER_INSN,
-        StepOutcome::Hit { events, .. } => {
-            costs::SUMMARY_GUARD_PER_INSN
-                + costs::SUMMARY_APPLY_BASE
-                + events * costs::SUMMARY_APPLY_PER_EVENT
-        }
-        StepOutcome::Bail { replayed_instrs, replayed_mem } => {
-            costs::SUMMARY_GUARD_PER_INSN
-                + replayed_instrs * costs::TAINT_PER_INSN
-                + replayed_mem * costs::TAINT_PER_MEM
-        }
-    }
-}
-
-impl<T: TaintLabel, R: Recorder> Tool for SummaryTool<T, R> {
-    fn on_start(&mut self, m: &mut Machine) {
-        self.cached.engine_mut().pre_size(m.mem_words());
-        // The tool sees effects straight from this machine's execution
-        // of its (immutable) program — exactly the pinning contract.
-        self.cached.pin_program(m.program());
-    }
-
-    fn on_block(&mut self, m: &mut Machine, tid: ThreadId, entry: Addr, _is_new: bool) {
-        if let Some(tr) = self.traces.on_block(tid, entry) {
-            let ok = match &self.func_filter {
-                None => true,
-                Some(set) => {
-                    m.program().func_at(tr.head).map(|f| set.contains(&f)).unwrap_or(false)
-                }
-            };
-            if ok {
-                self.cached.mark_hot(tr.head);
-            }
-        }
-    }
-
-    fn after(&mut self, m: &mut Machine, fx: &StepEffects) {
-        let out = self.cached.process(fx);
-        if self.cached.engine().policy().charge_cycles {
-            m.charge(charge_for(&out, fx));
-        }
-    }
-
-    fn on_finish(&mut self, m: &mut Machine, _r: &RunResult) {
-        let (instrs, mem) = self.cached.finish();
-        if self.cached.engine().policy().charge_cycles {
-            // Settle deferred steps drained at end of stream: they were
-            // charged only the guard compare while deferred.
-            m.charge(instrs * costs::TAINT_PER_INSN + mem * costs::TAINT_PER_MEM);
-        }
-        self.cached.engine_mut().flush_obs();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::{BitTaint, LabelCtx, PcTaint};
-    use dift_dbi::Engine;
-    use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
-    use dift_vm::MachineConfig;
-    use std::sync::Arc;
+    use dift_dbi::{Engine, Tool};
+    use dift_isa::{BinOp, BranchCond, Instruction, Opcode, ProgramBuilder, Reg};
+    use dift_vm::{Machine, MachineConfig};
 
     fn capture(p: &Arc<Program>, inputs: &[u64]) -> (Vec<StepEffects>, usize) {
         #[derive(Default)]
@@ -1046,17 +628,26 @@ mod tests {
     }
 
     /// A loop over a MOVING window: addresses shift every iteration, so
-    /// guards always bail and versioned invalidation gives up.
-    fn moving_loop(iters: i64) -> Arc<Program> {
+    /// guards always bail and versioned invalidation gives up. The loop
+    /// body stores the tainted input at the window base, loads from it,
+    /// or both; one tainted cell at 310 sits in the window's path, so a
+    /// guard that ignored either address would change the answer.
+    fn moving_loop(iters: i64, store: bool, load: bool) -> Arc<Program> {
         let mut b = ProgramBuilder::new();
         b.func("main");
         b.input(Reg(1), 0);
+        b.li(Reg(2), 310);
+        b.store(Reg(1), Reg(2), 0);
         b.li(Reg(2), 300); // moving base
         b.li(Reg(3), iters);
         b.label("loop");
-        b.store(Reg(1), Reg(2), 0);
-        b.load(Reg(4), Reg(2), 0);
-        b.add(Reg(5), Reg(5), Reg(4));
+        if store {
+            b.store(Reg(1), Reg(2), 0);
+        }
+        if load {
+            b.load(Reg(4), Reg(2), 0);
+            b.add(Reg(5), Reg(5), Reg(4));
+        }
         b.addi(Reg(2), Reg(2), 1); // slide the window
         b.bini(BinOp::Sub, Reg(3), Reg(3), 1);
         b.branch(BranchCond::Ne, Reg(3), Reg(0), "loop");
@@ -1065,31 +656,22 @@ mod tests {
         Arc::new(b.build().unwrap())
     }
 
-    fn test_cfg() -> SummaryCacheConfig {
-        SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }
-    }
-
+    /// Run `stream` through the plain engine and the cache, assert every
+    /// observable agrees, and return the cache (for its stats).
     fn assert_identical<T: TaintLabel>(
+        p: &Arc<Program>,
         stream: &[StepEffects],
         mem_words: usize,
         policy: TaintPolicy,
-        streaming: bool,
-    ) -> SummaryCacheStats {
+    ) -> SummaryCachedEngine<T> {
         let mut plain = TaintEngine::<T>::new(policy);
         plain.pre_size(mem_words);
         for fx in stream {
             plain.process(fx);
         }
-        let mut cached = SummaryCachedEngine::<T>::new(policy, test_cfg());
+        let mut cached = SummaryCachedEngine::<T>::new(policy, p);
         cached.engine_mut().pre_size(mem_words);
-        if streaming {
-            cached.process_stream(stream);
-        } else {
-            for fx in stream {
-                cached.process(fx);
-            }
-        }
-        cached.finish();
+        cached.process_stream(stream);
         assert_eq!(cached.engine().output_labels, plain.output_labels);
         assert_eq!(cached.engine().alerts, plain.alerts);
         assert_eq!(cached.engine().tainted_words(), plain.tainted_words());
@@ -1099,37 +681,41 @@ mod tests {
             plain.shadow().iter_tainted().map(|(a, l)| (a, l.clone())).collect();
         assert_eq!(cells, plain_cells);
         assert_eq!(cached.engine().stats(), plain.stats());
-        cached.stats().clone()
+        cached
     }
 
     #[test]
     fn fixed_loop_hits_and_stays_identical() {
-        let (stream, mem) = capture(&fixed_loop(40), &[7]);
-        for streaming in [false, true] {
-            let s = assert_identical::<BitTaint>(&stream, mem, TaintPolicy::default(), streaming);
-            assert!(s.regions_recorded >= 1, "{s:?}");
-            assert!(s.hits > 30, "a fixed-shape loop must hit nearly every iteration: {s:?}");
-            assert!(s.instrs_summarized > 100, "{s:?}");
-        }
+        let p = fixed_loop(40);
+        let (stream, mem) = capture(&p, &[7]);
+        let s = assert_identical::<BitTaint>(&p, &stream, mem, TaintPolicy::default()).stats;
+        assert!(s.regions_recorded >= 1, "{s:?}");
+        assert!(s.hits > 30, "a fixed-shape loop must hit nearly every iteration: {s:?}");
+        assert!(s.instrs_summarized > 100, "{s:?}");
     }
 
     #[test]
     fn pc_labels_rebase_exactly() {
         // PcTaint stamps ctx.addr; the guard pins addresses, so rebased
         // applications must agree bit for bit (incl. alert steps).
-        let (stream, mem) = capture(&fixed_loop(40), &[7]);
-        let s = assert_identical::<PcTaint>(&stream, mem, TaintPolicy::default(), true);
+        let p = fixed_loop(40);
+        let (stream, mem) = capture(&p, &[7]);
+        let s = assert_identical::<PcTaint>(&p, &stream, mem, TaintPolicy::default()).stats;
         assert!(s.hits > 0);
     }
 
     #[test]
     fn moving_window_bails_and_gives_up() {
-        let (stream, mem) = capture(&moving_loop(60), &[7]);
-        for streaming in [false, true] {
-            let s = assert_identical::<BitTaint>(&stream, mem, TaintPolicy::default(), streaming);
-            assert!(s.guard_bails > 0, "moving addresses must mismatch the guard: {s:?}");
-            assert!(s.uncacheable_heads >= 1, "version budget must run out: {s:?}");
-            assert_eq!(s.hits, 0, "no iteration repeats its shape: {s:?}");
+        // Store and load, store only, load only: each memory address the
+        // guard compares must make it bail on its own.
+        for (store, load) in [(true, true), (true, false), (false, true)] {
+            let p = moving_loop(60, store, load);
+            let (stream, mem) = capture(&p, &[7]);
+            let s = assert_identical::<BitTaint>(&p, &stream, mem, TaintPolicy::default()).stats;
+            let tag = format!("store={store} load={load}");
+            assert!(s.guard_bails > 0, "{tag}: moving addresses must mismatch the guard: {s:?}");
+            assert!(s.uncacheable_heads >= 1, "{tag}: version budget must run out: {s:?}");
+            assert_eq!(s.hits, 0, "{tag}: no iteration repeats its shape: {s:?}");
         }
     }
 
@@ -1150,12 +736,10 @@ mod tests {
         b.halt();
         let p = Arc::new(b.build().unwrap());
         let (stream, mem) = capture(&p, &(0..20).collect::<Vec<u64>>());
-        for streaming in [false, true] {
-            let s = assert_identical::<BitTaint>(&stream, mem, TaintPolicy::default(), streaming);
-            assert_eq!(s.hits, 0, "{s:?}");
-            assert_eq!(s.regions_recorded, 0, "{s:?}");
-            assert!(s.uncacheable_heads >= 1, "{s:?}");
-        }
+        let s = assert_identical::<BitTaint>(&p, &stream, mem, TaintPolicy::default()).stats;
+        assert_eq!(s.hits, 0, "{s:?}");
+        assert_eq!(s.regions_recorded, 0, "{s:?}");
+        assert!(s.uncacheable_heads >= 1, "{s:?}");
     }
 
     /// A label whose propagate stamps the step: not step-invariant, so
@@ -1183,62 +767,32 @@ mod tests {
 
     #[test]
     fn step_dependent_labels_disable_the_cache() {
-        let (stream, mem) = capture(&fixed_loop(40), &[7]);
-        let s = assert_identical::<StepStamp>(&stream, mem, TaintPolicy::default(), true);
+        let p = fixed_loop(40);
+        let (stream, mem) = capture(&p, &[7]);
+        let s = assert_identical::<StepStamp>(&p, &stream, mem, TaintPolicy::default()).stats;
         assert_eq!(s.regions_recorded, 0, "non-step-invariant labels must not cache");
         assert_eq!(s.hits, 0);
     }
 
     #[test]
-    fn summary_tool_charges_less_than_the_plain_engine() {
-        let p = fixed_loop(60);
-        let run = |cached: bool| -> (u64, Vec<(u16, u64, BitTaint)>) {
-            let mut m = Machine::new(p.clone(), MachineConfig::small());
-            m.feed_input(0, &[7]);
-            if cached {
-                let mut t = SummaryTool::<BitTaint>::new(TaintPolicy::default(), test_cfg());
-                let r = Engine::new(m).run_tool(&mut t);
-                assert!(t.cached.stats().hits > 0, "tool path must hit via trace formation");
-                (r.cycles, t.cached.engine().output_labels.clone())
-            } else {
-                let mut t = TaintEngine::<BitTaint>::new(TaintPolicy::default());
-                let r = Engine::new(m).run_tool(&mut t);
-                (r.cycles, t.output_labels.clone())
-            }
-        };
-        let (plain_cycles, plain_out) = run(false);
-        let (cached_cycles, cached_out) = run(true);
-        assert_eq!(cached_out, plain_out, "observables agree under the tool too");
-        assert!(
-            cached_cycles < plain_cycles,
-            "honest charging must still win on a hot fixed loop: {cached_cycles} vs {plain_cycles}"
-        );
-    }
-
-    #[test]
-    fn truncated_stream_drains_the_pending_match() {
-        let (stream, mem) = capture(&fixed_loop(40), &[7]);
-        // Cut mid-region so a match is pending at finish().
-        let cut = stream.len() - 7;
-        let mut plain = TaintEngine::<BitTaint>::new(TaintPolicy::default());
-        plain.pre_size(mem);
-        for fx in &stream[..cut] {
-            plain.process(fx);
-        }
-        let mut cached = SummaryCachedEngine::<BitTaint>::new(TaintPolicy::default(), test_cfg());
-        cached.engine_mut().pre_size(mem);
-        for fx in &stream[..cut] {
-            cached.process(fx);
-        }
-        cached.finish();
-        assert_eq!(cached.engine().stats(), plain.stats());
-        assert_eq!(cached.engine().output_labels, plain.output_labels);
+    fn truncated_stream_runs_the_cut_region_plainly() {
+        let p = fixed_loop(40);
+        let (stream, mem) = capture(&p, &[7]);
+        let full = assert_identical::<BitTaint>(&p, &stream, mem, TaintPolicy::default()).stats;
+        // Drop the trailing output + halt and the last iteration's final
+        // three steps: the stream now ends two steps into a cached
+        // region, so that region cannot match and must run plainly.
+        let cut = &stream[..stream.len() - 5];
+        let s = assert_identical::<BitTaint>(&p, cut, mem, TaintPolicy::default()).stats;
+        assert_eq!(s.hits, full.hits - 1, "only the cut region loses its hit: {s:?}");
+        assert_eq!(s.guard_bails, 0, "a stream end is not a guard mismatch: {s:?}");
     }
 
     #[test]
     fn hit_ranges_are_disjoint_and_ascending() {
-        let (stream, mem) = capture(&fixed_loop(40), &[7]);
-        let mut cached = SummaryCachedEngine::<BitTaint>::new(TaintPolicy::default(), test_cfg());
+        let p = fixed_loop(40);
+        let (stream, mem) = capture(&p, &[7]);
+        let mut cached = SummaryCachedEngine::<BitTaint>::new(TaintPolicy::default(), &p);
         cached.engine_mut().pre_size(mem);
         cached.process_stream(&stream);
         let ranges = cached.hit_ranges();
@@ -1247,28 +801,28 @@ mod tests {
             assert!(w[0].1 <= w[1].0, "ranges must be disjoint and ordered: {ranges:?}");
         }
         assert!(cached.cache_bytes() > 0);
-        assert_eq!(cached.regions_live(), 1);
+        assert_eq!(cached.regions.iter().flatten().count(), 1, "one live region");
     }
 
     #[test]
     fn backedge_counter_table_is_bounded() {
-        let mut cached = SummaryCachedEngine::<BitTaint>::new(
-            TaintPolicy::default(),
-            SummaryCacheConfig { max_counters: 8, ..test_cfg() },
-        );
-        // Thousands of distinct cold back-edge targets must not grow the
-        // table past the bound.
-        for i in 0..1000u32 {
-            let mut fx = StepEffects {
+        let p = fixed_loop(1);
+        let mut cached = SummaryCachedEngine::<BitTaint>::new(TaintPolicy::default(), &p);
+        // More distinct cold back-edge targets than the table holds must
+        // not grow it past the bound.
+        let targets = MAX_COUNTERS as u32 + 1000;
+        let stream: Vec<StepEffects> = (0..targets)
+            .map(|i| StepEffects {
                 tid: 0,
-                addr: 10_000 + i,
+                addr: 100_000 + i,
                 step: i as u64,
+                insn: Instruction::new(Opcode::Nop, 0),
                 control: Some(ControlEffect::Jump { target: i }),
                 ..Default::default()
-            };
-            fx.insn = Instruction::new(dift_isa::Opcode::Nop, 0);
-            cached.process(&fx);
-        }
-        assert!(cached.counts.len() <= 8, "cold counters must be bounded");
+            })
+            .collect();
+        cached.process_stream(&stream);
+        assert!(cached.counts.len() <= MAX_COUNTERS, "cold counters must be bounded");
+        assert_eq!(cached.stats().regions_recorded, 0);
     }
 }

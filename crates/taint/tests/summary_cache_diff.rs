@@ -9,16 +9,11 @@
 //! that can trap, data-dependent branches that diverge mid-region) run
 //! over both a **fixed** scan base (guards hold, summaries apply) and a
 //! **moving** one (every sweep's addresses differ, guards must bail),
-//! through both the per-step [`SummaryCachedEngine::process`] entry and
-//! the batched [`SummaryCachedEngine::process_stream`] entry, pinned
-//! and unpinned.
+//! through [`SummaryCachedEngine::process_stream`].
 
 use dift_dbi::{Engine, Tool};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
-use dift_taint::{
-    BitTaint, PcTaint, SummaryCacheConfig, SummaryCachedEngine, TaintEngine, TaintLabel,
-    TaintPolicy,
-};
+use dift_taint::{BitTaint, PcTaint, SummaryCachedEngine, TaintEngine, TaintLabel, TaintPolicy};
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -170,68 +165,39 @@ fn capture(p: &Arc<Program>, inputs: &[u64]) -> (Vec<StepEffects>, usize) {
     (cap.fxs, mem_words)
 }
 
-fn cache_cfg() -> SummaryCacheConfig {
-    SummaryCacheConfig { hot_threshold: 2, ..SummaryCacheConfig::default() }
-}
-
-/// Run the cached engine over `stream` in one of the four drive modes
-/// and assert every observable matches `plain`. Returns the hit count
-/// so callers can assert the cache actually engaged where it must.
+/// Run the plain engine and the cache over `p`'s effects stream and
+/// assert every observable matches. Returns the hit count so callers
+/// can assert the cache actually engaged where it must.
 fn assert_cached_matches<T: TaintLabel>(
     p: &Arc<Program>,
-    stream: &[StepEffects],
-    mem_words: usize,
+    inputs: &[u64],
     policy: TaintPolicy,
-    plain: &TaintEngine<T>,
-    pinned: bool,
-    streaming: bool,
 ) -> u64 {
-    let mut cached = SummaryCachedEngine::<T>::new(policy, cache_cfg());
-    cached.engine_mut().pre_size(mem_words);
-    if pinned {
-        cached.pin_program(p);
-    }
-    if streaming {
-        cached.process_stream(stream);
-    } else {
-        for fx in stream {
-            cached.process(fx);
-        }
-    }
-    cached.finish();
-
-    let tag = format!("pinned={pinned} streaming={streaming}");
-    let e = cached.engine();
-    assert_eq!(e.output_labels, plain.output_labels, "{tag}: output lineage must agree");
-    assert_eq!(e.alerts, plain.alerts, "{tag}: alerts (incl. origins) must agree");
-    assert_eq!(e.tainted_words(), plain.tainted_words(), "{tag}: tainted words");
-    let cached_cells: Vec<(u64, T)> =
-        e.shadow().iter_tainted().map(|(a, l)| (a, l.clone())).collect();
-    let plain_cells: Vec<(u64, T)> =
-        plain.shadow().iter_tainted().map(|(a, l)| (a, l.clone())).collect();
-    assert_eq!(cached_cells, plain_cells, "{tag}: live shadow cells must agree");
-    assert_eq!(e.stats(), plain.stats(), "{tag}: stats incl. exact peaks must agree");
-    cached.stats().hits
-}
-
-fn assert_all_modes<T: TaintLabel>(p: &Arc<Program>, inputs: &[u64], policy: TaintPolicy) -> u64 {
     let (stream, mem_words) = capture(p, inputs);
     let mut plain = TaintEngine::<T>::new(policy);
     plain.pre_size(mem_words);
     for fx in &stream {
         plain.process(fx);
     }
-    let mut hits = 0;
-    for pinned in [false, true] {
-        for streaming in [false, true] {
-            hits += assert_cached_matches(p, &stream, mem_words, policy, &plain, pinned, streaming);
-        }
-    }
-    hits
+    let mut cached = SummaryCachedEngine::<T>::new(policy, p);
+    cached.engine_mut().pre_size(mem_words);
+    cached.process_stream(&stream);
+
+    let e = cached.engine();
+    assert_eq!(e.output_labels, plain.output_labels, "output lineage must agree");
+    assert_eq!(e.alerts, plain.alerts, "alerts (incl. origins) must agree");
+    assert_eq!(e.tainted_words(), plain.tainted_words(), "tainted words");
+    let cached_cells: Vec<(u64, T)> =
+        e.shadow().iter_tainted().map(|(a, l)| (a, l.clone())).collect();
+    let plain_cells: Vec<(u64, T)> =
+        plain.shadow().iter_tainted().map(|(a, l)| (a, l.clone())).collect();
+    assert_eq!(cached_cells, plain_cells, "live shadow cells must agree");
+    assert_eq!(e.stats(), plain.stats(), "stats incl. exact peaks must agree");
+    cached.stats().hits
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Fixed scan base: the cacheable regime. Checks-on policy so the
     /// alert stream (tainted stores, tainted addresses) is compared too.
@@ -242,8 +208,8 @@ proptest! {
         inputs in proptest::collection::vec(0u64..1000, 1..5),
     ) {
         let p = build(inputs.len(), sweeps, &body, false);
-        assert_all_modes::<BitTaint>(&p, &inputs, TaintPolicy::default());
-        assert_all_modes::<PcTaint>(&p, &inputs, TaintPolicy::propagate_only());
+        assert_cached_matches::<BitTaint>(&p, &inputs, TaintPolicy::default());
+        assert_cached_matches::<PcTaint>(&p, &inputs, TaintPolicy::propagate_only());
     }
 
     /// Moving scan base: every sweep shifts the address stream, so
@@ -255,9 +221,9 @@ proptest! {
         inputs in proptest::collection::vec(0u64..1000, 1..5),
     ) {
         let p = build(inputs.len(), sweeps, &body, true);
-        assert_all_modes::<BitTaint>(&p, &inputs, TaintPolicy::default());
+        assert_cached_matches::<BitTaint>(&p, &inputs, TaintPolicy::default());
         let addr = TaintPolicy { propagate_through_addr: true, ..TaintPolicy::default() };
-        assert_all_modes::<BitTaint>(&p, &inputs, addr);
+        assert_cached_matches::<BitTaint>(&p, &inputs, addr);
     }
 }
 
@@ -271,6 +237,6 @@ fn fixed_buffer_loops_actually_hit_the_cache() {
         Stmt::Store { rs: 2, slot: 4 },
     ];
     let p = build(2, 8, &body, false);
-    let hits = assert_all_modes::<BitTaint>(&p, &[7, 9], TaintPolicy::default());
+    let hits = assert_cached_matches::<BitTaint>(&p, &[7, 9], TaintPolicy::default());
     assert!(hits > 0, "shape-stable loop must produce summary hits, got {hits}");
 }

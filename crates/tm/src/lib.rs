@@ -45,6 +45,4 @@ pub mod costs {
     /// (bounded in the simulation; unbounded in reality — the paper's
     /// point).
     pub const TM_LIVELOCK_PENALTY: u64 = 25_000;
-    /// Consecutive aborts of one transaction that we call a livelock.
-    pub const LIVELOCK_THRESHOLD: u32 = 8;
 }

@@ -104,11 +104,6 @@ impl Machine {
         self.outputs.get(&channel).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Words still queued on input `channel`.
-    pub fn input_remaining(&self, channel: u16) -> usize {
-        self.inputs.get(&channel).map(|q| q.len()).unwrap_or(0)
-    }
-
     // ---- inspection -------------------------------------------------------
 
     pub fn program(&self) -> &Arc<Program> {

@@ -138,11 +138,6 @@ impl Allocator {
         Ok(size)
     }
 
-    /// Size of the live allocation starting at `addr`, if any.
-    pub fn live_block(&self, addr: MemAddr) -> Option<u64> {
-        self.live.get(&addr).copied()
-    }
-
     /// The live allocation *containing* `addr`, as `(start, size)`.
     pub fn block_containing(&self, addr: MemAddr) -> Option<(MemAddr, u64)> {
         let (&start, &size) = self.live.range(..=addr).next_back()?;

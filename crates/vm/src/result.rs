@@ -30,11 +30,6 @@ impl ExitStatus {
     pub fn is_clean(&self) -> bool {
         matches!(self, ExitStatus::Completed | ExitStatus::Exited(0))
     }
-
-    /// True when the run ended because of a fault.
-    pub fn is_fault(&self) -> bool {
-        matches!(self, ExitStatus::Faulted { .. })
-    }
 }
 
 /// Summary of a completed run.
