@@ -157,10 +157,7 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Slic
 
     // Worst-case demand-driven client: a fresh snapshot per query.
     let (cold_s, cold) = best_of(reps, || {
-        queries
-            .iter()
-            .map(|q| SliceService::new(idx).batch(std::slice::from_ref(q)).remove(0))
-            .collect::<Vec<Slice>>()
+        queries.iter().map(|q| SliceService::new(idx).query(q)).collect::<Vec<Slice>>()
     });
 
     // The designed single-query path: one service, generation-checked
@@ -171,7 +168,7 @@ fn measure_row(w: &Workload, budget: usize, per_row: usize, reps: usize) -> Slic
             .iter()
             .map(|q| {
                 svc.refresh(idx);
-                svc.batch(std::slice::from_ref(q)).remove(0)
+                svc.query(q)
             })
             .collect::<Vec<Slice>>()
     });

@@ -34,7 +34,10 @@
 //! non-monotone user step, which a healthy tracer never produces, so
 //! the per-segment monotonicity invariant holds unconditionally). Each
 //! sealed segment carries [`SegMeta`] (`[first_user, last_user]`,
-//! `min_def`, `count`) so queries touch only candidate segments.
+//! `min_def`, `count`) so queries touch only candidate segments:
+//! [`ColdView`]'s four lookups share one scan that decodes the sealed
+//! segments whose metadata admits the step, oldest-first, then the open
+//! tail. Segments are append-only and never rewritten once sealed.
 //!
 //! # Durability and the integrity ladder
 //!
@@ -84,6 +87,7 @@ use dift_isa::{Addr, StmtId};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,9 +99,6 @@ pub const SEGMENT_RECORDS: u32 = 1024;
 
 /// Default capacity of the shared decode memo (segments).
 pub const DEFAULT_MEMO_CAPACITY: usize = 64;
-
-/// Sealed segments merged per compaction group.
-pub const COMPACT_GROUP: usize = 8;
 
 fn kind_to_byte(k: DepKind) -> u8 {
     match k {
@@ -174,32 +175,21 @@ impl ColdSegment {
     }
 
     fn push(&mut self, rec: &BufRecord) {
-        self.push_raw(RawRec {
-            user: rec.dep.user,
-            def: rec.dep.def,
-            kind: rec.dep.kind,
-            user_addr: rec.user_addr,
-            def_addr: rec.def_addr,
-            user_stmt: rec.user_stmt,
-            def_stmt: rec.def_stmt,
-        });
-    }
-
-    fn push_raw(&mut self, r: RawRec) {
+        let (user, def) = (rec.dep.user, rec.dep.def);
         if self.count == 0 {
-            self.first_user = r.user;
-            put_varint(&mut self.bytes, r.user);
+            self.first_user = user;
+            put_varint(&mut self.bytes, user);
         } else {
-            put_varint(&mut self.bytes, r.user - self.last_user);
+            put_varint(&mut self.bytes, user - self.last_user);
         }
-        put_varint(&mut self.bytes, r.user - r.def);
-        self.bytes.push(kind_to_byte(r.kind));
-        put_varint(&mut self.bytes, u64::from(r.user_addr));
-        put_varint(&mut self.bytes, u64::from(r.def_addr));
-        put_varint(&mut self.bytes, u64::from(r.user_stmt));
-        put_varint(&mut self.bytes, u64::from(r.def_stmt));
-        self.last_user = r.user;
-        self.min_def = self.min_def.min(r.def);
+        put_varint(&mut self.bytes, user - def);
+        self.bytes.push(kind_to_byte(rec.dep.kind));
+        put_varint(&mut self.bytes, u64::from(rec.user_addr));
+        put_varint(&mut self.bytes, u64::from(rec.def_addr));
+        put_varint(&mut self.bytes, u64::from(rec.user_stmt));
+        put_varint(&mut self.bytes, u64::from(rec.def_stmt));
+        self.last_user = user;
+        self.min_def = self.min_def.min(def);
         self.count += 1;
     }
 }
@@ -334,8 +324,7 @@ enum SegPayload {
 /// A sealed segment: metadata in memory, payload wherever it lives.
 #[derive(Clone, Debug)]
 struct SealedSeg {
-    /// Stable key for the decode memo and the quarantine ledger
-    /// (survives compaction rewriting the `sealed` vector).
+    /// Stable key for the decode memo and the quarantine ledger.
     id: u64,
     meta: SegMeta,
     payload: SegPayload,
@@ -441,18 +430,6 @@ impl DecodeMemo {
     }
 }
 
-/// What a compaction pass did.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompactionReport {
-    /// Merged groups written.
-    pub groups: usize,
-    /// Input segments consumed by merges.
-    pub merged_segments: usize,
-    /// Cold-tier payload bytes before/after.
-    pub bytes_before: u64,
-    pub bytes_after: u64,
-}
-
 /// Append-only store of compressed evicted-record segments. Owned by
 /// the tracer next to the buffer (see `OnTracConfig::cold_tier`) and
 /// fed from the same `push_with` eviction callback that prunes the
@@ -521,9 +498,8 @@ impl ColdStore {
     /// manifest from the survivors.
     pub fn reopen(dir: &Path) -> io::Result<(ColdStore, ScrubReport)> {
         let (store, mut manifest, report) = SegmentStore::open(dir)?;
-        // Chronological order, not spill order: compaction gives merged
-        // segments fresh (newer) sequence numbers than an untouched
-        // tail, but queries iterate segments oldest-first.
+        // Oldest-first by user step, the order `first_user` and the
+        // candidate scans read segments in; spill order breaks ties.
         manifest.sort_by_key(|&(seq, meta, _)| (meta.first_user, seq));
         let mut cold = ColdStore { spill: Some(store), ..ColdStore::default() };
         for (seq, meta, payload_len) in manifest {
@@ -785,137 +761,17 @@ impl<F: IoFaultPlan> ColdStore<F> {
         }
     }
 
-    /// Raw records of a sealed segment (compaction input).
-    fn raw_records(&self, seg: &SealedSeg) -> Result<Vec<RawRec>, CorruptKind> {
-        let collect = |bytes: &[u8]| -> Result<Vec<RawRec>, CorruptKind> {
-            RecordIter::new(bytes, seg.meta.count).collect()
-        };
-        match &seg.payload {
-            SegPayload::Mem(bytes) => collect(bytes),
-            SegPayload::Disk { seq, .. } => {
-                let store = self.spill.as_ref().expect("disk payload without a segment store");
-                match store.load(*seq, &seg.meta) {
-                    Ok(bytes) => collect(&bytes),
-                    Err(LoadError::Corrupt(kind)) => Err(kind),
-                    Err(LoadError::Fault(_) | LoadError::Io(_)) => Err(CorruptKind::Unreadable),
-                }
-            }
-        }
-    }
-
-    /// Retention-driven compaction: merge runs of sealed segments whose
-    /// entire user-step range is older than `newest − retain_steps`,
-    /// rewriting the merged payload through the same atomic spill path
-    /// and deleting the input files. Semantics-preserving: queries see
-    /// exactly the same records before and after.
-    pub fn compact(&mut self, retain_steps: u64) -> CompactionReport {
-        let mut report = CompactionReport { bytes_before: self.bytes(), ..Default::default() };
-        let newest = self
-            .open
-            .as_ref()
-            .filter(|s| s.count > 0)
-            .map(|s| s.last_user)
-            .or_else(|| self.sealed.last().map(|s| s.meta.last_user));
-        let Some(newest) = newest else {
-            report.bytes_after = report.bytes_before;
-            return report;
-        };
-        let horizon = newest.saturating_sub(retain_steps);
-        let old_sealed = std::mem::take(&mut self.sealed);
-        let mut out: Vec<SealedSeg> = Vec::new();
-        let mut group: Vec<SealedSeg> = Vec::new();
-        for seg in old_sealed {
-            // Mergeable: wholly behind the horizon, not quarantined,
-            // and monotone with the group so far (a desync-sealed
-            // boundary must not be merged across — gap encoding needs
-            // non-decreasing users).
-            let monotone =
-                group.last().is_none_or(|g: &SealedSeg| g.meta.last_user <= seg.meta.first_user);
-            if seg.meta.last_user < horizon && !self.is_quarantined(seg.id) && monotone {
-                group.push(seg);
-                if group.len() == COMPACT_GROUP {
-                    self.flush_group(std::mem::take(&mut group), &mut out, &mut report);
-                }
-            } else {
-                self.flush_group(std::mem::take(&mut group), &mut out, &mut report);
-                out.push(seg);
-            }
-        }
-        self.flush_group(group, &mut out, &mut report);
-        self.sealed = out;
-        report.bytes_after = self.bytes();
-        report
-    }
-
-    fn flush_group(
-        &mut self,
-        group: Vec<SealedSeg>,
-        out: &mut Vec<SealedSeg>,
-        report: &mut CompactionReport,
-    ) {
-        if group.len() < 2 {
-            out.extend(group);
-            return;
-        }
-        let mut merged = ColdSegment::new();
-        let mut consumed: Vec<&SealedSeg> = Vec::new();
-        for seg in &group {
-            match self.raw_records(seg) {
-                Ok(records) => {
-                    for r in records {
-                        merged.push_raw(r);
-                    }
-                    consumed.push(seg);
-                }
-                Err(kind) => {
-                    // A member that fails the ladder mid-compaction is
-                    // quarantined like any other read; the survivors
-                    // still merge.
-                    self.note_corrupt(seg, kind);
-                }
-            }
-        }
-        if merged.count == 0 {
-            return;
-        }
-        report.groups += 1;
-        report.merged_segments += consumed.len();
-        let meta = merged.meta();
-        let id = self.next_id;
-        self.next_id += 1;
-        let len = merged.bytes.len() as u32;
-        let payload = match self.spill.as_mut() {
-            Some(store) => match store.spill(&meta, &merged.bytes) {
-                Ok(seq) => SegPayload::Disk { seq, len },
-                Err(_) => {
-                    self.runtime.mem_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    SegPayload::Mem(merged.bytes)
-                }
-            },
-            None => SegPayload::Mem(merged.bytes),
-        };
-        // The merged segment is durable; the inputs can go.
-        if let Some(store) = &self.spill {
-            for seg in consumed {
-                if let SegPayload::Disk { seq, .. } = seg.payload {
-                    store.remove(seq);
-                }
-            }
-        }
-        out.push(SealedSeg { id, meta, payload });
-    }
-
     /// Test hook: corrupt a sealed segment's *metadata* in place, to
     /// prove that lying pruning bounds are classified as corruption
     /// rather than silently mis-pruning.
-    #[doc(hidden)]
-    pub fn tamper_sealed_meta(&mut self, idx: usize, f: impl FnOnce(&mut SegMeta)) {
+    #[cfg(test)]
+    fn tamper_sealed_meta(&mut self, idx: usize, f: impl FnOnce(&mut SegMeta)) {
         f(&mut self.sealed[idx].meta);
     }
 
     /// Test hook: flip a byte of a resident sealed payload.
-    #[doc(hidden)]
-    pub fn tamper_sealed_payload(&mut self, idx: usize, byte: usize) {
+    #[cfg(test)]
+    fn tamper_sealed_payload(&mut self, idx: usize, byte: usize) {
         if let SegPayload::Mem(bytes) = &mut self.sealed[idx].payload {
             let n = bytes.len();
             bytes[byte % n] ^= 0x40;
@@ -965,27 +821,50 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
         Some(d)
     }
 
+    /// The one candidate-segment scan behind every lookup: visit the
+    /// decoded form of each segment whose metadata `may_hold` accepts —
+    /// sealed segments oldest-first, then the open tail — until `visit`
+    /// breaks. Quarantined segments are skipped (their loss is on the
+    /// store's ledger); a segment that fails to decode is quarantined
+    /// here.
+    fn scan<B>(
+        &self,
+        may_hold: impl Fn(&SegMeta) -> bool,
+        mut visit: impl FnMut(&DecodedSeg) -> ControlFlow<B>,
+    ) -> Option<B> {
+        for seg in &self.store.sealed {
+            if may_hold(&seg.meta) {
+                if let Some(d) = self.decoded_sealed(seg) {
+                    if let ControlFlow::Break(b) = visit(&d) {
+                        return Some(b);
+                    }
+                }
+            }
+        }
+        if self.store.open.as_ref().is_some_and(|s| may_hold(&s.meta())) {
+            if let Some(d) = self.decoded_open() {
+                if let ControlFlow::Break(b) = visit(&d) {
+                    return Some(b);
+                }
+            }
+        }
+        None
+    }
+
     /// Cold dependences whose user is `step`: `(def, kind)` pairs.
     /// The metadata scan is O(segments) but touches only two `u64`s
     /// per segment; decode happens for candidate segments only.
     pub fn defs(&self, step: u64) -> Vec<(u64, DepKind)> {
         let mut out = Vec::new();
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_user(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(v) = d.defs_of.get(&step) {
-                        out.extend_from_slice(v);
-                    }
-                }
-            }
-        }
-        if self.store.open.as_ref().is_some_and(|s| s.meta().may_have_user(step)) {
-            if let Some(d) = self.decoded_open() {
+        self.scan(
+            |m| m.may_have_user(step),
+            |d| {
                 if let Some(v) = d.defs_of.get(&step) {
                     out.extend_from_slice(v);
                 }
-            }
-        }
+                ControlFlow::<()>::Continue(())
+            },
+        );
         out
     }
 
@@ -995,49 +874,27 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     /// candidate.
     pub fn users(&self, step: u64) -> Vec<(u64, DepKind)> {
         let mut out = Vec::new();
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_def(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(v) = d.users_of.get(&step) {
-                        out.extend_from_slice(v);
-                    }
-                }
-            }
-        }
-        if self.store.open.as_ref().is_some_and(|s| s.meta().may_have_def(step)) {
-            if let Some(d) = self.decoded_open() {
+        self.scan(
+            |m| m.may_have_def(step),
+            |d| {
                 if let Some(v) = d.users_of.get(&step) {
                     out.extend_from_slice(v);
                 }
-            }
-        }
+                ControlFlow::<()>::Continue(())
+            },
+        );
         out
     }
 
     /// Metadata for a step mentioned anywhere in the cold tier.
     pub fn meta_of(&self, step: u64) -> Option<(Addr, StmtId)> {
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_user(step) || seg.meta.may_have_def(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(&m) = d.meta.get(&step) {
-                        return Some(m);
-                    }
-                }
-            }
-        }
-        let open_candidate = self
-            .store
-            .open
-            .as_ref()
-            .is_some_and(|s| s.meta().may_have_user(step) || s.meta().may_have_def(step));
-        if open_candidate {
-            if let Some(d) = self.decoded_open() {
-                if let Some(&m) = d.meta.get(&step) {
-                    return Some(m);
-                }
-            }
-        }
-        None
+        self.scan(
+            |m| m.may_have_user(step) || m.may_have_def(step),
+            |d| match d.meta.get(&step) {
+                Some(&m) => ControlFlow::Break(m),
+                None => ControlFlow::Continue(()),
+            },
+        )
     }
 
     /// Cold steps executed at `addr`, ascending and deduplicated.
@@ -1047,18 +904,13 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     /// hot path.
     pub fn steps_at(&self, addr: Addr) -> Vec<u64> {
         let mut steps = BTreeSet::new();
-        for seg in &self.store.sealed {
-            if let Some(d) = self.decoded_sealed(seg) {
-                if let Some(set) = d.addr_steps.get(&addr) {
-                    steps.extend(set.iter().copied());
-                }
-            }
-        }
-        if let Some(d) = self.decoded_open() {
-            if let Some(set) = d.addr_steps.get(&addr) {
-                steps.extend(set.iter().copied());
-            }
-        }
+        self.scan(
+            |_| true,
+            |d| {
+                steps.extend(d.addr_steps.get(&addr).into_iter().flatten());
+                ControlFlow::<()>::Continue(())
+            },
+        );
         steps.into_iter().collect()
     }
 }
@@ -1205,43 +1057,5 @@ mod tests {
         assert!(view.defs(5).is_empty(), "quarantined segment must answer empty");
         assert_eq!(store.corrupt_segments(), 1);
         assert_eq!(store.verify(), store.missing_step_ranges());
-    }
-
-    #[test]
-    fn compaction_preserves_query_results() {
-        let mut store = ColdStore::new();
-        let n = u64::from(SEGMENT_RECORDS) * 6 + 50;
-        for i in 1..=n {
-            store.append(&rec(i, i / 2, DepKind::MemData));
-        }
-        let before_segs = store.segment_count();
-        let probes: Vec<u64> = vec![1, 7, 1024, 2048, 4000, n - 1, n];
-        let before: Vec<_> = {
-            let view = ColdView::new(&store);
-            probes.iter().map(|&s| (view.defs(s), view.users(s), view.meta_of(s))).collect()
-        };
-        let report = store.compact(0);
-        assert!(report.groups >= 1);
-        assert!(report.merged_segments >= 2);
-        assert!(store.segment_count() < before_segs, "compaction must shrink the segment list");
-        assert_eq!(store.record_count(), n, "no records may be lost");
-        let after: Vec<_> = {
-            let view = ColdView::new(&store);
-            probes.iter().map(|&s| (view.defs(s), view.users(s), view.meta_of(s))).collect()
-        };
-        assert_eq!(before, after, "compaction must be semantics-preserving");
-    }
-
-    #[test]
-    fn compaction_respects_retention() {
-        let mut store = ColdStore::new();
-        let n = u64::from(SEGMENT_RECORDS) * 4;
-        for i in 1..=n {
-            store.append(&rec(i, i.saturating_sub(1), DepKind::RegData));
-        }
-        // Horizon excludes every segment: nothing merges.
-        let report = store.compact(n + 10);
-        assert_eq!(report.groups, 0);
-        assert_eq!(report.merged_segments, 0);
     }
 }

@@ -542,20 +542,6 @@ impl<F: IoFaultPlan> SegmentStore<F> {
         let path = self.seg_path(seq);
         let _ = fs::rename(&path, path.with_extension("seg.quarantine"));
     }
-
-    /// Delete a segment file (compaction: its records were rewritten
-    /// into a merged segment). Best-effort.
-    pub fn remove(&self, seq: u64) {
-        let len = self.file_len(seq);
-        if fs::remove_file(self.seg_path(seq)).is_ok() {
-            // Saturating at zero in effect: len was read from the same
-            // file that was just removed.
-            self.stats
-                .disk_bytes
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| Some(b.saturating_sub(len)))
-                .ok();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub mod ontrac;
 pub mod shadow;
 
 pub use buffer::CircularTraceBuffer;
-pub use cold::{ColdStore, ColdView, CompactionReport, QuarantineEvent, SegMeta};
+pub use cold::{ColdStore, ColdView, QuarantineEvent, SegMeta};
 pub use compact::CompactDdg;
 pub use dep::{DepKind, Dependence, StepMeta};
 pub use durable::{CorruptKind, IoStats, ScrubReport, SegmentStore};

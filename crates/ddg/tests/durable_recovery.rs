@@ -253,42 +253,6 @@ fn memo_capacity_bounds_resident_decodes() {
 }
 
 #[test]
-fn compaction_rewrites_disk_segments_through_the_atomic_path() {
-    let dir = scratch("compaction");
-    let n = S * 6 + 40;
-    let mut store = ColdStore::durable(&dir).unwrap();
-    fill(&mut store, n);
-    store.flush();
-    let files_before = seg_files(&dir, ".seg").len();
-    assert_eq!(files_before, 7);
-    let probes: Vec<u64> = vec![1, S + 3, 3 * S, 5 * S + 1, n];
-    let before: Vec<_> = {
-        let v = ColdView::new(&store);
-        probes.iter().map(|&s| (v.defs(s), v.users(s), v.meta_of(s))).collect()
-    };
-    let report = store.compact(0);
-    assert!(report.groups >= 1);
-    let files_after = seg_files(&dir, ".seg").len();
-    assert!(files_after < files_before, "merged inputs must be deleted");
-    assert!(seg_files(&dir, ".seg.quarantine").is_empty());
-    assert_eq!(store.record_count(), n);
-    let after: Vec<_> = {
-        let v = ColdView::new(&store);
-        probes.iter().map(|&s| (v.defs(s), v.users(s), v.meta_of(s))).collect()
-    };
-    assert_eq!(before, after, "compaction must preserve query semantics");
-    // And the rewritten state survives a restart.
-    drop(store);
-    let (reopened, report) = ColdStore::reopen(&dir).unwrap();
-    assert!(report.quarantined.is_empty());
-    assert_eq!(reopened.record_count(), n);
-    let rv = ColdView::new(&reopened);
-    let reopened_probes: Vec<_> =
-        probes.iter().map(|&s| (rv.defs(s), rv.users(s), rv.meta_of(s))).collect();
-    assert_eq!(before, reopened_probes);
-}
-
-#[test]
 fn durable_or_memory_degrades_when_the_path_is_unusable() {
     // A file where the directory should be: creation fails, the store
     // degrades to memory instead of failing the run.

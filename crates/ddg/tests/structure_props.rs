@@ -1,11 +1,15 @@
 //! Property tests on the dependence-graph structures.
 
 use dift_ddg::buffer::{record, varint_len, BufRecord, CircularTraceBuffer};
+use dift_ddg::cold::SEGMENT_RECORDS;
 use dift_ddg::index::CHUNK_STEPS;
-use dift_ddg::{CompactDdg, DdgGraph, DepKind, Dependence, IndexData, SliceIndex, StepMeta};
+use dift_ddg::{
+    ColdStore, ColdView, CompactDdg, DdgGraph, DepKind, Dependence, IndexData, SliceIndex, StepMeta,
+};
 use dift_isa::{Addr, Program, ProgramBuilder};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 
 fn kind(i: u8) -> DepKind {
     match i % 3 {
@@ -67,6 +71,92 @@ fn assert_index_is_window(
         let got: Vec<u64> = idx.steps_at(addr).collect();
         assert!(got.windows(2).all(|w| w[0] < w[1]), "{ctx}: steps_at({addr}) ascending");
         assert_eq!(got, g.steps_at_addr(addr), "{ctx}: steps_at({addr})");
+    }
+}
+
+/// Every cold-tier lookup must equal a rebuild over the records the
+/// store was fed: adjacency (as sets) and metadata for every step in
+/// `0..=last`, mentioned or not, and `steps_at` for every address.
+fn assert_cold_is_records(store: &ColdStore, g: &DdgGraph, last: u64, ctx: &str) {
+    let view = ColdView::new(store);
+    for step in 0..=last {
+        let want = sorted_dedup(g.defs_of(step).iter().map(|d| (d.def, d.kind)).collect());
+        assert_eq!(sorted_dedup(view.defs(step)), want, "{ctx}: defs({step})");
+        let want = sorted_dedup(g.users_of(step).map(|d| (d.user, d.kind)).collect());
+        assert_eq!(sorted_dedup(view.users(step)), want, "{ctx}: users({step})");
+        let want = g.meta(step).map(|m| (m.addr, m.stmt));
+        assert_eq!(view.meta_of(step), want, "{ctx}: meta_of({step})");
+    }
+    for addr in 0..INDEX_ADDRS as Addr {
+        assert_eq!(view.steps_at(addr), g.steps_at_addr(addr), "{ctx}: steps_at({addr})");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The cold tier answers exactly what a rebuild over its records
+    /// answers, from memory (with an unsealed open tail) and after a
+    /// durable flush and reopen. Streams span several segments and mix
+    /// near defs, defs several segments back and far-back defs at the
+    /// start of the run (which pull every later segment's `min_def`
+    /// down), plus one non-monotone user step, which seals a segment
+    /// early.
+    #[test]
+    fn cold_view_matches_record_rebuild(
+        stream in proptest::collection::vec(
+            (1u64..4, 0u8..8, 1u64..40, 0u8..3),
+            2 * SEGMENT_RECORDS as usize..4 * SEGMENT_RECORDS as usize,
+        ),
+        desync_pick in 0usize..4096,
+        back in 1u64..600,
+    ) {
+        let desync_at = desync_pick % stream.len();
+        let mut records = Vec::with_capacity(stream.len() + 1);
+        let mut user = 0u64;
+        for (i, &(gap, reach, near, k)) in stream.iter().enumerate() {
+            user += gap;
+            let def = match reach {
+                0 => near.min(user - 1),
+                1 => user.saturating_sub(near * 64),
+                _ => user.saturating_sub(near),
+            };
+            records.push(index_record(user, def, k));
+            if i == desync_at {
+                let stale = user.saturating_sub(back).max(1);
+                records.push(index_record(stale, stale - 1, k));
+            }
+        }
+        let mut mem = ColdStore::new();
+        for r in &records {
+            mem.append(r);
+        }
+        if mem.segment_count() == mem.segment_metas().len() {
+            // The stream filled its last segment exactly: one more
+            // record leaves an unsealed open tail.
+            user += 1;
+            let r = index_record(user, user - 1, 0);
+            mem.append(&r);
+            records.push(r);
+        }
+        prop_assert_eq!(mem.segment_count(), mem.segment_metas().len() + 1);
+        prop_assert!(mem.segment_metas().len() >= 2, "the stream spans several segments");
+        let g = DdgGraph::from_records(records.iter(), &empty_program());
+        assert_cold_is_records(&mem, &g, user + 1, "memory");
+
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("structure_props_cold");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut durable = ColdStore::durable(&dir).expect("target tmp dir is writable");
+        for r in &records {
+            durable.append(r);
+        }
+        durable.flush();
+        drop(durable);
+        let (reopened, scrub) = ColdStore::reopen(&dir).expect("reopen");
+        prop_assert!(scrub.quarantined.is_empty());
+        prop_assert_eq!(reopened.record_count(), records.len() as u64);
+        assert_cold_is_records(&reopened, &g, user + 1, "reopened");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -24,13 +24,17 @@
 //!   forward slice of suspicious inputs with the backward slice of the
 //!   failure.
 //! * [`service`] — demand-driven slice queries over the **live** ONTRAC
-//!   window: [`SliceService`] answers single and batched queries from an
-//!   immutable snapshot of the tracer's incrementally-maintained
-//!   [`SliceIndex`](dift_ddg::SliceIndex), walking only the edges a
-//!   slice visits instead of rebuilding a whole-window graph per query.
-//!   With the tracer's cold tier on, [`StitchedSource`] chains the live
-//!   snapshot with the compressed store of evicted records so queries
-//!   span the whole execution, not just the surviving window.
+//!   window: a [`SliceQuery`] names one request, and [`SliceService`]
+//!   answers it from an immutable snapshot of the tracer's
+//!   incrementally-maintained [`SliceIndex`](dift_ddg::SliceIndex),
+//!   walking only the edges a slice visits instead of rebuilding a
+//!   whole-window graph per query. [`SliceService::query`] answers over
+//!   the live window, [`SliceService::batch`] answers many over one
+//!   snapshot, and, with the tracer's cold tier on,
+//!   [`SliceService::query_stitched`] chains the live snapshot with the
+//!   compressed store of evicted records so a query spans the whole
+//!   execution and always reports whether quarantined history limited
+//!   it ([`StitchedOutcome`]).
 
 pub mod chop;
 pub mod implicit;
@@ -44,9 +48,8 @@ pub use implicit::{locate_omission_error, switch_predicate, OmissionReport, Swit
 pub use prune::{prune_with_confidence, ConfidenceReport};
 pub use relevant::{potential_dependences, relevant_slice, PotentialDep};
 pub use service::{
-    backward_from_addr_over, backward_from_addr_stitched, backward_from_addr_stitched_checked,
-    backward_over, backward_stitched, backward_stitched_checked, batch_via_rebuild, forward_over,
-    forward_stitched, forward_stitched_checked, DepSource, SliceQuery, SliceService,
-    StitchedOutcome, StitchedSource,
+    backward_from_addr_over, backward_from_addr_stitched_checked, backward_over,
+    backward_stitched_checked, batch_via_rebuild, forward_over, forward_stitched_checked,
+    DepSource, SliceQuery, SliceService, StitchedOutcome,
 };
 pub use slicer::{KindMask, Slice, Slicer};

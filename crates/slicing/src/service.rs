@@ -12,16 +12,21 @@
 //!
 //! * [`DepSource`] abstracts "something slices can walk": the rebuilt
 //!   [`DdgGraph`], the live [`SliceIndex`], and frozen
-//!   [`SliceSnapshot`]s all implement it, and the walk functions
-//!   ([`backward_over`], [`forward_over`]) are the single traversal
-//!   implementation shared by every path — which is what makes the
-//!   bit-identical guarantee structural rather than coincidental
-//!   (slices are step *sets*; edge iteration order cannot matter).
-//! * [`SliceService`] owns an immutable snapshot and answers single or
-//!   batched queries. Snapshots are generation-stamped: `refresh` is
-//!   free when the window has not moved, and [`SliceService::snapshot`]
-//!   hands the same frozen window to any number of reader threads while
-//!   tracing continues.
+//!   [`SliceSnapshot`]s all implement it. The walks ([`backward_over`],
+//!   [`forward_over`], [`backward_from_addr_over`]) are the single
+//!   traversal shared by every path, which makes the bit-identical
+//!   guarantee structural rather than coincidental (slices are step
+//!   *sets*; edge iteration order cannot matter).
+//! * [`SliceQuery`] names one request, and [`SliceQuery::over`] is the
+//!   one dispatch from a request to a walk.
+//! * [`SliceService`] owns an immutable snapshot and answers through
+//!   three methods: [`query`](SliceService::query) over the live
+//!   window, [`query_stitched`](SliceService::query_stitched) over the
+//!   live window plus the cold tier, and [`batch`](SliceService::batch),
+//!   a map of `query` over one snapshot. Snapshots are
+//!   generation-stamped: `refresh` is free when the window has not
+//!   moved, and [`SliceService::snapshot`] hands the same frozen window
+//!   to any number of reader threads while tracing continues.
 //!
 //! The differential proptest (`tests/service_diff.rs`) holds every
 //! query path bit-identical to [`Slicer`] over
@@ -31,20 +36,21 @@
 //! # Stitched queries across the eviction horizon
 //!
 //! With the tracer's cold tier on (`OnTracConfig::cold_tier`), evicted
-//! records survive in a compressed [`ColdStore`], and
-//! [`StitchedSource`] presents the live snapshot and the cold tier as
-//! one [`DepSource`]: adjacency is the live iterator chained with the
-//! cold tier's decoded records. Because every record is in exactly one
-//! tier (the budget decides *when* a record is evicted, never whether
-//! it exists), the stitched source describes the full never-evicted
-//! trace, and the same shared walk functions make stitched slices
-//! bit-identical to the offline [`Slicer`] over that full trace — the
-//! window budget is a cache size, not a correctness limit. The
-//! stitched proptest in `tests/service_diff.rs` holds exactly that.
+//! records survive in a compressed [`ColdStore`]. A stitched query walks
+//! the live snapshot and the cold tier as one [`DepSource`]: adjacency
+//! is the live iterator chained with the cold tier's decoded records.
+//! Because every record is in exactly one tier (the budget decides
+//! *when* a record is evicted, never whether it exists), the stitched
+//! source describes the full never-evicted trace, and the same shared
+//! walks make stitched slices bit-identical to the offline [`Slicer`]
+//! over that full trace — the window budget is a cache size, not a
+//! correctness limit. Every stitched answer carries the cold store's
+//! integrity verdict ([`StitchedOutcome`]); the stitched proptest in
+//! `tests/service_diff.rs` holds that every answer is `Full` and exact.
 
 use crate::slicer::{KindMask, Slice, Slicer};
 use dift_ddg::cold::{ColdStore, ColdView};
-use dift_ddg::iofault::{IoFaultPlan, NoopIoFaults};
+use dift_ddg::iofault::IoFaultPlan;
 use dift_ddg::{DdgGraph, DepKind, SliceIndex, SliceSnapshot};
 use dift_isa::Addr;
 use dift_obs::{Metric, NoopRecorder, Recorder};
@@ -124,6 +130,8 @@ fn collect_over<S: DepSource + ?Sized>(src: &S, steps: BTreeSet<u64>) -> Slice {
 
 /// Backward dynamic slice over any [`DepSource`]: every step the
 /// criterion steps (transitively) depend on, criterion included.
+/// Public so a caller holding a bare criterion walks without building
+/// a [`SliceQuery`] (the pipeline benchmark times exactly this call).
 pub fn backward_over<S: DepSource + ?Sized>(src: &S, criterion: &[u64], mask: KindMask) -> Slice {
     let mut seen: BTreeSet<u64> = BTreeSet::new();
     let mut work: Vec<u64> = criterion.to_vec();
@@ -142,6 +150,7 @@ pub fn backward_over<S: DepSource + ?Sized>(src: &S, criterion: &[u64], mask: Ki
 
 /// Forward dynamic slice over any [`DepSource`]: every step
 /// (transitively) affected by the criterion steps, criterion included.
+/// Public for the same reason as [`backward_over`].
 pub fn forward_over<S: DepSource + ?Sized>(src: &S, criterion: &[u64], mask: KindMask) -> Slice {
     let mut seen: BTreeSet<u64> = BTreeSet::new();
     let mut work: Vec<u64> = criterion.to_vec();
@@ -159,7 +168,8 @@ pub fn forward_over<S: DepSource + ?Sized>(src: &S, criterion: &[u64], mask: Kin
 }
 
 /// Backward slice seeded with every dynamic instance of a program
-/// address, over any [`DepSource`].
+/// address, over any [`DepSource`]. Public for the same reason as
+/// [`backward_over`].
 pub fn backward_from_addr_over<S: DepSource + ?Sized>(
     src: &S,
     addr: Addr,
@@ -176,16 +186,16 @@ pub fn backward_from_addr_over<S: DepSource + ?Sized>(
 /// Every record is in exactly one tier, so chaining the two adjacency
 /// sets loses nothing and duplicates nothing that matters (slices are
 /// step *sets*; a duplicate edge re-proposes a step the walk's `seen`
-/// set already absorbed). The [`ColdView`] inside memoizes segment
-/// decoding for the source's lifetime — create one source per query
-/// batch.
-pub struct StitchedSource<'a, F: IoFaultPlan = NoopIoFaults> {
+/// set already absorbed). The [`ColdView`] inside memoizes the open
+/// segment's decoding for the source's lifetime, so one source serves
+/// one query.
+pub(crate) struct StitchedSource<'a, F: IoFaultPlan> {
     live: &'a SliceSnapshot,
     cold: ColdView<'a, F>,
 }
 
 impl<'a, F: IoFaultPlan> StitchedSource<'a, F> {
-    pub fn new(live: &'a SliceSnapshot, cold: &'a ColdStore<F>) -> StitchedSource<'a, F> {
+    pub(crate) fn new(live: &'a SliceSnapshot, cold: &'a ColdStore<F>) -> StitchedSource<'a, F> {
         StitchedSource { live, cold: ColdView::new(cold) }
     }
 }
@@ -212,38 +222,8 @@ impl<F: IoFaultPlan> DepSource for StitchedSource<'_, F> {
     }
 }
 
-/// Backward slice over the stitched live + cold history.
-pub fn backward_stitched<F: IoFaultPlan>(
-    live: &SliceSnapshot,
-    cold: &ColdStore<F>,
-    criterion: &[u64],
-    mask: KindMask,
-) -> Slice {
-    backward_over(&StitchedSource::new(live, cold), criterion, mask)
-}
-
-/// Forward slice over the stitched live + cold history.
-pub fn forward_stitched<F: IoFaultPlan>(
-    live: &SliceSnapshot,
-    cold: &ColdStore<F>,
-    criterion: &[u64],
-    mask: KindMask,
-) -> Slice {
-    forward_over(&StitchedSource::new(live, cold), criterion, mask)
-}
-
-/// Backward slice seeded with every dynamic instance of `addr` across
-/// the whole stitched history.
-pub fn backward_from_addr_stitched<F: IoFaultPlan>(
-    live: &SliceSnapshot,
-    cold: &ColdStore<F>,
-    addr: Addr,
-    mask: KindMask,
-) -> Slice {
-    backward_from_addr_over(&StitchedSource::new(live, cold), addr, mask)
-}
-
-/// The result of an integrity-checked stitched query.
+/// The result of a stitched query: the slice plus the integrity
+/// verdict.
 ///
 /// Cold-tier segments that fail the durable recovery ladder (CRC,
 /// metadata validation — see `dift_ddg::durable`) are quarantined, not
@@ -261,7 +241,10 @@ pub enum StitchedOutcome {
 }
 
 impl StitchedOutcome {
-    fn from_parts(slice: Slice, missing: Vec<(u64, u64)>) -> StitchedOutcome {
+    /// The walk has run; the cold store's quarantine ledger says
+    /// whether any of the history it needed was lost.
+    fn checked<F: IoFaultPlan>(slice: Slice, cold: &ColdStore<F>) -> StitchedOutcome {
+        let missing = cold.missing_step_ranges();
         if missing.is_empty() {
             StitchedOutcome::Full(slice)
         } else {
@@ -299,39 +282,43 @@ impl StitchedOutcome {
     }
 }
 
-/// [`backward_stitched`] with an integrity verdict: the walk runs over
-/// the surviving history, then the cold store's quarantine ledger says
-/// whether any of it was lost.
+/// [`backward_over`] across the live window and the cold tier, with the
+/// integrity verdict. Public so a caller holding a bare criterion skips
+/// building a [`SliceQuery`] (the pipeline benchmark times this call).
 pub fn backward_stitched_checked<F: IoFaultPlan>(
     live: &SliceSnapshot,
     cold: &ColdStore<F>,
     criterion: &[u64],
     mask: KindMask,
 ) -> StitchedOutcome {
-    let slice = backward_stitched(live, cold, criterion, mask);
-    StitchedOutcome::from_parts(slice, cold.missing_step_ranges())
+    let slice = backward_over(&StitchedSource::new(live, cold), criterion, mask);
+    StitchedOutcome::checked(slice, cold)
 }
 
-/// [`forward_stitched`] with an integrity verdict.
+/// [`forward_over`] across the live window and the cold tier, with the
+/// integrity verdict. Public for the same reason as
+/// [`backward_stitched_checked`].
 pub fn forward_stitched_checked<F: IoFaultPlan>(
     live: &SliceSnapshot,
     cold: &ColdStore<F>,
     criterion: &[u64],
     mask: KindMask,
 ) -> StitchedOutcome {
-    let slice = forward_stitched(live, cold, criterion, mask);
-    StitchedOutcome::from_parts(slice, cold.missing_step_ranges())
+    let slice = forward_over(&StitchedSource::new(live, cold), criterion, mask);
+    StitchedOutcome::checked(slice, cold)
 }
 
-/// [`backward_from_addr_stitched`] with an integrity verdict.
+/// [`backward_from_addr_over`] across the live window and the cold
+/// tier, with the integrity verdict. Public for the same reason as
+/// [`backward_stitched_checked`].
 pub fn backward_from_addr_stitched_checked<F: IoFaultPlan>(
     live: &SliceSnapshot,
     cold: &ColdStore<F>,
     addr: Addr,
     mask: KindMask,
 ) -> StitchedOutcome {
-    let slice = backward_from_addr_stitched(live, cold, addr, mask);
-    StitchedOutcome::from_parts(slice, cold.missing_step_ranges())
+    let slice = backward_from_addr_over(&StitchedSource::new(live, cold), addr, mask);
+    StitchedOutcome::checked(slice, cold)
 }
 
 /// One slice request; a batch of these shares a single snapshot.
@@ -340,6 +327,20 @@ pub enum SliceQuery {
     Backward { criterion: Vec<u64>, mask: KindMask },
     Forward { criterion: Vec<u64>, mask: KindMask },
     BackwardFromAddr { addr: Addr, mask: KindMask },
+}
+
+impl SliceQuery {
+    /// Answer this request over any [`DepSource`] — the one dispatch
+    /// from a request to a walk that every service path goes through.
+    pub fn over<S: DepSource + ?Sized>(&self, src: &S) -> Slice {
+        match self {
+            SliceQuery::Backward { criterion, mask } => backward_over(src, criterion, *mask),
+            SliceQuery::Forward { criterion, mask } => forward_over(src, criterion, *mask),
+            SliceQuery::BackwardFromAddr { addr, mask } => {
+                backward_from_addr_over(src, *addr, *mask)
+            }
+        }
+    }
 }
 
 /// A query service over one frozen window, generic over an
@@ -417,130 +418,39 @@ impl<R: Recorder> SliceService<R> {
         }
     }
 
-    /// Backward slice from explicit criterion steps.
-    pub fn backward(&mut self, criterion: &[u64], mask: KindMask) -> Slice {
-        let s = backward_over(&self.snap, criterion, mask);
+    /// Answer one request over the frozen live window.
+    pub fn query(&mut self, q: &SliceQuery) -> Slice {
+        let s = q.over(&self.snap);
         self.note(&s);
         s
     }
 
-    /// Forward slice from explicit criterion steps.
-    pub fn forward(&mut self, criterion: &[u64], mask: KindMask) -> Slice {
-        let s = forward_over(&self.snap, criterion, mask);
-        self.note(&s);
-        s
-    }
-
-    /// Backward slice seeded with every dynamic instance of `addr`.
-    pub fn backward_from_addr(&mut self, addr: Addr, mask: KindMask) -> Slice {
-        let s = backward_from_addr_over(&self.snap, addr, mask);
-        self.note(&s);
-        s
-    }
-
-    /// Backward slice across the whole execution: live window stitched
-    /// with the tracer's cold tier.
-    pub fn backward_stitched<F: IoFaultPlan>(
+    /// Answer one request across the whole execution — the live window
+    /// stitched with the tracer's cold tier — with the integrity
+    /// verdict. Counted on `slicing/service/cold_queries`; a degraded
+    /// answer also bumps `slicing/service/degraded_queries`.
+    pub fn query_stitched<F: IoFaultPlan>(
         &mut self,
         cold: &ColdStore<F>,
-        criterion: &[u64],
-        mask: KindMask,
-    ) -> Slice {
-        let s = backward_stitched(&self.snap, cold, criterion, mask);
-        self.note_stitched(&s);
-        s
-    }
-
-    /// Forward slice across the whole execution.
-    pub fn forward_stitched<F: IoFaultPlan>(
-        &mut self,
-        cold: &ColdStore<F>,
-        criterion: &[u64],
-        mask: KindMask,
-    ) -> Slice {
-        let s = forward_stitched(&self.snap, cold, criterion, mask);
-        self.note_stitched(&s);
-        s
-    }
-
-    /// Backward slice from every (live or evicted) instance of `addr`.
-    pub fn backward_from_addr_stitched<F: IoFaultPlan>(
-        &mut self,
-        cold: &ColdStore<F>,
-        addr: Addr,
-        mask: KindMask,
-    ) -> Slice {
-        let s = backward_from_addr_stitched(&self.snap, cold, addr, mask);
-        self.note_stitched(&s);
-        s
-    }
-
-    /// [`Self::backward_stitched`] with an integrity verdict; degraded
-    /// answers bump `slicing/service/degraded_queries`.
-    pub fn backward_stitched_checked<F: IoFaultPlan>(
-        &mut self,
-        cold: &ColdStore<F>,
-        criterion: &[u64],
-        mask: KindMask,
+        q: &SliceQuery,
     ) -> StitchedOutcome {
-        let out = backward_stitched_checked(&self.snap, cold, criterion, mask);
-        self.note_outcome(&out);
-        out
-    }
-
-    /// [`Self::forward_stitched`] with an integrity verdict.
-    pub fn forward_stitched_checked<F: IoFaultPlan>(
-        &mut self,
-        cold: &ColdStore<F>,
-        criterion: &[u64],
-        mask: KindMask,
-    ) -> StitchedOutcome {
-        let out = forward_stitched_checked(&self.snap, cold, criterion, mask);
-        self.note_outcome(&out);
-        out
-    }
-
-    /// [`Self::backward_from_addr_stitched`] with an integrity verdict.
-    pub fn backward_from_addr_stitched_checked<F: IoFaultPlan>(
-        &mut self,
-        cold: &ColdStore<F>,
-        addr: Addr,
-        mask: KindMask,
-    ) -> StitchedOutcome {
-        let out = backward_from_addr_stitched_checked(&self.snap, cold, addr, mask);
-        self.note_outcome(&out);
-        out
-    }
-
-    fn note_stitched(&mut self, s: &Slice) {
+        let out = StitchedOutcome::checked(q.over(&StitchedSource::new(&self.snap, cold)), cold);
         if R::ENABLED {
             self.obs.add(Metric::SlColdQueries, 1);
+            if out.is_degraded() {
+                self.obs.add(Metric::SlDegraded, 1);
+            }
         }
-        self.note(s);
+        self.note(out.slice());
+        out
     }
 
-    fn note_outcome(&mut self, out: &StitchedOutcome) {
-        if R::ENABLED && out.is_degraded() {
-            self.obs.add(Metric::SlDegraded, 1);
-        }
-        self.note_stitched(out.slice());
-    }
-
-    /// Answer a batch of queries against one consistent window.
+    /// Answer a batch of requests against one consistent window.
     pub fn batch(&mut self, queries: &[SliceQuery]) -> Vec<Slice> {
         if R::ENABLED {
             self.obs.add(Metric::SlBatches, 1);
         }
-        queries
-            .iter()
-            .map(|q| match q {
-                SliceQuery::Backward { criterion, mask } => self.backward(criterion, *mask),
-                SliceQuery::Forward { criterion, mask } => self.forward(criterion, *mask),
-                SliceQuery::BackwardFromAddr { addr, mask } => {
-                    self.backward_from_addr(*addr, *mask)
-                }
-            })
-            .collect()
+        queries.iter().map(|q| self.query(q)).collect()
     }
 }
 
@@ -586,18 +496,22 @@ mod tests {
         (buf, idx)
     }
 
+    fn bwd(criterion: &[u64], mask: KindMask) -> SliceQuery {
+        SliceQuery::Backward { criterion: criterion.to_vec(), mask }
+    }
+
     #[test]
     fn service_matches_slicer_semantics() {
         let (_, idx) = index();
         let mut svc = SliceService::new(&idx);
-        let b = svc.backward(&[5], KindMask::classic());
+        let b = svc.query(&bwd(&[5], KindMask::classic()));
         assert_eq!(b.steps, [1, 2, 3, 4, 5].into_iter().collect());
         assert!(b.contains_addr(9));
-        let f = svc.forward(&[1], KindMask::classic());
+        let f = svc.query(&SliceQuery::Forward { criterion: vec![1], mask: KindMask::classic() });
         assert_eq!(f.steps, [1, 3, 5].into_iter().collect());
-        let war = svc.backward(&[6], KindMask::multithreaded());
+        let war = svc.query(&bwd(&[6], KindMask::multithreaded()));
         assert!(war.contains_step(1));
-        let a = svc.backward_from_addr(9, KindMask::data_only());
+        let a = svc.query(&SliceQuery::BackwardFromAddr { addr: 9, mask: KindMask::data_only() });
         assert_eq!(a.steps, [1, 2, 3, 5, 6].into_iter().collect());
     }
 
@@ -611,11 +525,7 @@ mod tests {
         ];
         let mut svc = SliceService::new(&idx);
         let batched = svc.batch(&queries);
-        let singles = vec![
-            svc.backward(&[5], KindMask::classic()),
-            svc.forward(&[2], KindMask::data_only()),
-            svc.backward_from_addr(9, KindMask::multithreaded()),
-        ];
+        let singles: Vec<Slice> = queries.iter().map(|q| svc.query(q)).collect();
         assert_eq!(batched, singles);
     }
 
@@ -629,13 +539,13 @@ mod tests {
         let r = record(8, 6, DepKind::RegData, 9, 9, 8, 6);
         idx.on_push(&r);
         buf.push_with(r, |e| idx.on_evict(e));
-        assert!(svc.backward(&[8], KindMask::classic()).steps.len() == 1, "stale window");
+        assert!(svc.query(&bwd(&[8], KindMask::classic())).steps.len() == 1, "stale window");
         svc.refresh(&idx);
         assert_ne!(svc.generation(), gen0);
         // 8 <- 6 (reg), then the WAR edge 6 <- 5 stops a classic walk.
-        let b = svc.backward(&[8], KindMask::classic());
+        let b = svc.query(&bwd(&[8], KindMask::classic()));
         assert_eq!(b.steps, [6, 8].into_iter().collect::<BTreeSet<_>>());
-        let mt = svc.backward(&[8], KindMask::multithreaded());
+        let mt = svc.query(&bwd(&[8], KindMask::multithreaded()));
         assert_eq!(mt.steps, [1, 2, 3, 4, 5, 6, 8].into_iter().collect::<BTreeSet<_>>());
     }
 
@@ -648,7 +558,7 @@ mod tests {
                 let snap = svc.snapshot();
                 std::thread::spawn(move || {
                     let mut s = SliceService::from_snapshot(snap);
-                    s.backward(&[5], KindMask::classic()).steps
+                    s.query(&bwd(&[5], KindMask::classic())).steps
                 })
             })
             .collect();

@@ -31,7 +31,7 @@ use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_obs::{Metric, StatsRecorder};
 use dift_slicing::{
     backward_from_addr_stitched_checked, backward_stitched_checked, forward_stitched_checked,
-    KindMask, Slice, SliceService, Slicer, StitchedOutcome,
+    KindMask, Slice, SliceQuery, SliceService, Slicer, StitchedOutcome,
 };
 use dift_vm::{Machine, MachineConfig};
 use proptest::prelude::*;
@@ -407,8 +407,8 @@ fn permanent_faults_degrade_with_exact_missing_ranges() {
     }
 }
 
-/// The `SliceService` wrappers surface degradation the same way and
-/// count it on the `slicing/service/degraded_queries` counter.
+/// `SliceService::query_stitched` surfaces degradation the same way and
+/// counts it on the `slicing/service/degraded_queries` counter.
 #[test]
 fn service_counts_degraded_queries() {
     let p = pinned_program();
@@ -419,14 +419,17 @@ fn service_counts_degraded_queries() {
     assert_eq!(missing.len(), 1);
 
     let mut svc = SliceService::with_recorder(&idx, StatsRecorder::new());
-    let out = svc.backward_stitched_checked(&cold, &[u64::MAX], KindMask::classic());
+    let q = SliceQuery::Backward { criterion: vec![u64::MAX], mask: KindMask::classic() };
+    let out = svc.query_stitched(&cold, &q);
     assert!(out.is_degraded());
     assert_eq!(out.missing_step_ranges(), missing.as_slice());
     assert_eq!(svc.obs.get(Metric::SlDegraded), 1, "degraded query must be counted");
-    let out = svc.forward_stitched_checked(&cold, &[], KindMask::classic());
+    let q = SliceQuery::Forward { criterion: vec![], mask: KindMask::classic() };
+    let out = svc.query_stitched(&cold, &q);
     assert_eq!(out.missing_step_ranges(), missing.as_slice());
     assert_eq!(svc.obs.get(Metric::SlDegraded), 2);
-    let out = svc.backward_from_addr_stitched_checked(&cold, 0, KindMask::data_only());
+    let q = SliceQuery::BackwardFromAddr { addr: 0, mask: KindMask::data_only() };
+    let out = svc.query_stitched(&cold, &q);
     assert!(out.is_degraded());
     assert_eq!(svc.obs.get(Metric::SlDegraded), 3);
 }

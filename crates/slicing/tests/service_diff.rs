@@ -16,8 +16,9 @@ use dift_ddg::{CircularTraceBuffer, DdgGraph, DepKind, OnTrac, OnTracConfig, Sli
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_obs::{Metric, StatsRecorder};
 use dift_slicing::{
-    backward_from_addr_over, backward_from_addr_stitched, backward_over, backward_stitched,
-    batch_via_rebuild, forward_over, forward_stitched, KindMask, SliceQuery, SliceService, Slicer,
+    backward_from_addr_over, backward_from_addr_stitched_checked, backward_over,
+    backward_stitched_checked, batch_via_rebuild, forward_over, forward_stitched_checked, KindMask,
+    SliceQuery, SliceService, Slicer, StitchedOutcome,
 };
 use dift_vm::{Machine, MachineConfig};
 use proptest::prelude::*;
@@ -126,10 +127,12 @@ fn assert_paths_agree(tracer: &OnTrac, p: &Arc<Program>, budget: usize) {
             let ctx = format!("budget={budget} mask={name} crit={crit:?}");
             let want_b = slicer.backward(crit, mask);
             assert_eq!(backward_over(idx, crit, mask), want_b, "live backward: {ctx}");
-            assert_eq!(svc.backward(crit, mask), want_b, "service backward: {ctx}");
+            let q = SliceQuery::Backward { criterion: crit.clone(), mask };
+            assert_eq!(svc.query(&q), want_b, "service backward: {ctx}");
             let want_f = slicer.forward(crit, mask);
             assert_eq!(forward_over(idx, crit, mask), want_f, "live forward: {ctx}");
-            assert_eq!(svc.forward(crit, mask), want_f, "service forward: {ctx}");
+            let q = SliceQuery::Forward { criterion: crit.clone(), mask };
+            assert_eq!(svc.query(&q), want_f, "service forward: {ctx}");
         }
         for &addr in &addrs {
             let want = slicer.backward_from_addr(addr, mask);
@@ -139,7 +142,7 @@ fn assert_paths_agree(tracer: &OnTrac, p: &Arc<Program>, budget: usize) {
                 "live from_addr: budget={budget} mask={name} addr={addr}"
             );
             assert_eq!(
-                svc.backward_from_addr(addr, mask),
+                svc.query(&SliceQuery::BackwardFromAddr { addr, mask }),
                 want,
                 "service from_addr: budget={budget} mask={name} addr={addr}"
             );
@@ -247,28 +250,33 @@ fn assert_stitched_matches_full_trace(p: &Arc<Program>, budget: usize) {
     ];
     let addrs: Vec<u32> = (0..p.len() as u32).chain([999_999]).collect();
 
+    // A healthy cold tier: every stitched answer must come back `Full`.
     let mut svc = SliceService::from_snapshot(snap.clone());
     for (name, mask) in MASKS {
         let mask = mask();
         for crit in &crit_sets {
             let ctx = format!("budget={budget} mask={name} crit={crit:?}");
-            let want_b = slicer.backward(crit, mask);
-            assert_eq!(backward_stitched(&snap, cold, crit, mask), want_b, "stitched bwd: {ctx}");
-            assert_eq!(svc.backward_stitched(cold, crit, mask), want_b, "svc stitched bwd: {ctx}");
-            let want_f = slicer.forward(crit, mask);
-            assert_eq!(forward_stitched(&snap, cold, crit, mask), want_f, "stitched fwd: {ctx}");
-            assert_eq!(svc.forward_stitched(cold, crit, mask), want_f, "svc stitched fwd: {ctx}");
+            let want_b = StitchedOutcome::Full(slicer.backward(crit, mask));
+            let got = backward_stitched_checked(&snap, cold, crit, mask);
+            assert_eq!(got, want_b, "stitched bwd: {ctx}");
+            let q = SliceQuery::Backward { criterion: crit.clone(), mask };
+            assert_eq!(svc.query_stitched(cold, &q), want_b, "svc stitched bwd: {ctx}");
+            let want_f = StitchedOutcome::Full(slicer.forward(crit, mask));
+            let got = forward_stitched_checked(&snap, cold, crit, mask);
+            assert_eq!(got, want_f, "stitched fwd: {ctx}");
+            let q = SliceQuery::Forward { criterion: crit.clone(), mask };
+            assert_eq!(svc.query_stitched(cold, &q), want_f, "svc stitched fwd: {ctx}");
         }
         for &addr in &addrs {
             let ctx = format!("budget={budget} mask={name} addr={addr}");
-            let want = slicer.backward_from_addr(addr, mask);
+            let want = StitchedOutcome::Full(slicer.backward_from_addr(addr, mask));
             assert_eq!(
-                backward_from_addr_stitched(&snap, cold, addr, mask),
+                backward_from_addr_stitched_checked(&snap, cold, addr, mask),
                 want,
                 "stitched from_addr: {ctx}"
             );
             assert_eq!(
-                svc.backward_from_addr_stitched(cold, addr, mask),
+                svc.query_stitched(cold, &SliceQuery::BackwardFromAddr { addr, mask }),
                 want,
                 "svc stitched from_addr: {ctx}"
             );
@@ -339,7 +347,7 @@ fn refresh_with_unmoved_generation_copies_no_chunks() {
     assert_eq!(svc.obs.get(Metric::SlChunkCopies), 0, "unmoved generation must copy nothing");
 
     // Queries are reads; they never force copy-on-write either.
-    svc.backward(&[200], KindMask::classic());
+    svc.query(&SliceQuery::Backward { criterion: vec![200], mask: KindMask::classic() });
     svc.refresh(&idx);
     assert_eq!(svc.obs.get(Metric::SlChunkCopies), 0);
 

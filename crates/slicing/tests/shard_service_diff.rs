@@ -14,7 +14,7 @@ use dift_dbi::{Engine, Tool};
 use dift_ddg::{OnTrac, OnTracConfig, SliceIndex};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_multicore::{shard_lineage_stream, LineageShardConfig};
-use dift_slicing::{KindMask, SliceService};
+use dift_slicing::{KindMask, SliceQuery, SliceService};
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -122,23 +122,14 @@ fn assert_service_agrees(sharded: &SliceIndex, serial: &SliceIndex, p: &Arc<Prog
     let mut want = SliceService::new(serial);
     for mask in [KindMask::classic(), KindMask::data_only()] {
         for crit in &crit_sets {
-            assert_eq!(
-                got.backward(crit, mask),
-                want.backward(crit, mask),
-                "{ctx}: backward {crit:?}"
-            );
-            assert_eq!(
-                got.forward(crit, mask),
-                want.forward(crit, mask),
-                "{ctx}: forward {crit:?}"
-            );
+            let q = SliceQuery::Backward { criterion: crit.clone(), mask };
+            assert_eq!(got.query(&q), want.query(&q), "{ctx}: backward {crit:?}");
+            let q = SliceQuery::Forward { criterion: crit.clone(), mask };
+            assert_eq!(got.query(&q), want.query(&q), "{ctx}: forward {crit:?}");
         }
         for &addr in &addrs {
-            assert_eq!(
-                got.backward_from_addr(addr, mask),
-                want.backward_from_addr(addr, mask),
-                "{ctx}: from_addr {addr}"
-            );
+            let q = SliceQuery::BackwardFromAddr { addr, mask };
+            assert_eq!(got.query(&q), want.query(&q), "{ctx}: from_addr {addr}");
         }
     }
 }
