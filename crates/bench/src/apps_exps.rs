@@ -8,7 +8,7 @@ use dift_lineage::{BddBackend, LineageEngine, NaiveBackend};
 use dift_race::{Mode, RaceDetector};
 use dift_slicing::{locate_omission_error, relevant_slice, KindMask, Slicer};
 use dift_tm::{ConflictPolicy, TmMonitor};
-use dift_vm::{Machine, MachineConfig, StepEffects};
+use dift_vm::{Machine, MachineConfig};
 use dift_workloads::parallel::all_parallel;
 use dift_workloads::science::all_science;
 use dift_workloads::Workload;
@@ -146,18 +146,9 @@ pub fn e8_omission(_scale: Scale) -> Table {
         let input = case.input.clone();
 
         // Record the failing execution.
-        struct Rec(Vec<StepEffects>);
-        impl dift_dbi::Tool for Rec {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
         let mut m = Machine::new(p.clone(), cfg.clone());
         m.feed_input(0, &input);
-        let mut rec = Rec(Vec::new());
-        let mut engine = Engine::new(m);
-        engine.run_tool(&mut rec);
-        let events = rec.0;
+        let (events, _) = dift_dbi::capture(m);
         let records = dift_ddg::offline::derive_full_deps(&p, &events, cfg.mem_words);
         let graph = dift_ddg::DdgGraph::from_records(records.iter(), &p);
         let out_step = events.iter().rev().find(|e| e.output.is_some()).unwrap().step;

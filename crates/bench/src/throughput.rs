@@ -17,10 +17,9 @@
 //! `BENCH_taint.json` for machine consumption.
 
 use crate::{fx, geomean, mps, Scale, Table};
-use dift_dbi::{Engine, Tool};
 use dift_multicore::{run_helper_dift, run_inline_dift, ChannelModel};
 use dift_taint::{BitTaint, ReferenceTaintEngine, TaintEngine, TaintPolicy};
-use dift_vm::{Machine, StepEffects};
+use dift_vm::StepEffects;
 use dift_workloads::spec::all_spec;
 use dift_workloads::Workload;
 use serde::Serialize;
@@ -56,25 +55,13 @@ pub struct TaintThroughputReport {
     pub geomean_hot_speedup: f64,
 }
 
-/// Records the effects stream of a run so engines can be timed on pure
-/// analysis work, no VM in the loop.
-#[derive(Default)]
-struct Capture(Vec<StepEffects>);
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.0.push(fx.clone());
-    }
-}
-
 /// Run `w` once and return its effects stream together with the
-/// machine's memory size in words (for `pre_size`).
+/// machine's memory size in words (for `pre_size`), so engines can be
+/// timed on pure analysis work, no VM in the loop.
 pub fn capture(w: &Workload) -> (Vec<StepEffects>, usize) {
     let m = w.machine();
     let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
-    (cap.0, mem_words)
+    (dift_dbi::capture(m).0, mem_words)
 }
 
 /// Time `f` over enough repetitions to cover ~`target` guest

@@ -8,6 +8,8 @@
 //!   hooks, basic-block entry hooks, and lifecycle hooks. `before` hooks
 //!   may *mutate* the machine (registers, memory, PC) — that power is what
 //!   predicate switching and fault avoidance are built on.
+//! * [`Capture`] / [`capture`] — the one tool that records a run's
+//!   effects stream for the analyses that consume it after the fact.
 //! * [`Engine`] — drives a [`Machine`](dift_vm::Machine) while dispatching
 //!   to any number of tools, discovering basic-block boundaries on the
 //!   fly exactly as a JIT-based DBI discovers code.
@@ -30,5 +32,5 @@ pub mod trace;
 
 pub use engine::{Engine, InstrumentationScope};
 pub use profile::{InsnClass, ProfileTool};
-pub use tool::{CountingTool, NullTool, Tool};
+pub use tool::{capture, Capture, CountingTool, NullTool, Tool};
 pub use trace::{HotTrace, TraceBuilder};

@@ -1,5 +1,6 @@
 //! The tool (analysis plugin) interface.
 
+use crate::engine::Engine;
 use dift_isa::Addr;
 use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
 
@@ -48,6 +49,25 @@ pub trait Tool {
 pub struct NullTool;
 
 impl Tool for NullTool {}
+
+/// A tool that keeps every step's effects, in order: the captured
+/// stream that offline and epoch-parallel analyses consume.
+#[derive(Default)]
+pub struct Capture(pub Vec<StepEffects>);
+
+impl Tool for Capture {
+    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
+        self.0.push(fx.clone());
+    }
+}
+
+/// Run `machine` to completion under [`Capture`] alone, returning the
+/// captured stream and the run summary.
+pub fn capture(machine: Machine) -> (Vec<StepEffects>, RunResult) {
+    let mut cap = Capture::default();
+    let result = Engine::new(machine).run_tool(&mut cap);
+    (cap.0, result)
+}
 
 /// A tool counting events, for tests and calibration.
 #[derive(Default, Debug)]

@@ -13,7 +13,7 @@
 //! a varint of the gap since the previous record's user step, a varint of
 //! the user→def distance, and one kind/metadata byte.
 
-use crate::dep::{DepKind, Dependence};
+use crate::dep::{DepKind, Dependence, StepSite};
 use dift_isa::{Addr, StmtId};
 use std::collections::VecDeque;
 
@@ -26,6 +26,20 @@ pub struct BufRecord {
     pub def_addr: Addr,
     pub user_stmt: StmtId,
     pub def_stmt: StmtId,
+}
+
+impl BufRecord {
+    /// The `kind` dependence of the step at `user` on the one at `def`.
+    #[inline]
+    pub fn new(kind: DepKind, user: StepSite, def: StepSite) -> BufRecord {
+        BufRecord {
+            dep: Dependence::new(user.step, def.step, kind),
+            user_addr: user.addr,
+            def_addr: def.addr,
+            user_stmt: user.stmt,
+            def_stmt: def.stmt,
+        }
+    }
 }
 
 /// Number of bytes of a LEB128 varint for `v`.
@@ -223,7 +237,7 @@ impl CircularTraceBuffer {
     }
 }
 
-/// Convenience constructor for records in tests and the tracer.
+/// Convenience constructor for records in tests and synthetic histories.
 pub fn record(
     user: u64,
     def: u64,

@@ -1,7 +1,7 @@
 //! Dependence records.
 
 use dift_isa::{Addr, StmtId};
-use dift_vm::ThreadId;
+use dift_vm::{StepEffects, ThreadId};
 
 /// The kind of a dynamic dependence edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,6 +38,38 @@ pub struct Dependence {
 impl Dependence {
     pub fn new(user: u64, def: u64, kind: DepKind) -> Dependence {
         Dependence { user, def, kind }
+    }
+}
+
+/// An executed step and its instruction's address and statement: both
+/// sides of a [`BufRecord`](crate::buffer::BufRecord).
+///
+/// The last-writer slots that name a def (the shadow registers and
+/// memory words, the WAR last-reader table, the control stack's open
+/// regions, the sharded deriver's tables) hold the def's whole site,
+/// written at the def's own step, so a record's def side is read from
+/// the slot it was derived from and no step-keyed table is kept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepSite {
+    pub step: u64,
+    pub addr: Addr,
+    pub stmt: StmtId,
+}
+
+impl StepSite {
+    /// An empty slot: no def. Its step is one no run reaches.
+    pub(crate) const NONE: StepSite = StepSite { step: u64::MAX, addr: 0, stmt: 0 };
+
+    /// The site of the step `fx` reports.
+    #[inline]
+    pub fn of(fx: &StepEffects) -> StepSite {
+        StepSite { step: fx.step, addr: fx.addr, stmt: fx.insn.stmt }
+    }
+
+    /// The site a slot holds, `None` for [`StepSite::NONE`].
+    #[inline]
+    pub(crate) fn get(self) -> Option<StepSite> {
+        (self.step != u64::MAX).then_some(self)
     }
 }
 

@@ -9,21 +9,26 @@
 //!
 //! * a use whose def lies in the same epoch resolves shard-side and is
 //!   appended to the epoch's ordered list of records;
-//! * a use of a location not (yet) written in the epoch becomes a
-//!   **pending dependence** naming the location, resolved at
-//!   composition time against the global last-writer tables the
-//!   composer folds forward epoch by epoch;
+//! * a register or memory use of a location not (yet) written in the
+//!   epoch becomes a **pending dependence** naming the location,
+//!   resolved at composition time against the global last-writer tables
+//!   the composer folds forward epoch by epoch;
 //! * dynamic control dependences are exact shard-side: the cheap
 //!   label-independent pre-scan ([`control_entry_snapshots`]) clones
 //!   the [`ControlStack`] at every epoch boundary, so each shard knows
-//!   the branch regions its first instruction runs under (a dependence
-//!   on a pre-epoch branch still goes through the pending path, since
-//!   only the composer knows that branch's def-side metadata).
+//!   the branch regions its first instruction runs under, each with its
+//!   branch's site.
+//!
+//! Every last-writer slot (shard-side and the composer's) holds the
+//! def's whole [`StepSite`], so a record's def side comes from the slot
+//! it was derived from; no step-keyed metadata is kept.
 //!
 //! The semantics mirror `OnTrac` with [`OnTracConfig::unoptimized`]
 //! (every dependence recorded, no eviction): the differential test in
 //! `dift-slicing` holds sharded slices bit-identical to the serial
-//! tracer's.
+//! tracer's. Run over one epoch from an empty control stack, the
+//! deriver *is* the offline post-processing pass
+//! ([`crate::offline::derive_full_deps`]).
 //!
 //! Composition ([`EpochDepComposer`]) replays fragments in epoch
 //! order: it pushes each fragment's records, then its resolved
@@ -32,92 +37,80 @@
 //! spliced. The shards do the derivation (last-writer lookups, control
 //! stack); the composer only indexes.
 //!
-//! The step-keyed tables are vectors: a fragment's def-side metadata is
-//! indexed by `step - epoch_start`, the composer's run-long metadata by
-//! step, and register last-writers are per-thread register arrays (the
-//! [`crate::ShadowState`] layout). Only the memory last-writer tables
-//! are maps, because addresses are sparse.
+//! Register last-writers are per-thread register arrays (the
+//! [`crate::ShadowState`] layout); the memory last-writer tables are
+//! maps, because addresses are sparse.
 //!
 //! [`OnTracConfig::unoptimized`]: crate::OnTracConfig::unoptimized
 
 use crate::buffer::BufRecord;
-use crate::dep::{DepKind, Dependence};
+use crate::dep::{DepKind, StepSite};
 use crate::index::SliceIndex;
 use crate::shadow::ControlStack;
-use dift_isa::{Addr, MemAddr, Program, Reg, StmtId, NUM_REGS};
+use dift_isa::{MemAddr, Program, Reg, NUM_REGS};
 use dift_vm::{ControlEffect, StepEffects, ThreadId};
 use std::collections::HashMap;
 
-/// Def-side metadata of a step that defined nothing — also what the
-/// serial tracer records for a def it holds no metadata for.
-const NO_META: (Addr, StmtId) = (0, 0);
-
-/// The location (or pre-epoch branch) a pending dependence reads.
+/// The location a pending dependence reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PendingSource {
+enum PendingSource {
     Reg(ThreadId, Reg),
     Mem(MemAddr),
-    /// Control dependence on a branch executed before the epoch; the
-    /// def step is already known, only its metadata is not.
-    Branch(u64),
 }
 
 /// A dependence whose def side lies before the epoch.
 #[derive(Clone, Copy, Debug)]
-pub struct PendingDep {
-    pub user: u64,
-    pub user_addr: Addr,
-    pub user_stmt: StmtId,
-    pub kind: DepKind,
-    pub src: PendingSource,
+struct PendingDep {
+    user: StepSite,
+    kind: DepKind,
+    src: PendingSource,
 }
 
-/// Register last-writers: per thread, per register, `step + 1` (0 =
-/// never written).
+/// Register last-writers: per thread, per register, the writer's site
+/// ([`StepSite::NONE`] = never written).
 #[derive(Default)]
-struct RegDefs(Vec<[u64; NUM_REGS]>);
+struct RegDefs(Vec<[StepSite; NUM_REGS]>);
 
 impl RegDefs {
-    fn get(&self, tid: ThreadId, r: Reg) -> Option<u64> {
-        self.0.get(tid as usize)?[r.index()].checked_sub(1)
+    fn get(&self, tid: ThreadId, r: Reg) -> Option<StepSite> {
+        self.0.get(tid as usize)?[r.index()].get()
     }
 
-    fn set(&mut self, tid: ThreadId, r: Reg, step: u64) {
+    fn set(&mut self, tid: ThreadId, r: Reg, def: StepSite) {
         let t = tid as usize;
         if self.0.len() <= t {
-            self.0.resize(t + 1, [0; NUM_REGS]);
+            self.0.resize(t + 1, [StepSite::NONE; NUM_REGS]);
         }
-        self.0[t][r.index()] = step + 1;
+        self.0[t][r.index()] = def;
     }
 
     /// Fold a later epoch's exit table forward: every register it wrote
     /// takes its last writer.
     fn fold(&mut self, later: &RegDefs) {
         if self.0.len() < later.0.len() {
-            self.0.resize(later.0.len(), [0; NUM_REGS]);
+            self.0.resize(later.0.len(), [StepSite::NONE; NUM_REGS]);
         }
         for (mine, theirs) in self.0.iter_mut().zip(&later.0) {
-            for (m, &t) in mine.iter_mut().zip(theirs) {
-                if t != 0 {
-                    *m = t;
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                if t.get().is_some() {
+                    *m = *t;
                 }
             }
         }
     }
 }
 
-/// One epoch's dependence delta: the ordered in-epoch records, the
-/// pending cross-epoch reads, and the epoch-exit last-writer tables
-/// and def metadata the composer folds forward.
+/// One epoch's dependence delta: the ordered shard-side records, the
+/// pending cross-epoch reads, and the epoch-exit last-writer tables the
+/// composer folds forward.
 pub struct EpochDeps {
-    records: Vec<BufRecord>,
+    pub(crate) records: Vec<BufRecord>,
     pending: Vec<PendingDep>,
     reg_defs: RegDefs,
-    mem_defs: HashMap<MemAddr, u64>,
-    /// Def-side metadata by `step - epoch_start` ([`NO_META`] for
-    /// steps that defined nothing).
-    def_meta: Vec<(Addr, StmtId)>,
-    epoch_start: u64,
+    mem_defs: HashMap<MemAddr, StepSite>,
+    /// Shard-side records whose def precedes the epoch (control
+    /// dependences on a branch region open at entry).
+    cross_epoch: u64,
     instrs: u64,
 }
 
@@ -127,17 +120,17 @@ impl EpochDeps {
         self.instrs
     }
 
-    /// In-epoch records derived shard-side.
-    pub fn edges(&self) -> u64 {
-        self.records.len() as u64
+    fn defer(&mut self, kind: DepKind, user: StepSite, src: PendingSource) {
+        self.pending.push(PendingDep { user, kind, src });
     }
 }
 
 /// Shard-side deriver for one epoch — the sharded mirror of the
 /// unoptimized `OnTrac` derivation loop.
-pub struct EpochDepSummarizer {
+struct EpochDepSummarizer {
     frag: EpochDeps,
     control: ControlStack,
+    epoch_start: u64,
     /// Shadow-memory capacity: writes at or beyond are ignored, exactly
     /// as [`crate::ShadowState`] ignores them.
     mem_words: u64,
@@ -148,113 +141,70 @@ impl EpochDepSummarizer {
     /// [`control_entry_snapshots`]; `epoch_start` the global step of
     /// the epoch's first instruction; `mem_words` the serial tracer's
     /// shadow capacity (semantics above).
-    pub fn new(control: ControlStack, epoch_start: u64, mem_words: usize) -> EpochDepSummarizer {
+    fn new(control: ControlStack, epoch_start: u64, mem_words: usize) -> EpochDepSummarizer {
         EpochDepSummarizer {
             frag: EpochDeps {
                 records: Vec::new(),
                 pending: Vec::new(),
                 reg_defs: RegDefs::default(),
                 mem_defs: HashMap::new(),
-                def_meta: Vec::new(),
-                epoch_start,
+                cross_epoch: 0,
                 instrs: 0,
             },
             control,
+            epoch_start,
             mem_words: mem_words as u64,
         }
     }
 
-    fn record(&mut self, kind: DepKind, user: u64, def: u64, fx: &StepEffects) {
-        let frag = &mut self.frag;
-        let (def_addr, def_stmt) = def
-            .checked_sub(frag.epoch_start)
-            .and_then(|i| frag.def_meta.get(i as usize))
-            .copied()
-            .unwrap_or(NO_META);
-        frag.records.push(BufRecord {
-            dep: Dependence::new(user, def, kind),
-            user_addr: fx.addr,
-            def_addr,
-            user_stmt: fx.insn.stmt,
-            def_stmt,
-        });
-    }
-
-    fn defer(&mut self, kind: DepKind, fx: &StepEffects, src: PendingSource) {
-        self.frag.pending.push(PendingDep {
-            user: fx.step,
-            user_addr: fx.addr,
-            user_stmt: fx.insn.stmt,
-            kind,
-            src,
-        });
-    }
-
     /// Derive one step (steps must arrive in stream order).
-    pub fn step(&mut self, fx: &StepEffects) {
-        let tid = fx.tid;
-        let step = fx.step;
-        let epoch_start = self.frag.epoch_start;
-        self.frag.instrs += 1;
-
+    fn step(&mut self, fx: &StepEffects) {
+        let (tid, site) = (fx.tid, StepSite::of(fx));
+        let frag = &mut self.frag;
+        frag.instrs += 1;
         self.control.on_step(tid, fx.addr);
-        if fx.reg_write.is_some() || fx.mem_write.is_some() || fx.insn.is_branch() {
-            let i = (step - epoch_start) as usize;
-            let meta = &mut self.frag.def_meta;
-            if meta.len() <= i {
-                meta.resize(i + 1, NO_META);
-            }
-            meta[i] = (fx.addr, fx.insn.stmt);
-        }
 
         // Register uses.
         for &r in fx.insn.reg_uses().as_slice() {
-            match self.frag.reg_defs.get(tid, r) {
-                Some(def) => self.record(DepKind::RegData, step, def, fx),
-                None => self.defer(DepKind::RegData, fx, PendingSource::Reg(tid, r)),
+            match frag.reg_defs.get(tid, r) {
+                Some(def) => frag.records.push(BufRecord::new(DepKind::RegData, site, def)),
+                None => frag.defer(DepKind::RegData, site, PendingSource::Reg(tid, r)),
             }
         }
         // Memory read.
         if let Some((addr, _)) = fx.mem_read {
-            match self.frag.mem_defs.get(&addr) {
-                Some(&def) => self.record(DepKind::MemData, step, def, fx),
+            match frag.mem_defs.get(&addr) {
+                Some(&def) => frag.records.push(BufRecord::new(DepKind::MemData, site, def)),
                 None if addr < self.mem_words => {
-                    self.defer(DepKind::MemData, fx, PendingSource::Mem(addr))
+                    frag.defer(DepKind::MemData, site, PendingSource::Mem(addr))
                 }
                 None => {}
             }
         }
-        // Control dependence: exact shard-side thanks to the entry
-        // snapshot; only pre-epoch def metadata defers.
+        // Control dependence: exact shard-side, since the entry snapshot
+        // carries each open region's branch site.
         if let Some(branch) = self.control.current_dep(tid) {
-            if branch >= epoch_start {
-                self.record(DepKind::Control, step, branch, fx);
-            } else {
-                self.defer(DepKind::Control, fx, PendingSource::Branch(branch));
-            }
+            frag.records.push(BufRecord::new(DepKind::Control, site, branch));
+            frag.cross_epoch += u64::from(branch.step < self.epoch_start);
         }
 
         // Last-writer updates.
         if let Some((r, _, _)) = fx.reg_write {
-            self.frag.reg_defs.set(tid, r, step);
+            frag.reg_defs.set(tid, r, site);
         }
         if let Some((addr, _, _)) = fx.mem_write {
             if addr < self.mem_words {
-                self.frag.mem_defs.insert(addr, step);
+                frag.mem_defs.insert(addr, site);
             }
         }
 
         // Control-stack maintenance.
         match fx.control {
-            Some(ControlEffect::Branch { .. }) => self.control.on_branch(tid, fx.addr, step),
+            Some(ControlEffect::Branch { .. }) => self.control.on_branch(tid, site),
             Some(ControlEffect::Call { .. }) => self.control.on_call(tid),
             Some(ControlEffect::Ret { .. }) => self.control.on_ret(tid),
             _ => {}
         }
-    }
-
-    pub fn finish(self) -> EpochDeps {
-        self.frag
     }
 }
 
@@ -266,11 +216,10 @@ pub fn summarize_dep_epoch(
     mem_words: usize,
 ) -> EpochDeps {
     let mut s = EpochDepSummarizer::new(control, epoch_start, mem_words);
-    s.frag.def_meta.reserve(fxs.len());
     for fx in fxs {
         s.step(fx);
     }
-    s.finish()
+    s.frag
 }
 
 /// The label-independent control pre-scan: clone the [`ControlStack`]
@@ -286,7 +235,7 @@ pub fn control_entry_snapshots(program: &Program, chunks: &[&[StepEffects]]) -> 
         for fx in *chunk {
             cs.on_step(fx.tid, fx.addr);
             match fx.control {
-                Some(ControlEffect::Branch { .. }) => cs.on_branch(fx.tid, fx.addr, fx.step),
+                Some(ControlEffect::Branch { .. }) => cs.on_branch(fx.tid, StepSite::of(fx)),
                 Some(ControlEffect::Call { .. }) => cs.on_call(fx.tid),
                 Some(ControlEffect::Ret { .. }) => cs.on_ret(fx.tid),
                 _ => {}
@@ -300,7 +249,8 @@ pub fn control_entry_snapshots(program: &Program, chunks: &[&[StepEffects]]) -> 
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DepComposeStats {
     pub fragments: usize,
-    /// Pending dependences resolved to a pre-epoch def and recorded.
+    /// Records whose def precedes their epoch: resolved pendings plus
+    /// the fragments' control records on branches open at entry.
     pub cross_epoch_records: u64,
     /// Pending dependences whose location had never been written (no
     /// dependence exists — the serial tracer records nothing either).
@@ -314,9 +264,7 @@ pub struct DepComposeStats {
 pub struct EpochDepComposer {
     index: SliceIndex,
     reg_defs: RegDefs,
-    mem_defs: HashMap<MemAddr, u64>,
-    /// Def-side metadata of every absorbed step, indexed by step.
-    step_meta: Vec<(Addr, StmtId)>,
+    mem_defs: HashMap<MemAddr, StepSite>,
     stats: DepComposeStats,
 }
 
@@ -334,35 +282,22 @@ impl EpochDepComposer {
         for rec in &frag.records {
             self.index.on_push(rec);
         }
+        self.stats.cross_epoch_records += frag.cross_epoch;
         for p in &frag.pending {
             let def = match p.src {
                 PendingSource::Reg(tid, r) => self.reg_defs.get(tid, r),
                 PendingSource::Mem(addr) => self.mem_defs.get(&addr).copied(),
-                PendingSource::Branch(step) => Some(step),
             };
             let Some(def) = def else {
                 self.stats.unresolved_pendings += 1;
                 continue;
             };
-            let (def_addr, def_stmt) = self.step_meta.get(def as usize).copied().unwrap_or(NO_META);
-            self.index.on_push(&BufRecord {
-                dep: Dependence::new(p.user, def, p.kind),
-                user_addr: p.user_addr,
-                def_addr,
-                user_stmt: p.user_stmt,
-                def_stmt,
-            });
+            self.index.on_push(&BufRecord::new(p.kind, p.user, def));
             self.stats.cross_epoch_records += 1;
         }
         self.stats.fragments += 1;
         self.reg_defs.fold(&frag.reg_defs);
         self.mem_defs.extend(frag.mem_defs);
-        let start = frag.epoch_start as usize;
-        let end = start + frag.def_meta.len();
-        if self.step_meta.len() < end {
-            self.step_meta.resize(end, NO_META);
-        }
-        self.step_meta[start..end].copy_from_slice(&frag.def_meta);
     }
 
     pub fn stats(&self) -> DepComposeStats {
@@ -385,7 +320,7 @@ mod tests {
     use super::*;
     use crate::graph::DdgGraph;
     use crate::ontrac::{OnTrac, OnTracConfig};
-    use dift_dbi::{Engine, Tool};
+    use dift_dbi::Engine;
     use dift_isa::{BinOp, BranchCond, ProgramBuilder};
     use dift_vm::{Machine, MachineConfig};
     use std::sync::Arc;
@@ -410,17 +345,9 @@ mod tests {
 
     /// Capture the step stream of a program run.
     fn capture(program: &Arc<Program>) -> Vec<StepEffects> {
-        struct Cap(Vec<StepEffects>);
-        impl Tool for Cap {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
-        let m = Machine::new(program.clone(), MachineConfig::small());
-        let mut cap = Cap(Vec::new());
-        let r = Engine::new(m).run_tool(&mut cap);
+        let (fxs, r) = dift_dbi::capture(Machine::new(program.clone(), MachineConfig::small()));
         assert!(r.status.is_clean(), "{:?}", r.status);
-        cap.0
+        fxs
     }
 
     fn sorted_edges(idx: &SliceIndex) -> Vec<(u64, u64, DepKind)> {

@@ -2,12 +2,14 @@
 //!
 //! Reproduces §2.1 of the paper:
 //!
-//! * [`dep`] — dependence records ([`Dependence`], [`DepKind`]) and
-//!   per-step metadata.
-//! * [`shadow`] — the tracer's shadow state: last-writer timestamps for
-//!   every register and memory word, plus the online dynamic
-//!   control-dependence stack (the Xin–Zhang ISSTA'07 region-stack
-//!   algorithm, reference \[11\] of the paper).
+//! * [`dep`] — dependence records ([`Dependence`], [`DepKind`]),
+//!   per-step metadata, and [`StepSite`], the step/address/statement
+//!   triple both sides of a buffered record carry.
+//! * [`shadow`] — the tracer's shadow state: the last writer's
+//!   [`StepSite`] for every register and memory word, plus the online
+//!   dynamic control-dependence stack (the Xin–Zhang ISSTA'07
+//!   region-stack algorithm, reference \[11\] of the paper), whose open
+//!   regions hold their branch's site.
 //! * [`buffer`] — ONTRAC's fixed-size in-memory **circular trace buffer**:
 //!   dependences are appended with a compact delta encoding and the oldest
 //!   records are evicted when the byte budget is exceeded, bounding the
@@ -27,10 +29,11 @@
 //! * [`compact`] — the compact (post-processed) DDG representation with
 //!   per-static-edge timestamp-pair runs.
 //! * [`graph`] — an in-memory queryable DDG used by the slicing crate.
-//! * [`epoch`] — epoch-sharded dependence derivation: per-shard
-//!   [`SliceIndex`] fragments with local last-writer tables and pending
-//!   cross-epoch dependences, composed in stream order into a whole-run
-//!   index identical to the serial tracer's (DESIGN §17).
+//! * [`epoch`] — epoch-sharded dependence derivation: per-shard record
+//!   lists with local last-writer tables and pending cross-epoch
+//!   register/memory dependences, composed in stream order into a
+//!   whole-run index identical to the serial tracer's (DESIGN §17). Run
+//!   as one epoch it is [`offline`]'s post-processing pass.
 //! * [`index`] — the incrementally-maintained slice index: per-step
 //!   adjacency plus an addr→steps map kept in lockstep with the buffer
 //!   (fed on push, pruned on eviction), so backward/forward slices over
@@ -72,11 +75,10 @@ pub mod shadow;
 pub use buffer::CircularTraceBuffer;
 pub use cold::{ColdStore, ColdView, QuarantineEvent, SegMeta};
 pub use compact::CompactDdg;
-pub use dep::{DepKind, Dependence, StepMeta};
+pub use dep::{DepKind, Dependence, StepMeta, StepSite};
 pub use durable::{CorruptKind, IoStats, ScrubReport, SegmentStore};
 pub use epoch::{
-    control_entry_snapshots, summarize_dep_epoch, DepComposeStats, EpochDepComposer,
-    EpochDepSummarizer, EpochDeps,
+    control_entry_snapshots, summarize_dep_epoch, DepComposeStats, EpochDepComposer, EpochDeps,
 };
 pub use graph::DdgGraph;
 pub use index::{IndexData, SliceIndex, SliceSnapshot};

@@ -7,16 +7,21 @@
 //! and its cost is accounted separately, since it runs after the program
 //! has finished. The paper's observation is that the *sum* is a ~540×
 //! slowdown vs ~19× for ONTRAC.
+//!
+//! Post-processing is the epoch-sharded deriver ([`crate::epoch`]) run
+//! over the whole trace as one epoch, so the offline pipeline, the
+//! sharded pipeline and the tests' ground truth share one derivation
+//! loop.
 
 use crate::buffer::BufRecord;
 use crate::compact::CompactDdg;
 use crate::costs;
-use crate::dep::{DepKind, Dependence};
+use crate::epoch::summarize_dep_epoch;
 use crate::graph::DdgGraph;
-use crate::shadow::{ControlStack, ShadowState};
+use crate::shadow::ControlStack;
 use dift_dbi::{Engine, Tool};
-use dift_isa::{Opcode, Program};
-use dift_vm::{ControlEffect, Machine, RunResult, StepEffects};
+use dift_isa::Program;
+use dift_vm::{Machine, RunResult, StepEffects};
 
 /// Statistics from an offline-pipeline run.
 #[derive(Clone, Debug)]
@@ -66,63 +71,17 @@ impl Tool for Collector {
 }
 
 /// Derive the complete dependence set from a recorded trace — the
-/// post-processing step. Shared with tests that need ground-truth DDGs.
+/// post-processing step, and the ground truth tests compare against.
+/// This is the sharded deriver ([`crate::epoch`]) run as one epoch from
+/// an empty control stack, so a use of a location never written
+/// derives nothing and every record's sites are its steps' own.
 pub fn derive_full_deps(
     program: &Program,
     events: &[StepEffects],
     mem_words: usize,
 ) -> Vec<BufRecord> {
-    let mut shadow = ShadowState::new(mem_words);
-    let mut control = ControlStack::new(program);
-    let mut meta: std::collections::HashMap<u64, (u32, u32)> = std::collections::HashMap::new();
-    let mut out = Vec::new();
-    for fx in events {
-        let tid = fx.tid;
-        let step = fx.step;
-        control.on_step(tid, fx.addr);
-        meta.insert(step, (fx.addr, fx.insn.stmt));
-        let mut push = |user: u64,
-                        def: u64,
-                        kind: DepKind,
-                        meta: &std::collections::HashMap<u64, (u32, u32)>| {
-            let (da, ds) = meta.get(&def).copied().unwrap_or((0, 0));
-            out.push(BufRecord {
-                dep: Dependence::new(user, def, kind),
-                user_addr: fx.addr,
-                def_addr: da,
-                user_stmt: fx.insn.stmt,
-                def_stmt: ds,
-            });
-        };
-        for r in &fx.insn.reg_uses() {
-            if let Some(def) = shadow.reg_def(tid, r) {
-                push(step, def, DepKind::RegData, &meta);
-            }
-        }
-        if let Some((addr, _)) = fx.mem_read {
-            if let Some(def) = shadow.mem_def(addr) {
-                push(step, def, DepKind::MemData, &meta);
-            }
-        }
-        if let Some(branch) = control.current_dep(tid) {
-            push(step, branch, DepKind::Control, &meta);
-        }
-        if let Some((r, _, _)) = fx.reg_write {
-            shadow.set_reg_def(tid, r, step);
-        }
-        if let Some((addr, _, _)) = fx.mem_write {
-            shadow.set_mem_def(addr, step);
-        }
-        match fx.control {
-            Some(ControlEffect::Branch { .. }) if matches!(fx.insn.op, Opcode::Branch { .. }) => {
-                control.on_branch(tid, fx.addr, step)
-            }
-            Some(ControlEffect::Call { .. }) => control.on_call(tid),
-            Some(ControlEffect::Ret { .. }) => control.on_ret(tid),
-            _ => {}
-        }
-    }
-    out
+    let first_step = events.first().map_or(0, |fx| fx.step);
+    summarize_dep_epoch(events, ControlStack::new(program), first_step, mem_words).records
 }
 
 /// The two-phase offline pipeline.
@@ -159,8 +118,12 @@ impl OfflinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dep::DepKind;
+    use crate::ontrac::{OnTrac, OnTracConfig};
+    use dift_dbi::Capture;
     use dift_isa::{BinOp, BranchCond, ProgramBuilder, Reg};
     use dift_vm::MachineConfig;
+    use dift_workloads::{parallel, server};
     use std::sync::Arc;
 
     fn sum_loop_machine() -> Machine {
@@ -208,6 +171,36 @@ mod tests {
         // And every loop-body instruction is control dependent on the
         // branch at addr 4.
         assert!(recs.iter().any(|r| r.dep.kind == DepKind::Control && r.def_addr == 4));
+    }
+
+    /// The multithreaded suite and the kv server: the offline pass equals
+    /// unoptimized ONTRAC's never-evicting buffer record for record, in
+    /// order, and each record's def and user address and statement are
+    /// those of the captured steps it names.
+    #[test]
+    fn offline_pass_is_ontrac_with_true_sites() {
+        let mut ws = parallel::all_parallel();
+        ws.push(server::server(server::ServerConfig::default()));
+        for w in ws {
+            let m = w.machine();
+            let (program, mem_words) = (m.program().clone(), m.config().mem_words);
+            let mut tracer = OnTrac::new(&program, mem_words, OnTracConfig::unoptimized(1 << 30));
+            let mut cap = Capture::default();
+            let r = Engine::new(m).run(&mut [&mut tracer, &mut cap]);
+            assert!(r.status.is_clean(), "{}: {:?}", w.name, r.status);
+            let recs = derive_full_deps(&program, &cap.0, mem_words);
+            assert!(recs.iter().eq(tracer.buffer().records()), "{}: records differ", w.name);
+            for rec in &recs {
+                for (step, addr, stmt) in [
+                    (rec.dep.def, rec.def_addr, rec.def_stmt),
+                    (rec.dep.user, rec.user_addr, rec.user_stmt),
+                ] {
+                    let fx = &cap.0[step as usize];
+                    assert_eq!(fx.step, step, "{}: captured steps index the stream", w.name);
+                    assert_eq!((addr, stmt), (fx.addr, fx.insn.stmt), "{}: {rec:?}", w.name);
+                }
+            }
+        }
     }
 
     #[test]

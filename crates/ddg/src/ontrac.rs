@@ -21,16 +21,22 @@
 //! * **Forward-slice-of-inputs filtering** — only dependences reached by
 //!   input taint are stored, per the observation that root causes lie in
 //!   the forward slice of the inputs.
+//!
+//! Every def a record names comes from a slot that holds the def's
+//! whole [`StepSite`]: a [`ShadowState`] register or memory word, the
+//! WAR last-reader table, or the [`ControlStack`]'s open region. Each
+//! slot is written at the def's own step, so the record's def address
+//! and statement are exact however long ago the def ran.
 
 use crate::buffer::{BufRecord, CircularTraceBuffer};
 use crate::cold::ColdStore;
 use crate::costs;
-use crate::dep::{DepKind, Dependence};
+use crate::dep::{DepKind, StepSite};
 use crate::graph::DdgGraph;
 use crate::index::SliceIndex;
 use crate::shadow::{ControlStack, ShadowState};
 use dift_dbi::{Tool, TraceBuilder};
-use dift_isa::{Addr, FuncId, Opcode, Program, StmtId};
+use dift_isa::{Addr, FuncId, Opcode, Program};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
 use std::collections::{HashMap, HashSet};
@@ -179,12 +185,9 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     /// block share one dynamic control dependence, so (under the
     /// block-static optimization) it is stored once per block instance.
     ctrl_recorded: Vec<Option<u64>>,
-    /// Last-reader step per memory word (`step + 1`), for WAR edges.
-    mem_last_read: Vec<u64>,
-    /// Side table: def-step → (addr, stmt), kept for every step that
-    /// produced a definition or opened a control region, so records carry
-    /// full def-side metadata. Pruned to the buffer window.
-    step_meta: HashMap<u64, (Addr, StmtId)>,
+    /// Last reader's site per memory word since its last store, for WAR
+    /// edges ([`StepSite::NONE`] = none).
+    mem_last_read: Vec<StepSite>,
     /// Demand-driven slice index over the live window; kept in lockstep
     /// with the buffer (fed on push, pruned on eviction), so slice
     /// queries walk only the edges they visit instead of rebuilding a
@@ -224,8 +227,7 @@ impl<R: Recorder> OnTrac<R> {
             block_start: Vec::new(),
             trace_inst: Vec::new(),
             ctrl_recorded: Vec::new(),
-            mem_last_read: vec![0; if cfg.record_war_waw { mem_words } else { 0 }],
-            step_meta: HashMap::new(),
+            mem_last_read: vec![StepSite::NONE; if cfg.record_war_waw { mem_words } else { 0 }],
             index: SliceIndex::default(),
             cold: match &cfg.durable_dir {
                 Some(dir) => Some(ColdStore::durable_or_memory(dir)),
@@ -291,20 +293,18 @@ impl<R: Recorder> OnTrac<R> {
         }
     }
 
-    /// Record (or skip) one derived dependence.
-    #[allow(clippy::too_many_arguments)]
+    /// Record (or skip) one derived dependence: the step `fx` reports
+    /// uses the def at `def`.
     fn consider(
         &mut self,
         m: &mut Machine,
         kind: DepKind,
-        user: u64,
-        def: u64,
-        user_addr: Addr,
-        user_stmt: StmtId,
+        fx: &StepEffects,
+        def: StepSite,
         in_scope: bool,
         tainted: bool,
-        tid: ThreadId,
     ) {
+        let (tid, user) = (fx.tid, fx.step);
         self.stats.deps_considered += 1;
         m.charge(costs::ONLINE_PER_DEP_LOOKUP);
         if R::ENABLED {
@@ -313,7 +313,7 @@ impl<R: Recorder> OnTrac<R> {
 
         // Optimization filters.
         if kind == DepKind::RegData {
-            if self.cfg.opt_block_static && def >= self.block_start[tid as usize] {
+            if self.cfg.opt_block_static && def.step >= self.block_start[tid as usize] {
                 return;
             }
             if self.cfg.opt_trace_static {
@@ -321,7 +321,7 @@ impl<R: Recorder> OnTrac<R> {
                     // Inside the current instance, or reaching into the
                     // immediately preceding iteration of the same trace:
                     // both are reconstructible from the trace structure.
-                    if def >= inst.start_step || def >= inst.prev_start {
+                    if def.step >= inst.start_step || def.step >= inst.prev_start {
                         return;
                     }
                 }
@@ -350,19 +350,12 @@ impl<R: Recorder> OnTrac<R> {
             return;
         }
 
-        let (def_addr, def_stmt) = self.step_meta.get(&def).copied().unwrap_or((0, 0));
         let (bytes_before, evicted_before, reanchors_before) = if R::ENABLED {
             (self.buffer.bytes_appended, self.buffer.evicted, self.buffer.reanchors)
         } else {
             (0, 0, 0)
         };
-        let rec = BufRecord {
-            dep: Dependence::new(user, def, kind),
-            user_addr,
-            def_addr,
-            user_stmt,
-            def_stmt,
-        };
+        let rec = BufRecord::new(kind, StepSite::of(fx), def);
         // Index before pushing: with a budget smaller than one record
         // the buffer may evict the record it just accepted, and the
         // eviction hook must find it indexed.
@@ -460,16 +453,6 @@ impl<R: Recorder> Tool for OnTrac<R> {
         // Dynamic control dependence bookkeeping.
         self.control.on_step(tid, fx.addr);
 
-        // Def-side metadata for future records: definitions and branches
-        // (control-dep sources) get an entry; prune far below the window.
-        if fx.reg_write.is_some() || fx.mem_write.is_some() || fx.insn.is_branch() {
-            self.step_meta.insert(step, (fx.addr, fx.insn.stmt));
-            if self.step_meta.len() > 4_000_000 {
-                let keep_from = self.buffer.window().map(|(lo, _)| lo).unwrap_or(step);
-                self.step_meta.retain(|&s, _| s >= keep_from);
-            }
-        }
-
         let in_scope = self.user_in_scope(m.program(), fx.addr);
         let shadow_scope = in_scope || !self.cfg.naive_selective;
 
@@ -492,17 +475,7 @@ impl<R: Recorder> Tool for OnTrac<R> {
         // Register uses.
         for r in &fx.insn.reg_uses() {
             if let Some(def) = self.shadow.reg_def(tid, r) {
-                self.consider(
-                    m,
-                    DepKind::RegData,
-                    step,
-                    def,
-                    fx.addr,
-                    fx.insn.stmt,
-                    in_scope,
-                    tainted,
-                    tid,
-                );
+                self.consider(m, DepKind::RegData, fx, def, in_scope, tainted);
             }
         }
         // Memory read.
@@ -514,38 +487,18 @@ impl<R: Recorder> Tool for OnTrac<R> {
                 };
             if !redundant {
                 if let Some(def) = self.shadow.mem_def(addr) {
-                    self.consider(
-                        m,
-                        DepKind::MemData,
-                        step,
-                        def,
-                        fx.addr,
-                        fx.insn.stmt,
-                        in_scope,
-                        tainted,
-                        tid,
-                    );
+                    self.consider(m, DepKind::MemData, fx, def, in_scope, tainted);
                 }
             }
         }
         // Control dependence. All instructions of a block instance share
         // one dynamic control dependence; under block-static inference it
         // is stored once per block instance and the rest are inferred.
-        if let Some(branch_step) = self.control.current_dep(tid) {
-            let dedup = self.cfg.opt_block_static && self.ctrl_recorded[t] == Some(branch_step);
+        if let Some(branch) = self.control.current_dep(tid) {
+            let dedup = self.cfg.opt_block_static && self.ctrl_recorded[t] == Some(branch.step);
             if !dedup {
-                self.consider(
-                    m,
-                    DepKind::Control,
-                    step,
-                    branch_step,
-                    fx.addr,
-                    fx.insn.stmt,
-                    in_scope,
-                    tainted,
-                    tid,
-                );
-                self.ctrl_recorded[t] = Some(branch_step);
+                self.consider(m, DepKind::Control, fx, branch, in_scope, tainted);
+                self.ctrl_recorded[t] = Some(branch.step);
             } else {
                 self.stats.deps_considered += 1;
                 m.charge(costs::ONLINE_PER_DEP_LOOKUP);
@@ -557,48 +510,27 @@ impl<R: Recorder> Tool for OnTrac<R> {
         // WAR/WAW (multithreaded slicing extension).
         if self.cfg.record_war_waw {
             if let Some((addr, _, _)) = fx.mem_write {
-                if let Some(slot) = self.mem_last_read.get(addr as usize) {
-                    if *slot != 0 {
-                        let last_read = *slot - 1;
-                        self.consider(
-                            m,
-                            DepKind::War,
-                            step,
-                            last_read,
-                            fx.addr,
-                            fx.insn.stmt,
-                            in_scope,
-                            tainted,
-                            tid,
-                        );
-                    }
+                let last_read = self.mem_last_read.get(addr as usize).and_then(|s| s.get());
+                if let Some(last_read) = last_read {
+                    self.consider(m, DepKind::War, fx, last_read, in_scope, tainted);
                 }
                 if let Some(def) = self.shadow.mem_def(addr) {
-                    self.consider(
-                        m,
-                        DepKind::Waw,
-                        step,
-                        def,
-                        fx.addr,
-                        fx.insn.stmt,
-                        in_scope,
-                        tainted,
-                        tid,
-                    );
+                    self.consider(m, DepKind::Waw, fx, def, in_scope, tainted);
                 }
             }
         }
 
         // ---- update shadow state ----------------------------------------
+        let site = StepSite::of(fx);
         if shadow_scope {
             if let Some((r, _, _)) = fx.reg_write {
-                self.shadow.set_reg_def(tid, r, step);
+                self.shadow.set_reg_def(tid, r, site);
                 if self.cfg.forward_slice_input {
                     self.shadow.set_reg_taint(tid, r, tainted);
                 }
             }
             if let Some((addr, _, _)) = fx.mem_write {
-                self.shadow.set_mem_def(addr, step);
+                self.shadow.set_mem_def(addr, site);
                 if self.cfg.forward_slice_input {
                     self.shadow.set_mem_taint(addr, tainted);
                 }
@@ -607,21 +539,19 @@ impl<R: Recorder> Tool for OnTrac<R> {
         if self.cfg.record_war_waw {
             if let Some((addr, _)) = fx.mem_read {
                 if let Some(slot) = self.mem_last_read.get_mut(addr as usize) {
-                    *slot = step + 1;
+                    *slot = site;
                 }
             }
             if let Some((addr, _, _)) = fx.mem_write {
                 if let Some(slot) = self.mem_last_read.get_mut(addr as usize) {
-                    *slot = 0;
+                    *slot = StepSite::NONE;
                 }
             }
         }
 
         // Control-stack maintenance.
         match fx.control {
-            Some(dift_vm::ControlEffect::Branch { .. }) => {
-                self.control.on_branch(tid, fx.addr, step)
-            }
+            Some(dift_vm::ControlEffect::Branch { .. }) => self.control.on_branch(tid, site),
             Some(dift_vm::ControlEffect::Call { .. }) => self.control.on_call(tid),
             Some(dift_vm::ControlEffect::Ret { .. }) => self.control.on_ret(tid),
             _ => {}

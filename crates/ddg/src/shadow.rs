@@ -1,6 +1,12 @@
-//! Tracer shadow state: last-writer timestamps, input-taint bits, and the
+//! Tracer shadow state: last-writer sites, input-taint bits, and the
 //! online dynamic control-dependence stack.
+//!
+//! Every slot that names a def holds the def's whole [`StepSite`]
+//! (step, address, statement), written at the def's own step, so the
+//! records derived from a slot carry their def side without a
+//! step-keyed side table.
 
+use crate::dep::StepSite;
 use dift_isa::{
     control_dependence, Addr, Cfg, DomTree, MemAddr, Program, Reg, NUM_REGS, SHADOW_PAGE_WORDS,
 };
@@ -12,15 +18,15 @@ pub const FRAME_END: Addr = Addr::MAX;
 
 /// Last-writer shadow for registers and memory, plus input-taint bits.
 ///
-/// Timestamps are stored as `step + 1` (0 = never written) so the state
-/// can be dense arrays with a cheap reset. The memory-side tables grow
+/// Slots hold the last writer's [`StepSite`] (`StepSite::NONE` =
+/// never written) in dense arrays. The memory-side tables grow
 /// lazily in [`SHADOW_PAGE_WORDS`] multiples on first write — the same
 /// paging granularity as the taint engine's shadow map — so a tracer
 /// over a large but sparsely-touched address space only pays for the
 /// prefix of pages it actually writes.
 pub struct ShadowState {
-    reg_def: Vec<[u64; NUM_REGS]>,
-    mem_def: Vec<u64>,
+    reg_def: Vec<[StepSite; NUM_REGS]>,
+    mem_def: Vec<StepSite>,
     reg_taint: Vec<[bool; NUM_REGS]>,
     mem_taint: Vec<u64>, // bitset: one bit per word
     /// Step of the most recent load of each address since its last store
@@ -53,7 +59,7 @@ impl ShadowState {
         let i = addr as usize;
         if i >= self.mem_def.len() {
             let want = ((i / SHADOW_PAGE_WORDS + 1) * SHADOW_PAGE_WORDS).min(self.mem_words);
-            self.mem_def.resize(want, 0);
+            self.mem_def.resize(want, StepSite::NONE);
             self.load_seen.resize(want, 0);
             self.mem_taint.resize(want.div_ceil(64), 0);
         }
@@ -69,36 +75,34 @@ impl ShadowState {
     fn ensure_tid(&mut self, tid: ThreadId) {
         let need = tid as usize + 1;
         while self.reg_def.len() < need {
-            self.reg_def.push([0; NUM_REGS]);
+            self.reg_def.push([StepSite::NONE; NUM_REGS]);
             self.reg_taint.push([false; NUM_REGS]);
         }
     }
 
-    /// Defining step of a register, if any.
+    /// Last writer of a register, if any.
     #[inline]
-    pub fn reg_def(&mut self, tid: ThreadId, r: Reg) -> Option<u64> {
+    pub fn reg_def(&mut self, tid: ThreadId, r: Reg) -> Option<StepSite> {
         self.ensure_tid(tid);
-        let v = self.reg_def[tid as usize][r.index()];
-        (v != 0).then(|| v - 1)
+        self.reg_def[tid as usize][r.index()].get()
     }
 
     #[inline]
-    pub fn set_reg_def(&mut self, tid: ThreadId, r: Reg, step: u64) {
+    pub fn set_reg_def(&mut self, tid: ThreadId, r: Reg, def: StepSite) {
         self.ensure_tid(tid);
-        self.reg_def[tid as usize][r.index()] = step + 1;
+        self.reg_def[tid as usize][r.index()] = def;
     }
 
-    /// Defining step of a memory word, if any.
+    /// Last writer of a memory word, if any.
     #[inline]
-    pub fn mem_def(&self, addr: MemAddr) -> Option<u64> {
-        let v = *self.mem_def.get(addr as usize)?;
-        (v != 0).then(|| v - 1)
+    pub fn mem_def(&self, addr: MemAddr) -> Option<StepSite> {
+        self.mem_def.get(addr as usize)?.get()
     }
 
     #[inline]
-    pub fn set_mem_def(&mut self, addr: MemAddr, step: u64) {
+    pub fn set_mem_def(&mut self, addr: MemAddr, def: StepSite) {
         if let Some(i) = self.ensure_addr(addr) {
-            self.mem_def[i] = step + 1;
+            self.mem_def[i] = def;
             // A store invalidates the redundant-load record.
             self.load_seen[i] = 0;
         }
@@ -169,21 +173,23 @@ impl ShadowState {
 /// * calls push a fresh frame, returns pop it.
 ///
 /// The dynamic control dependence of the current instruction is the
-/// region on top of the current frame's stack.
+/// region on top of the current frame's stack; each open region holds
+/// its branch instance's [`StepSite`].
 ///
 /// `Clone` is deliberate: the epoch-sharded deriver
 /// ([`crate::epoch`]) snapshots the stack at each epoch boundary
 /// during the cheap sequential pre-scan, giving every shard the exact
-/// control context its first instruction runs under. Clones share the
-/// static region table and copy only the dynamic stacks.
+/// control context its first instruction runs under, branch sites
+/// included. Clones share the static region table and copy only the
+/// dynamic stacks.
 #[derive(Clone)]
 pub struct ControlStack {
     /// Region end address by program address (`None` for addresses that
     /// are not conditional branches).
     region_end: Arc<[Option<Addr>]>,
     /// Per-thread stacks of frames; each frame is a stack of
-    /// `(branch_step, end_addr)`.
-    frames: Vec<Vec<Vec<(u64, Addr)>>>,
+    /// `(branch site, end_addr)`.
+    frames: Vec<Vec<Vec<(StepSite, Addr)>>>,
 }
 
 impl ControlStack {
@@ -216,7 +222,7 @@ impl ControlStack {
         ControlStack { region_end: region_end.into(), frames: Vec::new() }
     }
 
-    fn frame(&mut self, tid: ThreadId) -> &mut Vec<(u64, Addr)> {
+    fn frame(&mut self, tid: ThreadId) -> &mut Vec<(StepSite, Addr)> {
         let t = tid as usize;
         while self.frames.len() <= t {
             self.frames.push(vec![Vec::new()]);
@@ -238,23 +244,25 @@ impl ControlStack {
 
     /// The branch instance the current instruction is control dependent
     /// on, if any.
-    pub fn current_dep(&mut self, tid: ThreadId) -> Option<u64> {
+    pub fn current_dep(&mut self, tid: ThreadId) -> Option<StepSite> {
         self.frame(tid).last().map(|&(s, _)| s)
     }
 
-    /// Record the execution of conditional branch `addr` at `step`.
-    pub fn on_branch(&mut self, tid: ThreadId, addr: Addr, step: u64) {
-        let Some(end) = self.region_end.get(addr as usize).copied().flatten() else { return };
+    /// Record the execution of the conditional branch instance `branch`.
+    pub fn on_branch(&mut self, tid: ThreadId, branch: StepSite) {
+        let Some(end) = self.region_end.get(branch.addr as usize).copied().flatten() else {
+            return;
+        };
         let frame = self.frame(tid);
         // Re-execution of the branch whose region is already open (a loop
         // back-edge) replaces the top entry instead of growing the stack.
         if let Some(top) = frame.last_mut() {
             if top.1 == end {
-                *top = (step, end);
+                *top = (branch, end);
                 return;
             }
         }
-        frame.push((step, end));
+        frame.push((branch, end));
     }
 
     /// A call pushes a fresh region frame.
@@ -290,26 +298,31 @@ mod tests {
     use super::*;
     use dift_isa::{BinOp, BranchCond, ProgramBuilder};
 
+    /// The site of step `step` at instruction `addr` (statement `addr + 100`).
+    fn at(step: u64, addr: Addr) -> StepSite {
+        StepSite { step, addr, stmt: addr + 100 }
+    }
+
     #[test]
     fn shadow_reg_defs_round_trip() {
         let mut s = ShadowState::new(64);
         assert_eq!(s.reg_def(0, Reg(1)), None);
-        s.set_reg_def(0, Reg(1), 7);
-        assert_eq!(s.reg_def(0, Reg(1)), Some(7));
-        // Step 0 is distinguishable from "never".
-        s.set_reg_def(1, Reg(2), 0);
-        assert_eq!(s.reg_def(1, Reg(2)), Some(0));
+        s.set_reg_def(0, Reg(1), at(7, 3));
+        assert_eq!(s.reg_def(0, Reg(1)), Some(at(7, 3)));
+        // Step 0 at address 0 is distinguishable from "never".
+        s.set_reg_def(1, Reg(2), at(0, 0));
+        assert_eq!(s.reg_def(1, Reg(2)), Some(at(0, 0)));
     }
 
     #[test]
     fn shadow_mem_defs_and_redundant_loads() {
         let mut s = ShadowState::new(64);
         assert_eq!(s.mem_def(10), None);
-        s.set_mem_def(10, 5);
-        assert_eq!(s.mem_def(10), Some(5));
+        s.set_mem_def(10, at(5, 2));
+        assert_eq!(s.mem_def(10), Some(at(5, 2)));
         assert!(!s.probe_redundant_load(10, 6), "first load is not redundant");
         assert!(s.probe_redundant_load(10, 7), "second load is redundant");
-        s.set_mem_def(10, 8); // store invalidates
+        s.set_mem_def(10, at(8, 4)); // store invalidates
         assert!(!s.probe_redundant_load(10, 9));
     }
 
@@ -320,16 +333,16 @@ mod tests {
         // Reads against unallocated pages are well-defined.
         assert_eq!(s.mem_def(SHADOW_PAGE_WORDS as u64 * 3), None);
         assert!(!s.mem_tainted(17));
-        s.set_mem_def(10, 5);
+        s.set_mem_def(10, at(5, 1));
         assert_eq!(s.allocated_words(), SHADOW_PAGE_WORDS);
-        assert_eq!(s.mem_def(10), Some(5));
+        assert_eq!(s.mem_def(10), Some(at(5, 1)));
         // A write two pages up grows the prefix to cover it.
         s.set_mem_taint(SHADOW_PAGE_WORDS as u64 * 2 + 1, true);
         assert_eq!(s.allocated_words(), SHADOW_PAGE_WORDS * 3);
         assert!(s.mem_tainted(SHADOW_PAGE_WORDS as u64 * 2 + 1));
         // Out-of-capacity writes are ignored, exactly as pre-sized
         // tables ignored them.
-        s.set_mem_def(SHADOW_PAGE_WORDS as u64 * 9, 1);
+        s.set_mem_def(SHADOW_PAGE_WORDS as u64 * 9, at(1, 1));
         assert_eq!(s.mem_def(SHADOW_PAGE_WORDS as u64 * 9), None);
         assert_eq!(s.allocated_words(), SHADOW_PAGE_WORDS * 3);
     }
@@ -370,9 +383,9 @@ mod tests {
         cs.on_step(0, 0);
         assert_eq!(cs.current_dep(0), None);
         cs.on_step(0, 1);
-        cs.on_branch(0, 1, 1);
+        cs.on_branch(0, at(1, 1));
         cs.on_step(0, 4);
-        assert_eq!(cs.current_dep(0), Some(1), "arm is control dependent on branch");
+        assert_eq!(cs.current_dep(0), Some(at(1, 1)), "arm is control dependent on branch");
         cs.on_step(0, 5); // join: region closes
         assert_eq!(cs.current_dep(0), None);
     }
@@ -396,10 +409,10 @@ mod tests {
             step += 1;
             cs.on_step(0, 2);
             step += 1;
-            cs.on_branch(0, 2, step);
+            cs.on_branch(0, at(step, 2));
             // After each branch, the body is control dependent on the
             // latest branch instance only.
-            assert_eq!(cs.current_dep(0), Some(step));
+            assert_eq!(cs.current_dep(0), Some(at(step, 2)));
         }
         cs.on_step(0, 3); // loop exit: region closes
         assert_eq!(cs.current_dep(0), None);
@@ -410,21 +423,21 @@ mod tests {
         let p = diamond_program();
         let mut cs = ControlStack::new(&p);
         cs.on_step(0, 1);
-        cs.on_branch(0, 1, 1);
-        assert_eq!(cs.current_dep(0), Some(1));
+        cs.on_branch(0, at(1, 1));
+        assert_eq!(cs.current_dep(0), Some(at(1, 1)));
         cs.on_call(0);
         // Inside the callee, the caller's open region is not visible.
         assert_eq!(cs.current_dep(0), None);
         cs.on_ret(0);
-        assert_eq!(cs.current_dep(0), Some(1));
+        assert_eq!(cs.current_dep(0), Some(at(1, 1)));
     }
 
     #[test]
     fn threads_have_independent_stacks() {
         let p = diamond_program();
         let mut cs = ControlStack::new(&p);
-        cs.on_branch(0, 1, 10);
-        assert_eq!(cs.current_dep(0), Some(10));
+        cs.on_branch(0, at(10, 1));
+        assert_eq!(cs.current_dep(0), Some(at(10, 1)));
         assert_eq!(cs.current_dep(1), None);
     }
 }

@@ -231,3 +231,32 @@ fn war_waw_edges_recorded_when_enabled() {
     assert_eq!(g.count_kind(DepKind::War), 1);
     assert_eq!(g.count_kind(DepKind::Waw), 1);
 }
+
+/// A def older than 4 M defining steps keeps its site. The register
+/// written at address 1 (step 1) is read after a 2.1 M-iteration loop
+/// whose `sub` and `branch` each define or open a region, and the record
+/// on it names the defining instruction's address and statement.
+#[test]
+fn old_def_keeps_its_site_past_four_million_defining_steps() {
+    let mut b = ProgramBuilder::new();
+    b.func("main");
+    b.li(Reg(1), 2_100_000); // 0: iterations
+    b.li(Reg(2), 7); // 1: the old def
+    b.label("loop");
+    b.bini(BinOp::Sub, Reg(1), Reg(1), 1); // 2
+    b.branch(BranchCond::Ne, Reg(1), Reg(0), "loop"); // 3
+    b.output(Reg(2), 0); // 4: reads the step-1 def
+    b.halt();
+    let p = Arc::new(b.build().unwrap());
+    let (tracer, r) = run_ontrac(&p, OnTracConfig::unoptimized(1 << 12));
+    assert!(r.status.is_clean(), "{:?}", r.status);
+    assert!(r.steps > 4_200_000);
+    let rec = tracer
+        .buffer()
+        .records()
+        .filter(|rec| rec.dep.def == 1)
+        .last()
+        .expect("the read of the step-1 def is in the window");
+    assert_eq!(rec.dep.kind, DepKind::RegData);
+    assert_eq!((rec.def_addr, rec.def_stmt), (1, p.fetch(1).stmt), "{rec:?}");
+}

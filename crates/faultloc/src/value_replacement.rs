@@ -6,7 +6,7 @@
 //! *interesting value-mapping pair* is ranked as a prime fault candidate.
 //! Unlike slicing, this works uniformly for every error type.
 
-use dift_dbi::{Engine, Tool};
+use dift_dbi::{capture, Engine, Tool};
 use dift_isa::{Program, StmtId};
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,16 +45,6 @@ impl VrReport {
     }
 }
 
-struct Recorder {
-    events: Vec<StepEffects>,
-}
-
-impl Tool for Recorder {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.events.push(fx.clone());
-    }
-}
-
 /// Replaces the value produced at one dynamic step.
 struct Replacer {
     target_step: u64,
@@ -86,14 +76,12 @@ pub fn value_replacement_rank(
     vr: VrConfig,
 ) -> VrReport {
     // Record the failing run.
-    let mut rec = Recorder { events: Vec::new() };
-    let mut engine = Engine::new(fresh_machine(program, config, input));
-    engine.run_tool(&mut rec);
+    let (events, _) = capture(fresh_machine(program, config, input));
 
     // Alternate-value pool per statement: values observed at the same
     // statement across the run.
     let mut observed: BTreeMap<StmtId, BTreeSet<u64>> = BTreeMap::new();
-    for e in &rec.events {
+    for e in &events {
         if let Some((_, _, new)) = e.reg_write {
             observed.entry(e.insn.stmt).or_default().insert(new);
         }
@@ -101,7 +89,7 @@ pub fn value_replacement_rank(
 
     // Candidates: value-producing instances, nearest the end first.
     let candidates: Vec<&StepEffects> =
-        rec.events.iter().rev().filter(|e| e.reg_write.is_some()).take(vr.max_candidates).collect();
+        events.iter().rev().filter(|e| e.reg_write.is_some()).take(vr.max_candidates).collect();
 
     let mut scores: BTreeMap<StmtId, u32> = BTreeMap::new();
     let mut last_step: BTreeMap<StmtId, u64> = BTreeMap::new();

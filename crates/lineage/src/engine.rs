@@ -352,15 +352,6 @@ mod tests {
         eng.backend.scan(&stored)
     }
 
-    #[derive(Default)]
-    struct Capture(Vec<StepEffects>);
-
-    impl Tool for Capture {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.0.push(fx.clone());
-        }
-    }
-
     /// A 4-tenant kv server: tenants share one key space, so each reads
     /// values the others stored.
     fn multi_tenant_server() -> Workload {
@@ -391,10 +382,9 @@ mod tests {
         ws.extend([8, 24, 64, 128].map(|n| science::prefix_sum(n).workload));
         ws.into_iter()
             .map(|w| {
-                let mut cap = Capture::default();
-                let r = Engine::new(w.machine()).run_tool(&mut cap);
+                let (fxs, r) = dift_dbi::capture(w.machine());
                 assert!(r.status.is_clean(), "{}: {:?}", w.name, r.status);
-                (w.name, cap.0)
+                (w.name, fxs)
             })
             .collect()
     }

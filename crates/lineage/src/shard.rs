@@ -107,18 +107,35 @@ struct EpochSinks {
 /// [`EpochSinks`] with every set resolved to a primary-manager node.
 type ResolvedSinks = (Vec<(u64, NodeId)>, Vec<(u64, ThreadId, Addr, MemAddr, NodeId)>);
 
-/// Resolved sink-site lineage from a sharded run, field-for-field what
-/// the sentinel's serial `SinkObservations` captures (the sentinel
-/// crate assembles its own type from this plus the engine's channel
-/// map).
-#[derive(Clone, Debug, Default)]
+/// Per-value input sets captured at sink sites, plus the channel map
+/// that resolves input indices to channels. The sentinel's serial
+/// `SinkObserver` fills one as it runs; a sharded run composes one from
+/// its epochs ([`LineageEpochSummary::apply`]) with the same captures
+/// in the same order.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SinkLog {
-    /// Pre-step address-register lineage, keyed by step.
+    /// Pre-step address-register lineage, keyed by step. Only non-empty
+    /// sets are recorded.
     pub addr_lineage: BTreeMap<u64, Vec<u64>>,
-    /// `(step, tid, at, cell, lineage)` per store with non-empty set.
+    /// `(step, tid, at, cell, lineage)` per store with non-empty set,
+    /// post-state — the cell then holds exactly the stored set.
     pub stores: Vec<(u64, ThreadId, Addr, MemAddr, Vec<u64>)>,
-    /// `(step, tid, at, channel, emit index, lineage)` per output.
+    /// `(step, tid, at, channel, emit index, lineage)` per output with
+    /// non-empty set.
     pub outputs: Vec<(u64, ThreadId, Addr, u16, u64, Vec<u64>)>,
+    /// Channel that produced each input index.
+    pub input_channels: Vec<u16>,
+}
+
+impl SinkLog {
+    /// Distinct channels behind a lineage set, sorted.
+    pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
+        let mut chs: Vec<u16> =
+            lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
+        chs.sort_unstable();
+        chs.dedup();
+        chs
+    }
 }
 
 /// The per-epoch lineage delta: final shadow rows, outputs and input
@@ -249,6 +266,9 @@ impl LineageEpochSummary {
         // 4. Input provenance.
         eng.inputs_seen += self.input_channels.len() as u64;
         eng.input_channels.extend_from_slice(&self.input_channels);
+        if let Some(l) = log.as_deref_mut() {
+            l.input_channels.extend_from_slice(&self.input_channels);
+        }
 
         // 5. Shadow rows.
         for ((tid, r), n) in reg_updates {
@@ -299,7 +319,7 @@ impl LineageEpochSummary {
 /// Streaming builder for a [`LineageEpochSummary`] — the shard-side
 /// mirror of [`LineageEngine::process`], with untouched-location reads
 /// interned as symbolic incoming references instead of shadow lookups.
-pub struct LineageEpochSummarizer {
+struct LineageEpochSummarizer {
     sum: LineageEpochSummary,
     loc_ids: HashMap<Loc, u32>,
     inputs_in_epoch: u64,
@@ -310,7 +330,7 @@ impl LineageEpochSummarizer {
     /// `base` is the label-independent pre-scan state at epoch entry;
     /// `capture_sinks` additionally records the sentinel's sink-site
     /// captures (address-register and store-cell lineage).
-    pub fn new(id_bits: u32, base: &IoBase, capture_sinks: bool) -> LineageEpochSummarizer {
+    fn new(id_bits: u32, base: &IoBase, capture_sinks: bool) -> LineageEpochSummarizer {
         LineageEpochSummarizer {
             sum: LineageEpochSummary {
                 arena: BddManager::new(id_bits),
@@ -365,7 +385,7 @@ impl LineageEpochSummarizer {
     }
 
     /// Summarize one step (steps must arrive in stream order).
-    pub fn step(&mut self, fx: &StepEffects) {
+    fn step(&mut self, fx: &StepEffects) {
         let tid = fx.tid;
         self.sum.instrs += 1;
 
@@ -441,10 +461,6 @@ impl LineageEpochSummarizer {
             }
         }
     }
-
-    pub fn finish(self) -> LineageEpochSummary {
-        self.sum
-    }
 }
 
 /// Summarize one epoch of the step stream into a composable delta.
@@ -458,5 +474,5 @@ pub fn summarize_lineage_epoch(
     for fx in fxs {
         s.step(fx);
     }
-    s.finish()
+    s.sum
 }

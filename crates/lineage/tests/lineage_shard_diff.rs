@@ -10,7 +10,6 @@
 //! allocated across epoch boundaries and the `IoBase` numbering has to
 //! agree with the serial engine's running counter.
 
-use dift_dbi::{Engine, Tool};
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
 use dift_lineage::{BddBackend, LineageEngine};
 use dift_multicore::{
@@ -120,17 +119,6 @@ fn build(ninputs: usize, steps: &[Step]) -> Arc<Program> {
     Arc::new(b.build().unwrap())
 }
 
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 fn capture(p: &Arc<Program>, inputs: &[u64], steps: &[Step]) -> Vec<StepEffects> {
     let mut m = Machine::new(p.clone(), MachineConfig::small());
     m.feed_input(0, inputs);
@@ -141,10 +129,9 @@ fn capture(p: &Arc<Program>, inputs: &[u64], steps: &[Step]) -> Vec<StepEffects>
         .map(|(i, _)| 1000 + i as u64)
         .collect();
     m.feed_input(1, &ch1);
-    let mut cap = Capture::default();
-    let r = Engine::new(m).run_tool(&mut cap);
+    let (fxs, r) = dift_dbi::capture(m);
     assert!(r.status.is_clean(), "{:?}", r.status);
-    cap.fxs
+    fxs
 }
 
 fn serial(fxs: &[StepEffects]) -> LineageEngine<BddBackend> {

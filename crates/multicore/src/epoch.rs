@@ -538,28 +538,19 @@ mod tests {
 
     #[test]
     fn stream_parallel_path_matches_serial_processing() {
-        use dift_dbi::Tool;
         let (p, inputs) = taint_workload();
         let m = machine(&p, &inputs);
         let mem_words = m.mem_words();
-        #[derive(Default)]
-        struct Cap(Vec<StepEffects>);
-        impl Tool for Cap {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
-        let mut cap = Cap::default();
-        Engine::new(m).run_tool(&mut cap);
+        let (fxs, _) = dift_dbi::capture(m);
 
         let policy = TaintPolicy::propagate_only();
         let mut serial = TaintEngine::<PcTaint>::new(policy);
         serial.pre_size(mem_words);
-        for fx in &cap.0 {
+        for fx in &fxs {
             serial.process(fx);
         }
         for workers in [1, 4] {
-            let par = epoch_process_stream::<PcTaint>(&cap.0, policy, mem_words, 64, workers);
+            let par = epoch_process_stream::<PcTaint>(&fxs, policy, mem_words, 64, workers);
             assert_eq!(par.output_labels, serial.output_labels, "workers={workers}");
             assert_eq!(par.tainted_words(), serial.tainted_words());
             assert_eq!(par.stats(), serial.stats());
@@ -744,30 +735,20 @@ mod tests {
     #[test]
     fn stream_tolerant_recovers_every_site() {
         silence_injected_panics();
-        use dift_dbi::Tool;
         let (p, inputs) = taint_workload();
         let m = machine(&p, &inputs);
         let mem_words = m.mem_words();
-        #[derive(Default)]
-        struct Cap(Vec<StepEffects>);
-        impl Tool for Cap {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
-        let mut cap = Cap::default();
-        Engine::new(m).run_tool(&mut cap);
+        let (fxs, _) = dift_dbi::capture(m);
         let policy = TaintPolicy::propagate_only();
-        let serial = epoch_process_stream::<BitTaint>(&cap.0, policy, mem_words, 64, 1);
+        let serial = epoch_process_stream::<BitTaint>(&fxs, policy, mem_words, 64, 1);
         for site in FaultSite::ALL {
             // Armed at every shard index; only epoch 2's home shard
             // (2 % 3) is consulted, so exactly one injection fires.
             let plan = ScriptedFaults::new(
                 (0..3).map(|w| crate::faultplan::Injection { site, shard: w, epoch: 2 }).collect(),
             );
-            let (par, rs) = epoch_process_stream_tolerant::<BitTaint, _>(
-                &cap.0, policy, mem_words, 64, 3, plan,
-            );
+            let (par, rs) =
+                epoch_process_stream_tolerant::<BitTaint, _>(&fxs, policy, mem_words, 64, 3, plan);
             assert_eq!(par.output_labels, serial.output_labels, "{site:?}");
             assert_eq!(par.tainted_words(), serial.tainted_words(), "{site:?}");
             assert_eq!(par.stats(), serial.stats(), "{site:?}");

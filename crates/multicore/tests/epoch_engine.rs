@@ -3,7 +3,6 @@
 //! fail-stop aborts instead of hanging, and the per-epoch summarize
 //! histograms get one sample per epoch.
 
-use dift_dbi::{Engine, Tool};
 use dift_multicore::{
     epoch_process_stream_tolerant, run_epoch_dift_obs, run_epoch_dift_tolerant,
     shard_lineage_stream_obs, shard_lineage_stream_tolerant, silence_injected_panics, ChannelModel,
@@ -11,7 +10,7 @@ use dift_multicore::{
 };
 use dift_obs::{Metric, NoopRecorder, StatsRecorder};
 use dift_taint::{BitTaint, TaintPolicy};
-use dift_vm::{Machine, StepEffects};
+use dift_vm::StepEffects;
 use dift_workloads::{science, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -27,16 +26,7 @@ fn workload() -> Workload {
 }
 
 fn capture(w: &Workload) -> Vec<StepEffects> {
-    #[derive(Default)]
-    struct Cap(Vec<StepEffects>);
-    impl Tool for Cap {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.0.push(fx.clone());
-        }
-    }
-    let mut cap = Cap::default();
-    Engine::new(w.machine()).run_tool(&mut cap);
-    cap.0
+    dift_dbi::capture(w.machine()).0
 }
 
 fn model(workers: usize, epoch_len: usize) -> EpochModel {

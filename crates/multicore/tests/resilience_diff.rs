@@ -13,7 +13,7 @@
 //! and must report `epochs_recovered > 0` whenever a fault actually
 //! fired.
 
-use dift_dbi::{Engine, Tool};
+use dift_dbi::capture;
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
 use dift_multicore::{
     epoch_process_stream_tolerant, run_epoch_dift_tolerant, silence_injected_panics, ChannelModel,
@@ -109,19 +109,6 @@ fn build(ninputs: usize, steps: &[Step]) -> Arc<Program> {
     Arc::new(b.build().unwrap())
 }
 
-/// Tool that records the effects stream so the oracle is driven from
-/// exactly the input the tolerant run saw (the VM is deterministic).
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 fn machine(p: &Arc<Program>, inputs: &[u64]) -> Machine {
     let mut m = Machine::new(p.clone(), MachineConfig::small());
     m.feed_input(0, inputs);
@@ -180,14 +167,13 @@ proptest! {
         silence_injected_panics();
         let p = build(inputs.len(), &steps);
         let policy = TaintPolicy::default();
-        let mut cap = Capture::default();
-        Engine::new(machine(&p, &inputs)).run_tool(&mut cap);
-        let oracle = oracle::<PcTaint>(&cap.fxs, policy);
+        let (fxs, _) = capture(machine(&p, &inputs));
+        let oracle = oracle::<PcTaint>(&fxs, policy);
 
         // Shard range covers the spares (workers + retry rounds) so the
         // plan can also attack the recovery path itself; epoch range
         // covers the whole stream.
-        let epochs = cap.fxs.len() / epoch_len + 1;
+        let epochs = fxs.len() / epoch_len + 1;
         let plan = ScriptedFaults::seeded(seed, nfaults, workers + 2, epochs);
         let (run, _) = run_epoch_dift_tolerant::<PcTaint, _, _>(
             machine(&p, &inputs),
@@ -211,7 +197,7 @@ proptest! {
         // Same adversary against the stream-parallel path.
         let mem_words = machine(&p, &inputs).mem_words();
         let (par, srs) = epoch_process_stream_tolerant::<PcTaint, _>(
-            &cap.fxs, policy, mem_words, epoch_len, workers, plan,
+            &fxs, policy, mem_words, epoch_len, workers, plan,
         );
         assert_agrees(&par, &oracle, "stream tolerant runner");
         prop_assert_eq!(srs.epochs_recovered, srs.epochs_lost, "{:?}", srs);
@@ -235,9 +221,8 @@ fn deterministic_fault_grid_recovers_every_site() {
     let p = build(2, &steps);
     let inputs = [7u64, 13];
     let policy = TaintPolicy::default();
-    let mut cap = Capture::default();
-    Engine::new(machine(&p, &inputs)).run_tool(&mut cap);
-    let oracle = oracle::<PcTaint>(&cap.fxs, policy);
+    let (fxs, _) = capture(machine(&p, &inputs));
+    let oracle = oracle::<PcTaint>(&fxs, policy);
 
     for site in FaultSite::ALL {
         for shard in 0..2usize {
@@ -268,9 +253,8 @@ fn fault_free_tolerant_run_is_uneventful() {
         (0..24).map(|i| Step::Alu { op: i % OPS.len(), rd: 2, rs1: 1, rs2: 2 }).collect();
     let p = build(1, &steps);
     let policy = TaintPolicy::default();
-    let mut cap = Capture::default();
-    Engine::new(machine(&p, &[5])).run_tool(&mut cap);
-    let oracle = oracle::<PcTaint>(&cap.fxs, policy);
+    let (fxs, _) = capture(machine(&p, &[5]));
+    let oracle = oracle::<PcTaint>(&fxs, policy);
     let (run, _) = run_epoch_dift_tolerant::<PcTaint, _, _>(
         machine(&p, &[5]),
         test_model(3, 8),

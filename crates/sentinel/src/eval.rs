@@ -21,66 +21,23 @@
 
 use crate::policy::{BoundaryPolicy, SinkClass, Verdict};
 use dift_dbi::Tool;
-use dift_isa::{Addr, MemAddr};
-use dift_lineage::{BddBackend, LineageEngine};
+use dift_isa::Addr;
+use dift_lineage::{BddBackend, LineageEngine, SinkLog};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_taint::{AlertKind, PcTaint, TaintAlert, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, RunResult, StepEffects, ThreadId};
 use serde::Serialize;
-use std::collections::BTreeMap;
-
-/// Per-value input sets captured at sink sites, plus the channel map
-/// needed to resolve input indices to channels.
-#[derive(Clone, Debug, Default)]
-pub struct SinkObservations {
-    /// step → lineage of the address-forming register, pre-state.
-    /// Only non-empty sets are recorded.
-    pub addr_lineage: BTreeMap<u64, Vec<u64>>,
-    /// `(step, tid, at, cell, lineage)` per lineage-carrying store,
-    /// post-state — the cell then holds exactly the stored set.
-    pub stores: Vec<(u64, ThreadId, Addr, MemAddr, Vec<u64>)>,
-    /// `(step, tid, at, channel, emit index, lineage)` per
-    /// lineage-carrying output word.
-    pub outputs: Vec<(u64, ThreadId, Addr, u16, u64, Vec<u64>)>,
-    /// Channel that produced each input index.
-    pub input_channels: Vec<u16>,
-}
-
-impl SinkObservations {
-    /// Observations from an epoch-sharded lineage run
-    /// (`dift_multicore::shard_lineage_stream` with sink capture on):
-    /// the shards' composed [`SinkLog`] carries the same captures the
-    /// serial [`SinkObserver`] would have made, in the same order;
-    /// `input_channels` comes from the composed engine. The resulting
-    /// events and policy outcomes are byte-identical to the serial path.
-    ///
-    /// [`SinkLog`]: dift_lineage::SinkLog
-    pub fn from_sharded(log: dift_lineage::SinkLog, input_channels: Vec<u16>) -> SinkObservations {
-        SinkObservations {
-            addr_lineage: log.addr_lineage,
-            stores: log.stores,
-            outputs: log.outputs,
-            input_channels,
-        }
-    }
-
-    /// Distinct channels behind a lineage set, sorted.
-    pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
-        let mut chs: Vec<u16> =
-            lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
-        chs.sort_unstable();
-        chs.dedup();
-        chs
-    }
-}
 
 /// The lineage pass: a [`LineageEngine`] over the roBDD backend plus
-/// sink-site capture. Machine-free (`process` takes only the step
+/// sink-site capture into a [`SinkLog`] — the same log an epoch-sharded
+/// lineage run (`dift_multicore::shard_lineage_stream` with sink capture
+/// on) composes, so events and policy outcomes from either are
+/// byte-identical. Machine-free (`process` takes only the step
 /// effects and returns the cycle charge), so it runs identically online
 /// as part of [`Sentinel`] or offline over a captured step stream.
 pub struct SinkObserver {
     lineage: LineageEngine<BddBackend>,
-    obs: SinkObservations,
+    obs: SinkLog,
 }
 
 impl Default for SinkObserver {
@@ -99,10 +56,7 @@ const MAX_SINK_SET: usize = 1 << 16;
 impl SinkObserver {
     /// Observer with the standard 16-bit input-id space (64K inputs).
     pub fn new() -> SinkObserver {
-        SinkObserver {
-            lineage: LineageEngine::new(BddBackend::new(16)),
-            obs: SinkObservations::default(),
-        }
+        SinkObserver { lineage: LineageEngine::new(BddBackend::new(16)), obs: SinkLog::default() }
     }
 
     /// Apply one step and capture sink-site lineage. Returns the cycle
@@ -141,7 +95,7 @@ impl SinkObserver {
     }
 
     /// The captured observations (the channel map is refreshed first).
-    pub fn observations(&mut self) -> &SinkObservations {
+    pub fn observations(&mut self) -> &SinkLog {
         self.obs.input_channels = self.lineage.input_channels().to_vec();
         &self.obs
     }
@@ -184,7 +138,7 @@ fn sink_rank(sink: &SinkClass) -> u8 {
 /// long as it is bit-identical to the serial one — which the epoch and
 /// summary-cache engines guarantee.
 pub fn combine_events(
-    obs: &SinkObservations,
+    obs: &SinkLog,
     alerts: &[TaintAlert<PcTaint>],
     output_labels: &[(u16, u64, PcTaint)],
 ) -> Vec<SinkEvent> {
@@ -549,18 +503,11 @@ mod tests {
         m.feed_input(0, &[7]);
         m.feed_input(1, &[9]);
 
-        struct Cap(Vec<StepEffects>);
-        impl Tool for Cap {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
-        let mut cap = Cap(Vec::new());
-        Engine::new(m).run_tool(&mut cap);
+        let (fxs, _) = dift_dbi::capture(m);
 
         let mut taint = TaintEngine::<PcTaint>::new(TaintPolicy::default());
         let mut observer = SinkObserver::new();
-        for fx in &cap.0 {
+        for fx in &fxs {
             taint.process(fx);
             observer.process(fx);
         }

@@ -7,15 +7,15 @@
 //! events, rule verdicts, lineage sets, root-cause PCs, and receipts
 //! serialize to byte-identical [`SentinelOutcome`]s.
 
-use dift_dbi::{Engine, Tool};
+use dift_dbi::capture;
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_multicore::{run_epoch_dift, shard_lineage_stream, EpochModel, LineageShardConfig};
 use dift_sentinel::{
-    apply_policy, combine_events, BoundaryPolicy, LineagePredicate, SinkClass, SinkObservations,
-    SinkObserver, SourceSpec, TaintBoundary, Verdict,
+    apply_policy, combine_events, BoundaryPolicy, LineagePredicate, SinkClass, SinkObserver,
+    SourceSpec, TaintBoundary, Verdict,
 };
 use dift_taint::{PcTaint, SummaryCachedEngine, TaintAlert, TaintEngine, TaintPolicy};
-use dift_vm::{Machine, MachineConfig, StepEffects};
+use dift_vm::{Machine, MachineConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -173,17 +173,6 @@ fn boundary() -> BoundaryPolicy {
         ))
 }
 
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 fn machine(p: &Arc<Program>, in0: &[u64], in1: &[u64]) -> Machine {
     let mut m = Machine::new(p.clone(), MachineConfig::small());
     m.feed_input(0, in0);
@@ -218,21 +207,20 @@ proptest! {
         let policy = TaintPolicy::default();
 
         // Capture the step stream once.
-        let mut cap = Capture::default();
         let m = machine(&p, &in0, &in1);
         let mem_words = m.mem_words();
-        Engine::new(m).run_tool(&mut cap);
+        let (fxs, _) = capture(m);
 
         // One shared lineage pass (engine-independent by construction).
         let mut observer = SinkObserver::new();
-        for fx in &cap.fxs {
+        for fx in &fxs {
             observer.process(fx);
         }
 
         // Plain serial engine.
         let mut plain = TaintEngine::<PcTaint>::new(policy);
         plain.pre_size(mem_words);
-        for fx in &cap.fxs {
+        for fx in &fxs {
             plain.process(fx);
         }
         let baseline = verdicts(&mut observer, &plain.alerts, &plain.output_labels);
@@ -246,16 +234,16 @@ proptest! {
         // Summary-cached engine.
         let mut cached = SummaryCachedEngine::<PcTaint>::new(policy, &p);
         cached.engine_mut().pre_size(mem_words);
-        cached.process_stream(&cap.fxs);
+        cached.process_stream(&fxs);
         let e = cached.engine();
         prop_assert_eq!(&e.alerts, &plain.alerts, "cached alert stream must agree");
         let via_cache = verdicts(&mut observer, &e.alerts, &e.output_labels);
         prop_assert_eq!(&via_cache, &baseline, "summary-cached sentinel outcome diverged");
     }
 
-    /// The lineage pass itself sharded: observations composed from the
-    /// epoch-sharded `SinkLog` must reproduce the serial observer's
-    /// captures exactly — and the policy outcome stays byte-identical.
+    /// The lineage pass itself sharded: the epoch-sharded `SinkLog` must
+    /// equal the serial observer's, captures and channel map alike — and
+    /// the policy outcome stays byte-identical.
     #[test]
     fn sharded_lineage_observations_match_serial(
         body in proptest::collection::vec(stmt(), 1..12),
@@ -267,34 +255,26 @@ proptest! {
     ) {
         let p = build(in0.len(), in1.len(), sweeps, &body);
         let policy = TaintPolicy::default();
-        let mut cap = Capture::default();
         let m = machine(&p, &in0, &in1);
         let mem_words = m.mem_words();
-        Engine::new(m).run_tool(&mut cap);
+        let (fxs, _) = capture(m);
 
         let mut observer = SinkObserver::new();
-        for fx in &cap.fxs {
+        for fx in &fxs {
             observer.process(fx);
         }
         let mut plain = TaintEngine::<PcTaint>::new(policy);
         plain.pre_size(mem_words);
-        for fx in &cap.fxs {
+        for fx in &fxs {
             plain.process(fx);
         }
         let baseline = verdicts(&mut observer, &plain.alerts, &plain.output_labels);
 
         let mut cfg = LineageShardConfig::new(workers, epoch_len, 16);
         cfg.capture_sinks = true;
-        let run = shard_lineage_stream(&cap.fxs, &p, mem_words, &cfg);
-        let sharded = SinkObservations::from_sharded(
-            run.sinks.expect("sink capture enabled"),
-            run.engine.input_channels().to_vec(),
-        );
-        let serial = observer.observations();
-        prop_assert_eq!(&sharded.addr_lineage, &serial.addr_lineage, "address lineage");
-        prop_assert_eq!(&sharded.stores, &serial.stores, "store captures");
-        prop_assert_eq!(&sharded.outputs, &serial.outputs, "output captures");
-        prop_assert_eq!(&sharded.input_channels, &serial.input_channels, "channel map");
+        let run = shard_lineage_stream(&fxs, &p, mem_words, &cfg);
+        let sharded = run.sinks.expect("sink capture enabled");
+        prop_assert_eq!(&sharded, observer.observations(), "sink log");
 
         let events = combine_events(&sharded, &plain.alerts, &plain.output_labels);
         let outcome = apply_policy(&boundary(), events).canonical_json();

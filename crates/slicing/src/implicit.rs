@@ -12,7 +12,7 @@
 //! needed.
 
 use crate::slicer::{KindMask, Slice, Slicer};
-use dift_dbi::{Engine, Tool};
+use dift_dbi::{Capture, Engine, Tool};
 use dift_ddg::offline::derive_full_deps;
 use dift_ddg::{DdgGraph, DepKind, Dependence, StepMeta};
 use dift_isa::{Addr, Program};
@@ -121,28 +121,19 @@ pub fn locate_omission_error(
     budget: u64,
 ) -> OmissionReport {
     // 1. Record the failing execution.
-    struct Recorder {
-        events: Vec<StepEffects>,
-    }
-    impl Tool for Recorder {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.events.push(fx.clone());
-        }
-    }
     let mut m = Machine::new(program.clone(), config.clone());
     setup(&mut m);
-    let mut rec = Recorder { events: Vec::new() };
+    let mut cap = Capture::default();
     let mut engine = Engine::new(m);
-    engine.run_tool(&mut rec);
-    let m = engine.into_machine();
-    let failing_output = m.output(channel).to_vec();
+    engine.run_tool(&mut cap);
+    let failing_output = engine.machine().output(channel).to_vec();
+    let events = cap.0;
 
-    let records = derive_full_deps(program, &rec.events, config.mem_words);
+    let records = derive_full_deps(program, &events, config.mem_words);
     let graph = DdgGraph::from_records(records.iter(), program);
 
     // The failing criterion: the last output instruction on the channel.
-    let out_step = rec
-        .events
+    let out_step = events
         .iter()
         .rev()
         .find(|e| matches!(e.output, Some((ch, _)) if ch == channel))
@@ -160,7 +151,7 @@ pub fn locate_omission_error(
     // 2. Candidate branch instances, nearest the failure first.
     let mut candidates: Vec<(Addr, u64, u64)> = Vec::new(); // (addr, instance, step)
     let mut instance_count: std::collections::HashMap<Addr, u64> = std::collections::HashMap::new();
-    for e in &rec.events {
+    for e in &events {
         if e.insn.is_branch() {
             let n = instance_count.entry(e.addr).or_insert(0);
             candidates.push((e.addr, *n, e.step));
@@ -187,7 +178,7 @@ pub fn locate_omission_error(
             let mut metas: Vec<StepMeta> =
                 graph.steps().filter_map(|s| graph.meta(s).copied()).collect();
             if graph.meta(step).is_none() {
-                if let Some(e) = rec.events.iter().find(|e| e.step == step) {
+                if let Some(e) = events.iter().find(|e| e.step == step) {
                     metas.push(StepMeta { step, addr: e.addr, stmt: e.insn.stmt, tid: e.tid });
                 }
             }

@@ -164,19 +164,9 @@ pub fn relevant_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dift_dbi::{Engine, Tool};
     use dift_isa::{BranchCond, ProgramBuilder};
     use dift_vm::{Machine, MachineConfig};
     use std::sync::Arc;
-
-    struct Recorder {
-        events: Vec<StepEffects>,
-    }
-    impl Tool for Recorder {
-        fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-            self.events.push(fx.clone());
-        }
-    }
 
     /// Execution-omission pattern: the fix-up store is skipped because
     /// the predicate is wrong, so the output reads a stale value.
@@ -198,11 +188,7 @@ mod tests {
     }
 
     fn run_with_events(p: &Arc<Program>) -> Vec<StepEffects> {
-        let m = Machine::new(p.clone(), MachineConfig::small());
-        let mut rec = Recorder { events: Vec::new() };
-        let mut e = Engine::new(m);
-        e.run_tool(&mut rec);
-        rec.events
+        dift_dbi::capture(Machine::new(p.clone(), MachineConfig::small())).0
     }
 
     #[test]

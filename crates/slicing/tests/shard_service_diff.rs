@@ -8,9 +8,14 @@
 //! effects stream is fed to [`shard_lineage_stream`] with slicing
 //! enabled at several epoch lengths, and every [`SliceService`] query
 //! path — backward, forward, backward-from-address — is compared against
-//! the same query over the serial `OnTrac` unoptimized index.
+//! the same query over the serial `OnTrac` unoptimized index. The serial
+//! run also pins the one deriver: the offline post-processing pass over
+//! the captured stream yields the tracer's records, in order, and every
+//! record names its steps' true address and statement.
 
-use dift_dbi::{Engine, Tool};
+use dift_dbi::{Capture, Engine};
+use dift_ddg::buffer::BufRecord;
+use dift_ddg::offline::derive_full_deps;
 use dift_ddg::{OnTrac, OnTracConfig, SliceIndex};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_multicore::{shard_lineage_stream, LineageShardConfig};
@@ -76,17 +81,6 @@ fn build(iters: u64, steps: &[Step]) -> Arc<Program> {
     Arc::new(b.build().unwrap())
 }
 
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 /// The serial ground truth: unoptimized ONTRAC with a never-evicting
 /// buffer (the sharded path records every dependence too).
 fn serial_index(p: &Arc<Program>) -> (OnTrac, Vec<StepEffects>) {
@@ -94,16 +88,28 @@ fn serial_index(p: &Arc<Program>) -> (OnTrac, Vec<StepEffects>) {
     let mem = m.config().mem_words;
     let mut tracer = OnTrac::new(p, mem, OnTracConfig::unoptimized(1 << 24));
     let mut cap = Capture::default();
-    struct Both<'a>(&'a mut OnTrac, &'a mut Capture);
-    impl Tool for Both<'_> {
-        fn after(&mut self, m: &mut Machine, fx: &StepEffects) {
-            self.0.after(m, fx);
-            self.1.after(m, fx);
+    let r = Engine::new(m).run(&mut [&mut tracer, &mut cap]);
+    assert!(r.status.is_clean(), "{:?}", r.status);
+    (tracer, cap.0)
+}
+
+/// One deriver, true def sites: the offline pass over the captured
+/// stream equals the serial tracer's records in order, and each record's
+/// def and user address and statement are those of the captured steps
+/// it names (a single-threaded stream is indexed by step).
+fn assert_one_deriver(p: &Arc<Program>, tracer: &OnTrac, fxs: &[StepEffects]) {
+    let offline = derive_full_deps(p, fxs, MachineConfig::small().mem_words);
+    let serial: Vec<BufRecord> = tracer.buffer().records().copied().collect();
+    assert_eq!(offline, serial, "offline derivation vs serial tracer");
+    for r in &offline {
+        for (step, addr, stmt) in
+            [(r.dep.def, r.def_addr, r.def_stmt), (r.dep.user, r.user_addr, r.user_stmt)]
+        {
+            let fx = &fxs[step as usize];
+            assert_eq!(fx.step, step, "captured steps index the stream");
+            assert_eq!((addr, stmt), (fx.addr, fx.insn.stmt), "site of step {step} in {r:?}");
         }
     }
-    let r = Engine::new(m).run_tool(&mut Both(&mut tracer, &mut cap));
-    assert!(r.status.is_clean(), "{:?}", r.status);
-    (tracer, cap.fxs)
 }
 
 /// Every service query path over the merged index must equal the same
@@ -146,6 +152,7 @@ proptest! {
     ) {
         let p = build(iters, &steps);
         let (tracer, fxs) = serial_index(&p);
+        assert_one_deriver(&p, &tracer, &fxs);
         let serial = tracer.slice_index().expect("index on");
         let mem_words = MachineConfig::small().mem_words;
         let mut cfg = LineageShardConfig::new(workers, epoch_len, 16);
@@ -168,6 +175,7 @@ fn single_step_epochs_still_match() {
     ];
     let p = build(5, &steps);
     let (tracer, fxs) = serial_index(&p);
+    assert_one_deriver(&p, &tracer, &fxs);
     let serial = tracer.slice_index().expect("index on");
     let mem_words = MachineConfig::small().mem_words;
     let mut cfg = LineageShardConfig::new(2, 1, 16);

@@ -558,14 +558,7 @@ mod tests {
 
         let mut m = Machine::new(p.clone(), MachineConfig::small());
         m.feed_input(0, &[9, 5]);
-        let mut cap_fx: Vec<dift_vm::StepEffects> = Vec::new();
-        struct Cap<'a>(&'a mut Vec<dift_vm::StepEffects>);
-        impl Tool for Cap<'_> {
-            fn after(&mut self, _m: &mut Machine, fx: &dift_vm::StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
-        Engine::new(m).run_tool(&mut Cap(&mut cap_fx));
+        let (cap_fx, _) = dift_dbi::capture(m);
 
         let mut fast = TaintEngine::<PcTaint>::new(pol);
         let mut oracle = crate::ReferenceTaintEngine::<PcTaint>::new(pol);

@@ -587,24 +587,14 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
 mod tests {
     use super::*;
     use crate::label::{BitTaint, LabelCtx, PcTaint};
-    use dift_dbi::{Engine, Tool};
     use dift_isa::{BinOp, BranchCond, Instruction, Opcode, ProgramBuilder, Reg};
     use dift_vm::{Machine, MachineConfig};
 
     fn capture(p: &Arc<Program>, inputs: &[u64]) -> (Vec<StepEffects>, usize) {
-        #[derive(Default)]
-        struct Cap(Vec<StepEffects>);
-        impl Tool for Cap {
-            fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-                self.0.push(fx.clone());
-            }
-        }
         let mut m = Machine::new(p.clone(), MachineConfig::small());
         m.feed_input(0, inputs);
         let mem_words = m.mem_words();
-        let mut cap = Cap::default();
-        Engine::new(m).run_tool(&mut cap);
-        (cap.0, mem_words)
+        (dift_dbi::capture(m).0, mem_words)
     }
 
     /// A loop whose iterations sweep a FIXED buffer: every iteration is

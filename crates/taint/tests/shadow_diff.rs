@@ -7,13 +7,13 @@
 //! output labels, alerts (including origin pointers), live tainted
 //! cells, and exact peak statistics.
 
-use dift_dbi::{Engine, Tool};
+use dift_dbi::capture;
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
 use dift_taint::{
     process_by_epochs, BitTaint, PcTaint, ReferenceTaintEngine, TaintEngine, TaintLabel,
     TaintPolicy,
 };
-use dift_vm::{Machine, MachineConfig, StepEffects};
+use dift_vm::{Machine, MachineConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -101,30 +101,16 @@ fn build(ninputs: usize, steps: &[Step]) -> Arc<Program> {
     Arc::new(b.build().unwrap())
 }
 
-/// Tool that records the effects stream so both engines can be driven
-/// from the identical input.
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 fn assert_engines_agree<T: TaintLabel>(p: &Arc<Program>, inputs: &[u64], policy: TaintPolicy) {
     let mut m = Machine::new(p.clone(), MachineConfig::small());
     m.feed_input(0, inputs);
     let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
+    let (fxs, _) = capture(m);
 
     let mut fast = TaintEngine::<T>::new(policy);
     fast.pre_size(mem_words);
     let mut oracle = ReferenceTaintEngine::<T>::new(policy);
-    for fx in &cap.fxs {
+    for fx in &fxs {
         fast.process(fx);
         oracle.process(fx);
     }
@@ -143,7 +129,7 @@ fn assert_engines_agree<T: TaintLabel>(p: &Arc<Program>, inputs: &[u64], policy:
     for epoch_len in [5usize, 17, 64] {
         let mut epoch = TaintEngine::<T>::new(policy);
         epoch.pre_size(mem_words);
-        process_by_epochs(&mut epoch, &cap.fxs, epoch_len);
+        process_by_epochs(&mut epoch, &fxs, epoch_len);
         assert_eq!(
             epoch.output_labels, oracle.output_labels,
             "epoch_len={epoch_len}: output lineage must agree"

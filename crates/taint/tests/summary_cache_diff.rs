@@ -11,7 +11,6 @@
 //! **moving** one (every sweep's addresses differ, guards must bail),
 //! through [`SummaryCachedEngine::process_stream`].
 
-use dift_dbi::{Engine, Tool};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_taint::{BitTaint, PcTaint, SummaryCachedEngine, TaintEngine, TaintLabel, TaintPolicy};
 use dift_vm::{Machine, MachineConfig, StepEffects};
@@ -145,24 +144,11 @@ fn build(ninputs: usize, sweeps: u8, body: &[Stmt], moving: bool) -> Arc<Program
     Arc::new(b.build().unwrap())
 }
 
-#[derive(Default)]
-struct Capture {
-    fxs: Vec<StepEffects>,
-}
-
-impl Tool for Capture {
-    fn after(&mut self, _m: &mut Machine, fx: &StepEffects) {
-        self.fxs.push(fx.clone());
-    }
-}
-
 fn capture(p: &Arc<Program>, inputs: &[u64]) -> (Vec<StepEffects>, usize) {
     let mut m = Machine::new(p.clone(), MachineConfig::small());
     m.feed_input(0, inputs);
     let mem_words = m.mem_words();
-    let mut cap = Capture::default();
-    Engine::new(m).run_tool(&mut cap);
-    (cap.fxs, mem_words)
+    (dift_dbi::capture(m).0, mem_words)
 }
 
 /// Run the plain engine and the cache over `p`'s effects stream and
