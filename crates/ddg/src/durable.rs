@@ -48,7 +48,10 @@
 //!    rungs 1–2 over every sealed segment on demand.
 //! 4. **Open-time scrub** — [`SegmentStore::open`] walks the directory,
 //!    validates every segment through rungs 1–2, renames failures to
-//!    `*.quarantine`, and reports what was lost.
+//!    `*.quarantine`, and reports what was lost. The rung-2 decode also
+//!    yields the cold tier's in-memory far-def and address lists, which
+//!    the format does not store; [`crate::cold::ColdStore::reopen`]
+//!    takes them from the scrub instead of decoding twice.
 //!
 //! A segment that fails any rung is *quarantined*, its user-step range
 //! recorded, and queries surface the loss as an explicit
@@ -63,7 +66,7 @@
 //! ([`IoFaultSite::TornWrite`], [`IoFaultSite::BitFlip`]) plant exactly
 //! the damage the ladder must catch.
 
-use crate::cold::SegMeta;
+use crate::cold::{SegFilter, SegMeta};
 use crate::iofault::{IoFaultPlan, IoFaultSite, NoopIoFaults};
 use std::fs;
 use std::io::{self, Write};
@@ -217,6 +220,16 @@ pub struct ScrubReport {
     pub nanos: u64,
 }
 
+/// A segment file that passed the open-time scrub.
+pub(crate) struct Survivor {
+    pub(crate) seq: u64,
+    pub(crate) meta: SegMeta,
+    pub(crate) payload_len: u32,
+    /// The cold tier's in-memory lists for it, which the format does
+    /// not store.
+    pub(crate) filter: SegFilter,
+}
+
 /// Cumulative I/O statistics, shared across clones of the store.
 #[derive(Debug, Default)]
 pub struct IoStats {
@@ -337,10 +350,20 @@ impl SegmentStore {
     /// report.
     #[allow(clippy::type_complexity)]
     pub fn open(dir: &Path) -> io::Result<(SegmentStore, Vec<(u64, SegMeta, u32)>, ScrubReport)> {
+        let (store, survivors, report) = SegmentStore::scrub(dir)?;
+        let manifest = survivors.into_iter().map(|s| (s.seq, s.meta, s.payload_len)).collect();
+        Ok((store, manifest, report))
+    }
+
+    /// [`SegmentStore::open`], handing back with each survivor the
+    /// in-memory pruning lists its rung-2 decode yields, so
+    /// [`crate::cold::ColdStore::reopen`] rebuilds them without a
+    /// second pass.
+    pub(crate) fn scrub(dir: &Path) -> io::Result<(SegmentStore, Vec<Survivor>, ScrubReport)> {
         let start = Instant::now();
         fs::create_dir_all(dir)?;
         let mut report = ScrubReport::default();
-        let mut manifest: Vec<(u64, SegMeta, u32)> = Vec::new();
+        let mut survivors: Vec<Survivor> = Vec::new();
         let mut max_seq = 0u64;
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
@@ -356,22 +379,22 @@ impl SegmentStore {
             let Ok(seq) = stem.parse::<u64>() else { continue };
             max_seq = max_seq.max(seq + 1);
             report.scanned += 1;
-            let verdict: Result<(SegMeta, u32), (CorruptKind, Option<(u64, u64)>)> =
-                match fs::read(&path) {
-                    Err(_) => Err((CorruptKind::Unreadable, None)),
-                    Ok(bytes) => match parse_segment(&bytes) {
-                        Err(kind) => Err((kind, peek_range(&bytes))),
-                        Ok((meta, payload)) => {
-                            match crate::cold::validate_payload(&meta, payload) {
-                                Err(kind) => Err((kind, Some((meta.first_user, meta.last_user)))),
-                                Ok(()) => Ok((meta, payload.len() as u32)),
-                            }
+            let verdict: Result<Survivor, (CorruptKind, Option<(u64, u64)>)> = match fs::read(&path)
+            {
+                Err(_) => Err((CorruptKind::Unreadable, None)),
+                Ok(bytes) => match parse_segment(&bytes) {
+                    Err(kind) => Err((kind, peek_range(&bytes))),
+                    Ok((meta, payload)) => match crate::cold::validate_payload(&meta, payload) {
+                        Err(kind) => Err((kind, Some((meta.first_user, meta.last_user)))),
+                        Ok(filter) => {
+                            Ok(Survivor { seq, meta, payload_len: payload.len() as u32, filter })
                         }
                     },
-                };
+                },
+            };
             match verdict {
-                Ok((meta, payload_len)) => {
-                    manifest.push((seq, meta, payload_len));
+                Ok(survivor) => {
+                    survivors.push(survivor);
                     report.ok += 1;
                 }
                 Err((reason, step_range)) => {
@@ -380,7 +403,7 @@ impl SegmentStore {
                 }
             }
         }
-        manifest.sort_by_key(|&(seq, _, _)| seq);
+        survivors.sort_by_key(|s| s.seq);
         report.nanos = start.elapsed().as_nanos() as u64;
         let store = SegmentStore {
             dir: dir.to_path_buf(),
@@ -391,8 +414,8 @@ impl SegmentStore {
         store
             .stats
             .disk_bytes
-            .store(manifest.iter().map(|(s, _, _)| store.file_len(*s)).sum(), Ordering::Relaxed);
-        Ok((store, manifest, report))
+            .store(survivors.iter().map(|s| store.file_len(s.seq)).sum(), Ordering::Relaxed);
+        Ok((store, survivors, report))
     }
 }
 

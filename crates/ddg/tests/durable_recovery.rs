@@ -8,9 +8,9 @@
 //! step range reported — and nothing ever panics or silently answers
 //! wrong.
 
-use dift_ddg::buffer::record;
-use dift_ddg::cold::{ColdStore, ColdView, SEGMENT_RECORDS};
-use dift_ddg::durable::{CorruptKind, HEADER_LEN, MAX_IO_RETRIES};
+use dift_ddg::buffer::{put_varint, record};
+use dift_ddg::cold::{ColdStore, ColdView, SegMeta, SEGMENT_RECORDS};
+use dift_ddg::durable::{encode_segment, CorruptKind, HEADER_LEN, MAX_IO_RETRIES};
 use dift_ddg::iofault::{IoFaultSite, ScriptedIoFaults};
 use dift_ddg::DepKind;
 use std::fs;
@@ -71,8 +71,10 @@ fn durable_roundtrip_matches_memory_only() {
     let mv = ColdView::new(&mem);
     let rv = ColdView::new(&reopened);
     for step in [1, 2, S, S + 1, 2 * S + 5, n - 1, n] {
-        assert_eq!(mv.defs(step), rv.defs(step), "defs({step})");
-        assert_eq!(mv.users(step), rv.users(step), "users({step})");
+        let (m, r): (Vec<_>, Vec<_>) = (mv.defs(step).collect(), rv.defs(step).collect());
+        assert_eq!(m, r, "defs({step})");
+        let (m, r): (Vec<_>, Vec<_>) = (mv.users(step).collect(), rv.users(step).collect());
+        assert_eq!(m, r, "users({step})");
         assert_eq!(mv.meta_of(step), rv.meta_of(step), "meta_of({step})");
     }
     assert_eq!(mv.steps_at(3), rv.steps_at(3));
@@ -108,8 +110,8 @@ fn torn_write_on_tail_quarantines_only_the_tail() {
     assert_eq!(reopened.record_count(), S * 2);
     assert_eq!(reopened.missing_step_ranges(), vec![(2 * S + 1, 3 * S)]);
     let view = ColdView::new(&reopened);
-    assert_eq!(view.defs(5), vec![(2, DepKind::RegData)]);
-    assert!(view.defs(2 * S + 5).is_empty(), "lost steps answer empty, not wrong");
+    assert_eq!(view.defs(5).collect::<Vec<_>>(), vec![(2, DepKind::RegData)]);
+    assert!(view.defs(2 * S + 5).next().is_none(), "lost steps answer empty, not wrong");
 }
 
 #[test]
@@ -132,6 +134,33 @@ fn bit_flip_is_caught_by_payload_crc_on_reopen() {
 }
 
 #[test]
+fn overflowing_user_steps_are_quarantined_on_reopen_not_panicked() {
+    let dir = scratch("user_overflow");
+    {
+        let mut store = ColdStore::durable(&dir).unwrap();
+        fill(&mut store, S);
+    }
+    // A second file with valid CRCs whose records take the user step
+    // past u64::MAX: the header agrees with what a wrapping decoder
+    // would derive, so only the decoder's arithmetic can catch it.
+    let mut payload = Vec::new();
+    for gap in [u64::MAX - 1, 5] {
+        put_varint(&mut payload, gap);
+        payload.extend_from_slice(&[0, 0, 0, 0, 0, 0]); // dist, kind, addrs, stmts
+    }
+    let wrapped = (u64::MAX - 1).wrapping_add(5);
+    let meta = SegMeta { first_user: u64::MAX - 1, last_user: wrapped, min_def: wrapped, count: 2 };
+    fs::write(dir.join("00000001.seg"), encode_segment(&meta, &payload)).unwrap();
+    let (reopened, report) = ColdStore::reopen(&dir).unwrap();
+    assert_eq!(report.ok, 1);
+    assert_eq!(report.quarantined.len(), 1);
+    assert_eq!(report.quarantined[0].seq, 1);
+    assert_eq!(report.quarantined[0].reason, CorruptKind::BadRecord);
+    assert_eq!(reopened.record_count(), S);
+    assert_eq!(seg_files(&dir, ".seg.quarantine"), vec!["00000001.seg.quarantine"]);
+}
+
+#[test]
 fn bit_flip_in_run_is_quarantined_at_load_not_panicked() {
     let dir = scratch("bitflip_live");
     let plan = ScriptedIoFaults::single(IoFaultSite::BitFlip, 0);
@@ -139,12 +168,12 @@ fn bit_flip_in_run_is_quarantined_at_load_not_panicked() {
     fill(&mut store, S * 2);
     let view = ColdView::new(&store);
     // Segment 0 is flipped on disk: the load's CRC catches it.
-    assert!(view.defs(5).is_empty());
+    assert!(view.defs(5).next().is_none());
     assert_eq!(store.corrupt_segments(), 1);
     assert_eq!(store.corruption_events()[0].reason, CorruptKind::PayloadCrc);
     assert_eq!(store.missing_step_ranges(), vec![(1, S)]);
     // Segment 1 is healthy.
-    assert_eq!(view.defs(S + 5), vec![((S + 5) / 2, DepKind::RegData)]);
+    assert_eq!(view.defs(S + 5).collect::<Vec<_>>(), vec![((S + 5) / 2, DepKind::RegData)]);
     // The damaged file was preserved for postmortems.
     assert_eq!(seg_files(&dir, ".seg.quarantine"), vec!["00000000.seg.quarantine"]);
 }
@@ -163,8 +192,8 @@ fn enospc_degrades_to_memory_without_losing_records() {
     assert_eq!(seg_files(&dir, ".seg"), vec!["00000001.seg"]);
     // Queries are oblivious: both segments answer.
     let view = ColdView::new(&store);
-    assert_eq!(view.defs(5), vec![(2, DepKind::RegData)]);
-    assert_eq!(view.defs(S + 5), vec![((S + 5) / 2, DepKind::RegData)]);
+    assert_eq!(view.defs(5).collect::<Vec<_>>(), vec![(2, DepKind::RegData)]);
+    assert_eq!(view.defs(S + 5).collect::<Vec<_>>(), vec![((S + 5) / 2, DepKind::RegData)]);
     assert!(store.verify().is_empty(), "nothing was lost");
 }
 
@@ -191,7 +220,11 @@ fn exhausted_fsync_failures_fall_back_to_memory() {
     assert_eq!(store.mem_fallbacks(), 1);
     assert!(seg_files(&dir, ".seg").is_empty());
     let view = ColdView::new(&store);
-    assert_eq!(view.defs(5), vec![(2, DepKind::RegData)], "records survive in memory");
+    assert_eq!(
+        view.defs(5).collect::<Vec<_>>(),
+        vec![(2, DepKind::RegData)],
+        "records survive in memory"
+    );
 }
 
 #[test]
@@ -201,7 +234,7 @@ fn transient_short_read_is_retried_to_success() {
     let mut store = ColdStore::durable_with_faults(&dir, plan).unwrap();
     fill(&mut store, S);
     let view = ColdView::new(&store);
-    assert_eq!(view.defs(5), vec![(2, DepKind::RegData)]);
+    assert_eq!(view.defs(5).collect::<Vec<_>>(), vec![(2, DepKind::RegData)]);
     assert!(store.durable_stats().unwrap().retries.load(std::sync::atomic::Ordering::Relaxed) >= 1);
     assert_eq!(store.corrupt_segments(), 0);
 }
@@ -213,7 +246,7 @@ fn exhausted_short_reads_mark_the_segment_missing() {
     let mut store = ColdStore::durable_with_faults(&dir, plan).unwrap();
     fill(&mut store, S);
     let view = ColdView::new(&store);
-    assert!(view.defs(5).is_empty(), "unreadable segment answers empty");
+    assert!(view.defs(5).next().is_none(), "unreadable segment answers empty");
     assert_eq!(store.corruption_events()[0].reason, CorruptKind::Unreadable);
     assert_eq!(store.missing_step_ranges(), vec![(1, S)]);
 }
@@ -229,7 +262,7 @@ fn two_readers_decode_a_shared_segment_once() {
             let reader = store.clone();
             scope.spawn(move || {
                 let view = ColdView::new(&reader);
-                assert_eq!(view.defs(5), vec![(2, DepKind::RegData)]);
+                assert_eq!(view.defs(5).collect::<Vec<_>>(), vec![(2, DepKind::RegData)]);
             });
         }
     });
@@ -264,5 +297,5 @@ fn durable_or_memory_degrades_when_the_path_is_unusable() {
     assert_eq!(store.mem_fallbacks(), 1);
     fill(&mut store, S);
     let view = ColdView::new(&store);
-    assert_eq!(view.defs(5), vec![(2, DepKind::RegData)]);
+    assert_eq!(view.defs(5).collect::<Vec<_>>(), vec![(2, DepKind::RegData)]);
 }

@@ -81,9 +81,9 @@ fn assert_cold_is_records(store: &ColdStore, g: &DdgGraph, last: u64, ctx: &str)
     let view = ColdView::new(store);
     for step in 0..=last {
         let want = sorted_dedup(g.defs_of(step).iter().map(|d| (d.def, d.kind)).collect());
-        assert_eq!(sorted_dedup(view.defs(step)), want, "{ctx}: defs({step})");
+        assert_eq!(sorted_dedup(view.defs(step).collect()), want, "{ctx}: defs({step})");
         let want = sorted_dedup(g.users_of(step).map(|d| (d.user, d.kind)).collect());
-        assert_eq!(sorted_dedup(view.users(step)), want, "{ctx}: users({step})");
+        assert_eq!(sorted_dedup(view.users(step).collect()), want, "{ctx}: users({step})");
         let want = g.meta(step).map(|m| (m.addr, m.stmt));
         assert_eq!(view.meta_of(step), want, "{ctx}: meta_of({step})");
     }

@@ -186,9 +186,8 @@ pub fn backward_from_addr_over<S: DepSource + ?Sized>(
 /// Every record is in exactly one tier, so chaining the two adjacency
 /// sets loses nothing and duplicates nothing that matters (slices are
 /// step *sets*; a duplicate edge re-proposes a step the walk's `seen`
-/// set already absorbed). The [`ColdView`] inside memoizes the open
-/// segment's decoding for the source's lifetime, so one source serves
-/// one query.
+/// set already absorbed). The [`ColdView`] inside holds no decoded
+/// state of its own: every decode is shared through the store.
 pub(crate) struct StitchedSource<'a, F: IoFaultPlan> {
     live: &'a SliceSnapshot,
     cold: ColdView<'a, F>,
@@ -216,8 +215,10 @@ impl<F: IoFaultPlan> DepSource for StitchedSource<'_, F> {
     fn steps_at(&self, addr: Addr) -> impl Iterator<Item = u64> {
         // Sorted-dedup union: a step can be live *and* mentioned in
         // cold (e.g. as the still-live def of an evicted record).
-        let mut steps: BTreeSet<u64> = dift_ddg::IndexData::steps_at(self.live, addr).collect();
-        steps.extend(self.cold.steps_at(addr));
+        let mut steps = self.cold.steps_at(addr);
+        steps.extend(dift_ddg::IndexData::steps_at(self.live, addr));
+        steps.sort_unstable();
+        steps.dedup();
         steps.into_iter()
     }
 }
