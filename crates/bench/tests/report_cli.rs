@@ -497,6 +497,20 @@ fn compare_bad_inputs_exit_2() {
     assert_eq!(o.status.code(), Some(2), "no-matches must fail loudly");
 }
 
+#[test]
+fn compare_rejects_deeply_nested_json_with_a_message() {
+    let dir = scratch("cmp_deep");
+    let base = dir.join("base.json");
+    let deep = dir.join("deep.json");
+    std::fs::write(&base, synthetic(3.0)).unwrap();
+    // Well-formed, but nested far past the parser's limit.
+    std::fs::write(&deep, format!("{}{}", "[".repeat(100_000), "]".repeat(100_000))).unwrap();
+    let o = run_in(&dir, &["compare", base.to_str().unwrap(), deep.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(2), "stderr: {}", stderr(&o));
+    let err = stderr(&o);
+    assert!(err.contains("deep.json") && err.contains("recursion limit"), "{err}");
+}
+
 /// The taint document plus the gated `identical_fraction` (left out
 /// when `None`).
 fn with_fraction(frac: Option<f64>) -> String {

@@ -16,7 +16,8 @@
 //! * [`trace::TraceBuilder`] — hot-trace formation (NET-style: when a
 //!   block becomes hot, the following block sequence is recorded as a
 //!   trace), which ONTRAC uses to extend static dependence inference
-//!   across block boundaries.
+//!   across block boundaries. Like the engine's dispatch flags, its
+//!   tables are arrays indexed by code address.
 //! * Function filtering — tools can restrict instrumentation to selected
 //!   functions, the mechanism behind ONTRAC's "trace only where the
 //!   programmer expects the bug" optimization.
@@ -33,4 +34,4 @@ pub mod trace;
 pub use engine::{Engine, InstrumentationScope};
 pub use profile::{InsnClass, ProfileTool};
 pub use tool::{capture, Capture, CountingTool, NullTool, Tool};
-pub use trace::{HotTrace, TraceBuilder};
+pub use trace::TraceBuilder;

@@ -5,130 +5,76 @@
 //! execute consecutively in hot code. This module provides the runtime
 //! trace builder: when a block's entry count crosses `hot_threshold` the
 //! builder starts recording the block sequence the thread executes next,
-//! ending at `max_blocks`, at a back-edge to the head, or at a block
-//! already in the trace.
+//! ending at `max_blocks` or on re-entering a block already in the
+//! trace (a back-edge to the head included).
+//!
+//! Code addresses are instruction indices, so every table is an array
+//! sized by the program's text length when the builder is made: a block
+//! entry costs a few indexed reads, and no table grows while the program
+//! runs.
 
 use dift_isa::Addr;
 use dift_vm::ThreadId;
-use std::collections::HashMap;
-
-/// A formed hot trace: a head block plus the recorded successor blocks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotTrace {
-    pub head: Addr,
-    /// Block entry addresses, starting with `head`.
-    pub blocks: Vec<Addr>,
-}
-
-enum Recording {
-    No,
-    Yes { head: Addr, blocks: Vec<Addr> },
-}
-
-/// Cold hotness counters tracked before decay kicks in. A long run over
-/// a large code footprint otherwise accumulates one counter per block
-/// that ever executes — an unbounded leak for an always-on tool.
-const DEFAULT_COUNTER_BOUND: usize = 4096;
+use std::sync::Arc;
 
 /// Builds hot traces from a stream of block-entry events.
 pub struct TraceBuilder {
     hot_threshold: u32,
     max_blocks: usize,
-    counter_bound: usize,
-    counts: HashMap<Addr, u32>,
-    recording: HashMap<ThreadId, Recording>,
-    traces: HashMap<Addr, HotTrace>,
+    /// Entries counted toward `hot_threshold`, by block address.
+    counts: Vec<u32>,
+    /// The formed trace per head address: its block entries, head first.
+    traces: Vec<Option<Arc<[Addr]>>>,
+    /// Per-thread recording in progress, head first (empty: none).
+    recording: Vec<Vec<Addr>>,
 }
 
 impl TraceBuilder {
-    pub fn new(hot_threshold: u32, max_blocks: usize) -> TraceBuilder {
+    /// A builder for a program of `text_len` instructions.
+    pub fn new(text_len: usize, hot_threshold: u32, max_blocks: usize) -> TraceBuilder {
         TraceBuilder {
             hot_threshold,
             max_blocks,
-            counter_bound: DEFAULT_COUNTER_BOUND,
-            counts: HashMap::new(),
-            recording: HashMap::new(),
-            traces: HashMap::new(),
+            counts: vec![0; text_len],
+            traces: vec![None; text_len],
+            recording: Vec::new(),
         }
     }
 
-    /// Override the cold-counter bound (tests and memory-tight tools).
-    pub fn with_counter_bound(mut self, bound: usize) -> TraceBuilder {
-        self.counter_bound = bound.max(1);
-        self
-    }
-
-    /// Hotness counters currently tracked (bounded; excludes heads whose
-    /// trace already formed).
-    pub fn tracked_counters(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Feed one block entry; returns a completed trace when this event
-    /// finishes one.
-    pub fn on_block(&mut self, tid: ThreadId, entry: Addr) -> Option<HotTrace> {
-        // Continue an in-progress recording for this thread.
-        let state = self.recording.entry(tid).or_insert(Recording::No);
-        if let Recording::Yes { head, blocks } = state {
-            let head = *head;
-            let cycle = blocks.contains(&entry);
-            if cycle || blocks.len() >= self.max_blocks {
-                let trace = HotTrace { head, blocks: std::mem::take(blocks) };
-                *state = Recording::No;
-                self.traces.insert(head, trace.clone());
-                // The head's trace has formed: its hotness counter will
-                // never be consulted again (formed heads short-circuit
-                // below), so keeping it would leak one entry per trace.
-                self.counts.remove(&head);
-                return Some(trace);
+    /// Feed one block entry. An entry outside the text is ignored.
+    pub fn on_block(&mut self, tid: ThreadId, entry: Addr) {
+        let a = entry as usize;
+        if a >= self.counts.len() {
+            return;
+        }
+        let t = tid as usize;
+        if self.recording.len() <= t {
+            self.recording.resize_with(t + 1, Vec::new);
+        }
+        let blocks = &mut self.recording[t];
+        if let Some(&head) = blocks.first() {
+            // The ending entry is not counted. A second thread that
+            // re-formed the head replaces its trace.
+            if blocks.len() >= self.max_blocks || blocks.contains(&entry) {
+                self.traces[head as usize] = Some(std::mem::take(blocks).into());
+            } else {
+                blocks.push(entry);
             }
+            return;
+        }
+        if self.traces[a].is_some() {
+            return;
+        }
+        self.counts[a] += 1;
+        if self.counts[a] >= self.hot_threshold {
+            self.counts[a] = 0;
             blocks.push(entry);
-            return None;
         }
-
-        // Not recording: bump hotness and maybe start.
-        if self.traces.contains_key(&entry) {
-            return None; // already have a trace for this head
-        }
-        if self.counts.len() >= self.counter_bound && !self.counts.contains_key(&entry) {
-            // Table full and this is a new block: decay the cold mass
-            // (halve every counter, evict the zeros). Genuinely hot
-            // blocks survive halving and still cross the threshold;
-            // blocks seen once or twice — the leak on long runs — drop
-            // out. If everything is warm enough to survive, reset: a
-            // bounded table beats an exact one for an always-on tool.
-            self.counts.retain(|_, c| {
-                *c /= 2;
-                *c > 0
-            });
-            if self.counts.len() >= self.counter_bound {
-                self.counts.clear();
-            }
-        }
-        let c = self.counts.entry(entry).or_insert(0);
-        *c += 1;
-        if *c >= self.hot_threshold {
-            // Recording starts: the counter has served its purpose
-            // (either a trace forms — removed above on formation — or
-            // the recording aborts into a fresh count).
-            self.counts.remove(&entry);
-            self.recording.insert(tid, Recording::Yes { head: entry, blocks: vec![entry] });
-        }
-        None
     }
 
-    /// The trace formed for `head`, if any.
-    pub fn trace_for(&self, head: Addr) -> Option<&HotTrace> {
-        self.traces.get(&head)
-    }
-
-    /// All formed traces.
-    pub fn traces(&self) -> impl Iterator<Item = &HotTrace> {
-        self.traces.values()
-    }
-
-    pub fn trace_count(&self) -> usize {
-        self.traces.len()
+    /// The trace formed at `head`: its block entries, head first.
+    pub fn trace_at(&self, head: Addr) -> Option<&Arc<[Addr]>> {
+        self.traces.get(head as usize)?.as_ref()
     }
 }
 
@@ -136,136 +82,103 @@ impl TraceBuilder {
 mod tests {
     use super::*;
 
+    fn blocks(tb: &TraceBuilder, head: Addr) -> Option<Vec<Addr>> {
+        tb.trace_at(head).map(|t| t.to_vec())
+    }
+
     #[test]
     fn loop_forms_a_trace_at_threshold() {
-        let mut tb = TraceBuilder::new(3, 8);
+        let mut tb = TraceBuilder::new(256, 3, 8);
         // Simulate a 2-block loop body: A -> B -> A -> B ...
-        let mut formed = None;
         for _ in 0..10 {
-            if let Some(t) = tb.on_block(0, 100) {
-                formed = Some(t);
-                break;
-            }
-            if let Some(t) = tb.on_block(0, 200) {
-                formed = Some(t);
+            tb.on_block(0, 100);
+            tb.on_block(0, 200);
+            if tb.trace_at(100).is_some() {
                 break;
             }
         }
-        let t = formed.expect("hot loop should form a trace");
-        assert_eq!(t.head, 100);
-        assert_eq!(t.blocks, vec![100, 200]);
-        assert!(tb.trace_for(100).is_some());
+        assert_eq!(blocks(&tb, 100), Some(vec![100, 200]), "hot loop should form a trace");
     }
 
     #[test]
     fn recording_stops_at_max_blocks() {
-        let mut tb = TraceBuilder::new(1, 3);
+        let mut tb = TraceBuilder::new(8, 1, 3);
         // Straight-line distinct blocks.
-        assert!(tb.on_block(0, 1).is_none()); // hot immediately, starts recording
-        assert!(tb.on_block(0, 2).is_none());
-        assert!(tb.on_block(0, 3).is_none());
-        let t = tb.on_block(0, 4).expect("max_blocks reached");
-        assert_eq!(t.blocks, vec![1, 2, 3]);
+        tb.on_block(0, 1); // hot immediately, starts recording
+        tb.on_block(0, 2);
+        tb.on_block(0, 3);
+        assert_eq!(blocks(&tb, 1), None);
+        tb.on_block(0, 4); // max_blocks reached
+        assert_eq!(blocks(&tb, 1), Some(vec![1, 2, 3]));
+        assert_eq!(blocks(&tb, 4), None, "the ending entry is not counted");
     }
 
     #[test]
     fn cold_blocks_form_no_trace() {
-        let mut tb = TraceBuilder::new(100, 8);
+        let mut tb = TraceBuilder::new(8, 100, 8);
         for _ in 0..50 {
-            assert!(tb.on_block(0, 7).is_none());
+            tb.on_block(0, 7);
         }
-        assert_eq!(tb.trace_count(), 0);
+        assert!((0..8).all(|a| tb.trace_at(a).is_none()));
     }
 
     #[test]
     fn per_thread_recording_is_independent() {
-        let mut tb = TraceBuilder::new(1, 8);
-        assert!(tb.on_block(0, 10).is_none()); // thread 0 starts recording at 10
-        assert!(tb.on_block(1, 20).is_none()); // thread 1 starts recording at 20
-        assert!(tb.on_block(0, 11).is_none());
-        assert!(tb.on_block(1, 21).is_none());
-        let t0 = tb.on_block(0, 10).unwrap(); // cycle back to head
-        assert_eq!(t0.blocks, vec![10, 11]);
-        let t1 = tb.on_block(1, 20).unwrap();
-        assert_eq!(t1.blocks, vec![20, 21]);
+        let mut tb = TraceBuilder::new(32, 1, 8);
+        tb.on_block(0, 10); // thread 0 starts recording at 10
+        tb.on_block(1, 20); // thread 1 starts recording at 20
+        tb.on_block(0, 11);
+        tb.on_block(1, 21);
+        tb.on_block(0, 10); // cycle back to head
+        assert_eq!(blocks(&tb, 10), Some(vec![10, 11]));
+        assert_eq!(blocks(&tb, 20), None);
+        tb.on_block(1, 20);
+        assert_eq!(blocks(&tb, 20), Some(vec![20, 21]));
     }
 
     #[test]
     fn existing_trace_head_is_not_recounted() {
-        let mut tb = TraceBuilder::new(1, 4);
+        let mut tb = TraceBuilder::new(8, 1, 4);
         tb.on_block(0, 5);
         tb.on_block(0, 6);
-        let t = tb.on_block(0, 5).unwrap();
-        assert_eq!(t.blocks, vec![5, 6]);
-        // Re-entering the head afterwards does not restart recording.
-        assert!(tb.on_block(0, 5).is_none());
-        assert!(tb.on_block(0, 6).is_none());
-        assert_eq!(tb.trace_count(), 1);
+        tb.on_block(0, 5);
+        let formed = tb.trace_at(5).cloned().expect("the loop formed a trace");
+        assert_eq!(*formed, [5, 6]);
+        // Re-entering the head afterwards does not restart recording: its
+        // trace stays the same allocation, while 6, recorded but never
+        // counted, now forms a trace of its own.
+        tb.on_block(0, 5);
+        tb.on_block(0, 6);
+        tb.on_block(0, 7);
+        tb.on_block(0, 6);
+        assert!(Arc::ptr_eq(tb.trace_at(5).unwrap(), &formed));
+        assert_eq!(blocks(&tb, 6), Some(vec![6, 7]));
     }
 
     #[test]
-    fn counter_is_pruned_when_a_trace_forms() {
-        // Regression: `counts` used to keep an entry forever for every
-        // head whose trace had already formed.
-        let mut tb = TraceBuilder::new(2, 4);
-        for head in 0..100u32 {
-            let a = head * 10;
-            let b = a + 1;
-            let mut formed = false;
-            for _ in 0..5 {
-                formed |= tb.on_block(0, a).is_some();
-                formed |= tb.on_block(0, b).is_some();
-                if formed {
-                    break;
-                }
-            }
-            assert!(formed, "loop at {a} should form a trace");
-        }
-        assert_eq!(tb.trace_count(), 100);
-        // Only the tail blocks (never heads) may still be counted.
-        assert!(
-            tb.tracked_counters() <= 100,
-            "formed heads must not leak counters: {}",
-            tb.tracked_counters()
-        );
-        for head in 0..100u32 {
-            assert!(!tb.counts.contains_key(&(head * 10)), "head {head} leaked");
-        }
+    fn a_second_thread_re_forming_a_head_replaces_its_trace() {
+        let mut tb = TraceBuilder::new(16, 1, 8);
+        tb.on_block(0, 1); // both threads start recording at 1
+        tb.on_block(1, 1);
+        tb.on_block(0, 2);
+        tb.on_block(0, 1);
+        assert_eq!(blocks(&tb, 1), Some(vec![1, 2]));
+        tb.on_block(1, 3);
+        tb.on_block(1, 1);
+        assert_eq!(blocks(&tb, 1), Some(vec![1, 3]));
     }
 
     #[test]
-    fn cold_counters_are_bounded() {
-        // Regression: a long run over a huge cold footprint used to grow
-        // `counts` without bound.
-        let mut tb = TraceBuilder::new(1000, 4).with_counter_bound(64);
-        for block in 0..10_000u32 {
-            assert!(tb.on_block(0, block).is_none());
-        }
-        assert!(
-            tb.tracked_counters() <= 64,
-            "cold counters must be bounded: {}",
-            tb.tracked_counters()
-        );
-        assert_eq!(tb.trace_count(), 0);
-    }
-
-    #[test]
-    fn hot_blocks_survive_cold_counter_decay() {
-        let mut tb = TraceBuilder::new(8, 4).with_counter_bound(32);
-        // Interleave one genuinely hot block with a stream of cold ones;
-        // decay must not stop the hot block from forming a trace.
-        let mut formed = false;
-        let mut cold = 1000u32;
-        for _ in 0..200 {
-            formed |= tb.on_block(0, 5).is_some();
-            formed |= tb.on_block(0, 6).is_some();
-            if formed {
-                break;
-            }
-            cold += 1;
-            tb.on_block(0, cold);
-        }
-        assert!(formed, "the hot loop must still form a trace under decay");
-        assert_eq!(tb.trace_for(5).map(|t| t.head), Some(5));
+    fn entries_outside_the_text_are_ignored() {
+        let mut tb = TraceBuilder::new(4, 1, 8);
+        tb.on_block(0, 4);
+        tb.on_block(0, u32::MAX);
+        assert_eq!(tb.trace_at(4), None);
+        // An outside entry neither starts, extends nor ends a recording.
+        tb.on_block(0, 1);
+        tb.on_block(0, 9);
+        tb.on_block(0, 2);
+        tb.on_block(0, 1);
+        assert_eq!(blocks(&tb, 1), Some(vec![1, 2]));
     }
 }

@@ -74,7 +74,7 @@
 //! # Durability and the integrity ladder
 //!
 //! A [`ColdStore`] opened with [`ColdStore::durable`] spills every
-//! sealed segment to disk through [`crate::durable::SegmentStore`]
+//! sealed segment to disk through [`crate::durable`]'s segment files
 //! (checksummed format, temp-file + atomic rename) and keeps only
 //! [`SegMeta`] and the two lists in memory; queries load payloads
 //! lazily. A spill that
@@ -183,12 +183,6 @@ impl SegMeta {
     /// Could `step` appear in this segment as a user?
     pub fn may_have_user(&self, step: u64) -> bool {
         self.count > 0 && self.first_user <= step && step <= self.last_user
-    }
-
-    /// Could `step` appear in this segment as a def? (A def never
-    /// follows its user, so defs are bounded above by `last_user`.)
-    pub fn may_have_def(&self, step: u64) -> bool {
-        self.count > 0 && self.min_def <= step && step <= self.last_user
     }
 }
 
@@ -875,7 +869,7 @@ impl<F: IoFaultPlan> ColdStore<F> {
         self.spill.as_ref().map_or(0, |s| s.stats().disk_bytes.load(Ordering::Relaxed))
     }
 
-    /// Is this store backed by a [`SegmentStore`]?
+    /// Is this store backed by segment files on disk?
     pub fn is_durable(&self) -> bool {
         self.spill.is_some()
     }

@@ -46,11 +46,11 @@
 //!    metadata is never trusted blindly.
 //! 3. **In-run verify** — [`crate::cold::ColdStore::verify`] forces
 //!    rungs 1–2 over every sealed segment on demand.
-//! 4. **Open-time scrub** — [`SegmentStore::open`] walks the directory,
-//!    validates every segment through rungs 1–2, renames failures to
-//!    `*.quarantine`, and reports what was lost. The rung-2 decode also
-//!    yields the cold tier's in-memory far-def and address lists, which
-//!    the format does not store; [`crate::cold::ColdStore::reopen`]
+//! 4. **Open-time scrub** — [`crate::cold::ColdStore::reopen`] walks
+//!    the directory, validates every segment through rungs 1–2, renames
+//!    failures to `*.quarantine`, and reports what was lost. The rung-2
+//!    decode also yields the cold tier's in-memory far-def and address
+//!    lists, which the format does not store, so the reopened store
 //!    takes them from the scrub instead of decoding twice.
 //!
 //! A segment that fails any rung is *quarantined*, its user-step range
@@ -247,9 +247,9 @@ pub struct IoStats {
 
 /// A directory of checksummed segment files with atomic writes, fault
 /// injection on every path, and an open-time scrub. One per durable
-/// [`crate::cold::ColdStore`].
+/// [`crate::cold::ColdStore`], and used by nothing else.
 #[derive(Clone, Debug)]
-pub struct SegmentStore<F: IoFaultPlan = NoopIoFaults> {
+pub(crate) struct SegmentStore<F: IoFaultPlan = NoopIoFaults> {
     dir: PathBuf,
     next_seq: u64,
     faults: F,
@@ -335,28 +335,17 @@ fn backoff(attempt: u32) {
 
 impl SegmentStore {
     /// Create (or reuse) a store over `dir` with no fault injection.
-    /// Existing segment files are *not* scanned — use [`open`] to
-    /// recover state after a restart.
-    ///
-    /// [`open`]: SegmentStore::open
+    /// Existing segment files are *not* scanned — use [`Self::scrub`]
+    /// to recover state after a restart.
     pub fn create(dir: &Path) -> io::Result<SegmentStore> {
         SegmentStore::with_faults(dir, NoopIoFaults)
     }
 
     /// Reopen a store after a restart: scrub every `*.seg` file through
     /// recovery-ladder rungs 1–2, quarantine failures, remove stale
-    /// `.tmp` files, and return the surviving manifest (ascending
-    /// sequence order, `(seq, meta, payload_len)`) with the scrub
-    /// report.
-    #[allow(clippy::type_complexity)]
-    pub fn open(dir: &Path) -> io::Result<(SegmentStore, Vec<(u64, SegMeta, u32)>, ScrubReport)> {
-        let (store, survivors, report) = SegmentStore::scrub(dir)?;
-        let manifest = survivors.into_iter().map(|s| (s.seq, s.meta, s.payload_len)).collect();
-        Ok((store, manifest, report))
-    }
-
-    /// [`SegmentStore::open`], handing back with each survivor the
-    /// in-memory pruning lists its rung-2 decode yields, so
+    /// `.tmp` files, and return the survivors in ascending sequence
+    /// order with the scrub report. Each survivor carries the in-memory
+    /// pruning lists its rung-2 decode yields, so
     /// [`crate::cold::ColdStore::reopen`] rebuilds them without a
     /// second pass.
     pub(crate) fn scrub(dir: &Path) -> io::Result<(SegmentStore, Vec<Survivor>, ScrubReport)> {
@@ -441,11 +430,6 @@ impl<F: IoFaultPlan> SegmentStore<F> {
 
     fn file_len(&self, seq: u64) -> u64 {
         fs::metadata(self.seg_path(seq)).map(|m| m.len()).unwrap_or(0)
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Shared I/O statistics.

@@ -48,7 +48,7 @@ use crate::dep::{DepKind, StepSite};
 use crate::index::SliceIndex;
 use crate::shadow::ControlStack;
 use dift_isa::{MemAddr, Program, Reg, NUM_REGS};
-use dift_vm::{ControlEffect, StepEffects, ThreadId};
+use dift_vm::{StepEffects, ThreadId};
 use std::collections::HashMap;
 
 /// The location a pending dependence reads.
@@ -198,13 +198,7 @@ impl EpochDepSummarizer {
             }
         }
 
-        // Control-stack maintenance.
-        match fx.control {
-            Some(ControlEffect::Branch { .. }) => self.control.on_branch(tid, site),
-            Some(ControlEffect::Call { .. }) => self.control.on_call(tid),
-            Some(ControlEffect::Ret { .. }) => self.control.on_ret(tid),
-            _ => {}
-        }
+        self.control.after_step(fx, site);
     }
 }
 
@@ -234,12 +228,7 @@ pub fn control_entry_snapshots(program: &Program, chunks: &[&[StepEffects]]) -> 
         out.push(cs.clone());
         for fx in *chunk {
             cs.on_step(fx.tid, fx.addr);
-            match fx.control {
-                Some(ControlEffect::Branch { .. }) => cs.on_branch(fx.tid, StepSite::of(fx)),
-                Some(ControlEffect::Call { .. }) => cs.on_call(fx.tid),
-                Some(ControlEffect::Ret { .. }) => cs.on_ret(fx.tid),
-                _ => {}
-            }
+            cs.after_step(fx, StepSite::of(fx));
         }
     }
     out

@@ -76,7 +76,7 @@ pub use buffer::CircularTraceBuffer;
 pub use cold::{ColdStore, ColdView, QuarantineEvent, SegMeta};
 pub use compact::CompactDdg;
 pub use dep::{DepKind, Dependence, StepMeta, StepSite};
-pub use durable::{CorruptKind, IoStats, ScrubReport, SegmentStore};
+pub use durable::{CorruptKind, IoStats, ScrubReport};
 pub use epoch::{
     control_entry_snapshots, summarize_dep_epoch, DepComposeStats, EpochDepComposer, EpochDeps,
 };

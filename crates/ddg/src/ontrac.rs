@@ -39,7 +39,7 @@ use dift_dbi::{Tool, TraceBuilder};
 use dift_isa::{Addr, FuncId, Opcode, Program};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_vm::{Machine, Pending, RunResult, StepEffects, ThreadId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Block executions at which [`TraceBuilder`] forms a hot trace.
@@ -155,7 +155,8 @@ impl OnTracStats {
 /// Per-thread hot-trace instance state.
 #[derive(Clone, Debug)]
 struct TraceInstance {
-    /// The trace's block entries, shared with [`OnTrac::trace_blocks`].
+    /// The trace's block entries as the instance entered them: a
+    /// re-formed head does not change an instance in flight.
     blocks: Arc<[Addr]>,
     pos: usize,
     start_step: u64,
@@ -172,9 +173,6 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     shadow: ShadowState,
     control: ControlStack,
     traces: TraceBuilder,
-    /// Block lists of the formed traces, by head, shared with every
-    /// instance entered.
-    trace_blocks: HashMap<Addr, Arc<[Addr]>>,
     buffer: CircularTraceBuffer,
     /// Per-thread step at which the current basic block instance began.
     block_start: Vec<u64>,
@@ -220,8 +218,7 @@ impl<R: Recorder> OnTrac<R> {
     ) -> OnTrac<R> {
         OnTrac {
             buffer: CircularTraceBuffer::new(cfg.buffer_bytes),
-            traces: TraceBuilder::new(TRACE_HOT_THRESHOLD, TRACE_MAX_BLOCKS),
-            trace_blocks: HashMap::new(),
+            traces: TraceBuilder::new(program.len(), TRACE_HOT_THRESHOLD, TRACE_MAX_BLOCKS),
             shadow: ShadowState::new(mem_words),
             control: ControlStack::new(program),
             block_start: Vec::new(),
@@ -405,11 +402,9 @@ impl<R: Recorder> Tool for OnTrac<R> {
             self.trace_inst[t] = None;
         }
         if self.cfg.opt_trace_static {
-            if let Some(tr) = self.traces.on_block(tid, entry) {
-                self.trace_blocks.insert(tr.head, tr.blocks.into());
-            }
+            self.traces.on_block(tid, entry);
             if self.trace_inst[t].is_none() {
-                if let Some(blocks) = self.trace_blocks.get(&entry).filter(|b| b.len() > 1) {
+                if let Some(blocks) = self.traces.trace_at(entry).filter(|b| b.len() > 1) {
                     // Consecutive instances of the same trace (a loop)
                     // remember the previous iteration's start.
                     let prev = if prev_head == Some(entry) { prev_start } else { u64::MAX };
@@ -549,13 +544,7 @@ impl<R: Recorder> Tool for OnTrac<R> {
             }
         }
 
-        // Control-stack maintenance.
-        match fx.control {
-            Some(dift_vm::ControlEffect::Branch { .. }) => self.control.on_branch(tid, site),
-            Some(dift_vm::ControlEffect::Call { .. }) => self.control.on_call(tid),
-            Some(dift_vm::ControlEffect::Ret { .. }) => self.control.on_ret(tid),
-            _ => {}
-        }
+        self.control.after_step(fx, site);
 
         // Block-instance boundary: the *next* instruction of this thread
         // starts a new block if this one ended a block.

@@ -10,7 +10,7 @@ use crate::dep::StepSite;
 use dift_isa::{
     control_dependence, Addr, Cfg, DomTree, MemAddr, Program, Reg, NUM_REGS, SHADOW_PAGE_WORDS,
 };
-use dift_vm::ThreadId;
+use dift_vm::{ControlEffect, StepEffects, ThreadId};
 use std::sync::Arc;
 
 /// Sentinel end-address meaning "region closes when the frame pops".
@@ -248,8 +248,20 @@ impl ControlStack {
         self.frame(tid).last().map(|&(s, _)| s)
     }
 
+    /// Apply the control effect of the step `fx` once it has retired:
+    /// a branch opens (or renews) its region at `site`, the step's own
+    /// [`StepSite`]; a call pushes a frame; a return pops one.
+    pub(crate) fn after_step(&mut self, fx: &StepEffects, site: StepSite) {
+        match fx.control {
+            Some(ControlEffect::Branch { .. }) => self.on_branch(fx.tid, site),
+            Some(ControlEffect::Call { .. }) => self.on_call(fx.tid),
+            Some(ControlEffect::Ret { .. }) => self.on_ret(fx.tid),
+            _ => {}
+        }
+    }
+
     /// Record the execution of the conditional branch instance `branch`.
-    pub fn on_branch(&mut self, tid: ThreadId, branch: StepSite) {
+    fn on_branch(&mut self, tid: ThreadId, branch: StepSite) {
         let Some(end) = self.region_end.get(branch.addr as usize).copied().flatten() else {
             return;
         };
@@ -266,7 +278,7 @@ impl ControlStack {
     }
 
     /// A call pushes a fresh region frame.
-    pub fn on_call(&mut self, tid: ThreadId) {
+    fn on_call(&mut self, tid: ThreadId) {
         let t = tid as usize;
         while self.frames.len() <= t {
             self.frames.push(vec![Vec::new()]);
@@ -276,7 +288,7 @@ impl ControlStack {
 
     /// A return pops the callee's frame (regions extending to function
     /// exit close here).
-    pub fn on_ret(&mut self, tid: ThreadId) {
+    fn on_ret(&mut self, tid: ThreadId) {
         let t = tid as usize;
         if let Some(stack) = self.frames.get_mut(t) {
             if stack.len() > 1 {

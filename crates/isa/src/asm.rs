@@ -61,16 +61,19 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
 
 fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
     let t = tok.trim().trim_end_matches(',');
-    let (neg, t) = match t.strip_prefix('-') {
+    let bad = || err(line, format!("bad immediate `{t}`"));
+    let (neg, mag) = match t.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, t),
     };
-    let v: i64 = if let Some(hex) = t.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| err(line, format!("bad immediate `{t}`")))?
-    } else {
-        t.parse().map_err(|_| err(line, format!("bad immediate `{t}`")))?
-    };
-    Ok(if neg { -v } else { v })
+    // The magnitude is parsed wider than `i64` so that `i64::MIN`, whose
+    // magnitude `i64` cannot hold, is accepted.
+    let v: i128 = match mag.strip_prefix("0x") {
+        Some(hex) => i128::from_str_radix(hex, 16),
+        None => mag.parse(),
+    }
+    .map_err(|_| bad())?;
+    i64::try_from(if neg { -v } else { v }).map_err(|_| bad())
 }
 
 fn parse_target(tok: &str, line: usize) -> Result<Target, AsmError> {
@@ -89,7 +92,10 @@ fn parse_target(tok: &str, line: usize) -> Result<Target, AsmError> {
 fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i64), AsmError> {
     let t = tok.trim().trim_end_matches(',');
     let open = t.find('(').ok_or_else(|| err(line, format!("expected offset(base), got `{t}`")))?;
-    let close = t.rfind(')').ok_or_else(|| err(line, format!("unclosed memory operand `{t}`")))?;
+    let close = t[open..]
+        .rfind(')')
+        .map(|c| open + c)
+        .ok_or_else(|| err(line, format!("unclosed memory operand `{t}`")))?;
     let off_str = &t[..open];
     let base = parse_reg(&t[open + 1..close], line)?;
     let offset = if off_str.is_empty() { 0 } else { parse_imm(off_str, line)? };
@@ -513,5 +519,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.fetch(0).op, Opcode::Jump { target: 2 });
+    }
+
+    #[test]
+    fn misordered_parentheses_are_errors_not_panics() {
+        for src in [".func main\n ld r1, )(\n", ".func main\n st r3, )0(r6\n"] {
+            let e = assemble(src).unwrap_err();
+            assert!(matches!(e, AsmError::Parse { line: 2, .. }), "{src:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn the_most_negative_immediate_is_accepted() {
+        let p = assemble(
+            ".func main\n li r1, -9223372036854775808\n addi r2, r2, -0x8000000000000000\n halt",
+        )
+        .unwrap();
+        assert_eq!(p.fetch(0).op, Opcode::Li { rd: Reg(1), imm: i64::MIN });
+        assert!(matches!(p.fetch(1).op, Opcode::BinImm { imm: i64::MIN, .. }));
+        // One past either end, and the negation of `i64::MIN`, still fail.
+        for imm in ["-9223372036854775809", "9223372036854775808", "--9223372036854775808"] {
+            let e = assemble(&format!(".func main\n li r1, {imm}\n halt")).unwrap_err();
+            assert!(matches!(e, AsmError::Parse { line: 2, .. }), "{imm}: {e}");
+        }
     }
 }

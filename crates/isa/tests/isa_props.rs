@@ -164,8 +164,51 @@ fn relisting(text: &str) -> String {
     src
 }
 
+/// Swap, drop or duplicate the parentheses of the memory operand on a
+/// relisted line (`edit` picks which); every such edit is malformed.
+fn edit_parens(line: &str, edit: usize) -> String {
+    match edit {
+        0 => line
+            .chars()
+            .map(|c| match c {
+                '(' => ')',
+                ')' => '(',
+                c => c,
+            })
+            .collect(),
+        1 => line.replacen('(', "", 1),
+        2 => line.replacen(')', "", 1),
+        3 => line.replacen('(', "((", 1),
+        _ => line.replacen(')', "))", 1),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Memory operands with misplaced parentheses are assembly errors,
+    /// never panics. Random byte mutations almost never produce one, so
+    /// the edits target the operands of relisted random programs.
+    #[test]
+    fn misparenthesized_memory_operands_are_errors(
+        emits in proptest::collection::vec(emit(), 1..60),
+        edits in proptest::collection::vec(0usize..5, 1..8),
+    ) {
+        let src = relisting(&disassemble(&build_program(&emits)));
+        let mut edits = edits.iter().cycle();
+        let mut edited = false;
+        let mut mutated = String::new();
+        for line in src.lines() {
+            if line.contains('(') {
+                mutated.push_str(&edit_parens(line, *edits.next().unwrap()));
+                edited = true;
+            } else {
+                mutated.push_str(line);
+            }
+            mutated.push('\n');
+        }
+        prop_assert_eq!(assemble(&mutated).is_err(), edited, "source:\n{}", mutated);
+    }
 
     /// disassemble ∘ assemble is the identity on instructions for random
     /// programs over (almost) the whole opcode space.

@@ -340,6 +340,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_patch_file_is_rejected_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(PatchFile::from_json(&deep).is_none());
+        let deep = format!("{{\"patches\":{}", "[".repeat(100_000));
+        assert!(PatchFile::from_json(&deep).is_none());
+    }
+
+    #[test]
     fn apply_patches_rewrites_spec() {
         let spec = malformed_spec();
         let pf = PatchFile {

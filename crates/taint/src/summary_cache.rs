@@ -64,7 +64,6 @@ use crate::summary::{ApplyMemo, EpochSummarizer, EpochSummary, IoBase};
 use dift_isa::{Addr, Program};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_vm::{ControlEffect, StepEffects, ThreadId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Raw trace encoding density (bytes/instr) the paper's unoptimized
@@ -84,9 +83,6 @@ const MAX_BAILS: u32 = 4;
 /// Recordings per head before giving up on it (versioned invalidation
 /// budget).
 const MAX_VERSIONS: u32 = 3;
-/// Bound on the back-edge hotness counter table (cold counters decay
-/// and evict past this).
-const MAX_COUNTERS: usize = 4096;
 
 /// Cache effectiveness counters (all monotone).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -213,8 +209,8 @@ impl<T: TaintLabel> CachedRegion<T> {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum HeadState {
-    /// Never nominated (the dense-table default).
-    Cold,
+    /// Not nominated yet: `taken` back edges have reached it so far.
+    Cold { taken: u32 },
     /// Hot; the next entry starts recording `version`.
     Hot { version: u32 },
     /// A live region in `regions[slot]`.
@@ -223,36 +219,30 @@ enum HeadState {
     Uncacheable,
 }
 
-/// Head states in a dense table indexed by code address. Code addresses
-/// are instruction indices, so the table is bounded by program size and
-/// the per-step state lookup on the plain path is an array read — the
-/// `HashMap` this replaces cost more than the taint transfer itself.
-#[derive(Default)]
+/// Head states in a dense table indexed by code address, one per
+/// instruction of the program. Code addresses are instruction indices,
+/// so the per-step state lookup on the plain path is an array read —
+/// the `HashMap` this replaces cost more than the taint transfer itself.
 struct HeadTable {
     states: Vec<HeadState>,
 }
 
-/// Ceiling on head-table growth: code addresses are instruction
-/// indices, so any real program sits far below this; a synthetic
-/// stream with absurd addresses degrades to "never cached" (correct,
-/// just unaccelerated) instead of allocating gigabytes.
-const MAX_HEAD_ADDR: usize = 1 << 22;
-
 impl HeadTable {
-    #[inline]
-    fn get(&self, addr: Addr) -> HeadState {
-        self.states.get(addr as usize).copied().unwrap_or(HeadState::Cold)
+    fn new(text_len: usize) -> HeadTable {
+        HeadTable { states: vec![HeadState::Cold { taken: 0 }; text_len] }
     }
 
+    /// An address outside the text (only a foreign stream has one) is
+    /// never cached.
+    #[inline]
+    fn get(&self, addr: Addr) -> HeadState {
+        self.states.get(addr as usize).copied().unwrap_or(HeadState::Uncacheable)
+    }
+
+    /// Only heads [`Self::get`] found hot or cached change state, and
+    /// those lie inside the text.
     fn set(&mut self, addr: Addr, state: HeadState) {
-        let i = addr as usize;
-        if i >= MAX_HEAD_ADDR {
-            return;
-        }
-        if i >= self.states.len() {
-            self.states.resize(i + 1, HeadState::Cold);
-        }
-        self.states[i] = state;
+        self.states[addr as usize] = state;
     }
 }
 
@@ -278,8 +268,6 @@ pub struct SummaryCachedEngine<T: TaintLabel, R: Recorder = NoopRecorder> {
     gen: u64,
     heads: HeadTable,
     regions: Vec<Option<CachedRegion<T>>>,
-    /// Back-edge hotness counters (bounded by [`MAX_COUNTERS`]).
-    counts: HashMap<Addr, u32>,
     stats: SummaryCacheStats,
     /// `[start, end)` global-step ranges covered by hits, in completion
     /// order — the elision input for the DDG "summaries" ladder level.
@@ -312,9 +300,8 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
         SummaryCachedEngine {
             engine: TaintEngine::with_recorder(policy, obs),
             gen: 1,
-            heads: HeadTable::default(),
+            heads: HeadTable::new(program.len()),
             regions: Vec::new(),
-            counts: HashMap::new(),
             stats: SummaryCacheStats::default(),
             hit_ranges: Vec::new(),
             program: program.clone(),
@@ -374,9 +361,8 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
     }
 
     /// Count a taken backward edge toward [`HOT_THRESHOLD`]; the target
-    /// turns hot when it gets there. The counter table is bounded: past
-    /// [`MAX_COUNTERS`] cold counters decay (halve, drop zeros) before a
-    /// new head is admitted.
+    /// turns hot when it gets there. Only a cold target inside the text
+    /// is counted.
     fn note_backedge(&mut self, fx: &StepEffects) {
         // Labels without `TaintLabel::STEP_INVARIANT` never nominate a
         // head, so every step takes the plain path (still correct, no
@@ -389,23 +375,14 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
             Some(ControlEffect::Jump { target }) => target,
             _ => return,
         };
-        if target > fx.addr || self.heads.get(target) != HeadState::Cold {
+        if target > fx.addr {
             return;
         }
-        if self.counts.len() >= MAX_COUNTERS && !self.counts.contains_key(&target) {
-            self.counts.retain(|_, c| {
-                *c /= 2;
-                *c > 0
-            });
-            if self.counts.len() >= MAX_COUNTERS {
-                self.counts.clear();
+        if let Some(HeadState::Cold { taken }) = self.heads.states.get_mut(target as usize) {
+            *taken += 1;
+            if *taken >= HOT_THRESHOLD {
+                self.heads.set(target, HeadState::Hot { version: 0 });
             }
-        }
-        let c = self.counts.entry(target).or_insert(0);
-        *c += 1;
-        if *c >= HOT_THRESHOLD {
-            self.counts.remove(&target);
-            self.heads.set(target, HeadState::Hot { version: 0 });
         }
     }
 
@@ -574,7 +551,7 @@ impl<T: TaintLabel, R: Recorder> SummaryCachedEngine<T, R> {
                         continue;
                     }
                 }
-                HeadState::Uncacheable | HeadState::Cold => {}
+                HeadState::Uncacheable | HeadState::Cold { .. } => {}
             }
             self.note_backedge(fx);
             self.engine_process(fx);
@@ -798,21 +775,23 @@ mod tests {
     fn backedge_counter_table_is_bounded() {
         let p = fixed_loop(1);
         let mut cached = SummaryCachedEngine::<BitTaint>::new(TaintPolicy::default(), &p);
-        // More distinct cold back-edge targets than the table holds must
-        // not grow it past the bound.
-        let targets = MAX_COUNTERS as u32 + 1000;
-        let stream: Vec<StepEffects> = (0..targets)
+        // Back edges to targets beyond the program, each taken twice
+        // (enough to turn a target inside the text hot), count nothing
+        // and never grow the table past the program.
+        let text = p.len() as u32;
+        let stream: Vec<StepEffects> = (0..2000u32)
             .map(|i| StepEffects {
                 tid: 0,
                 addr: 100_000 + i,
                 step: i as u64,
                 insn: Instruction::new(Opcode::Nop, 0),
-                control: Some(ControlEffect::Jump { target: i }),
+                control: Some(ControlEffect::Jump { target: text + i / 2 }),
                 ..Default::default()
             })
             .collect();
         cached.process_stream(&stream);
-        assert!(cached.counts.len() <= MAX_COUNTERS, "cold counters must be bounded");
+        assert_eq!(cached.heads.states.len(), p.len());
+        assert!(cached.heads.states.iter().all(|s| *s == HeadState::Cold { taken: 0 }));
         assert_eq!(cached.stats().regions_recorded, 0);
     }
 }
