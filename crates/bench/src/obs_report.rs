@@ -22,7 +22,9 @@ use crate::throughput::capture;
 use crate::{Scale, Table};
 use dift_dbi::{Engine, ProfileTool};
 use dift_ddg::{costs, OnTrac, OnTracConfig};
-use dift_multicore::{run_epoch_dift_obs, ChannelModel, EpochModel};
+use dift_multicore::{
+    run_epoch_dift_tolerant, ChannelModel, EpochModel, NoopFaults, RecoveryPolicy,
+};
 use dift_obs::snapshot::section_value;
 use dift_obs::{Metric, Recorder, StatsRecorder, SCHEMA_VERSION};
 use dift_slicing::{KindMask, SliceQuery, SliceService};
@@ -178,11 +180,13 @@ pub fn obs_report(scale: Scale) -> ObsReport {
     // channel — queue depths, stalls, per-shard epoch latency, compose
     // time all land in the recorder.
     for w in &suite {
-        let (_, obs) = run_epoch_dift_obs::<BitTaint, StatsRecorder>(
+        let (_, obs) = run_epoch_dift_tolerant::<BitTaint, StatsRecorder, _>(
             w.machine(),
             obs_fanout(),
             policy,
             StatsRecorder::new(),
+            NoopFaults,
+            RecoveryPolicy::fail_stop(),
         );
         merged.merge(&obs);
     }

@@ -16,7 +16,10 @@
 //! ```
 //!
 //! Branch/jump/call/spawn targets may be labels or absolute `@addr`
-//! references (the form the disassembler emits).
+//! references (the form the disassembler emits). Operands are strict:
+//! an immediate is one optional `-` then decimal digits or `0x` and hex
+//! digits, every other number is plain decimal, and a line with more
+//! operands than its mnemonic takes is an error.
 
 use crate::builder::{BuildError, ProgramBuilder, Target};
 use crate::insn::{BinOp, BranchCond};
@@ -47,11 +50,16 @@ fn err(line: usize, msg: impl Into<String>) -> AsmError {
     AsmError::Parse { line, msg: msg.into() }
 }
 
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
-    let t = tok.trim().trim_end_matches(',');
+/// A non-empty run of decimal digits. Rust's `parse` would also take a
+/// sign (`+5`, and `-5` for signed types), which no operand field has.
+fn parse_dec<N: std::str::FromStr>(t: &str) -> Option<N> {
+    (!t.is_empty() && t.bytes().all(|b| b.is_ascii_digit())).then(|| t.parse().ok()).flatten()
+}
+
+fn parse_reg(t: &str, line: usize) -> Result<Reg, AsmError> {
     let num =
         t.strip_prefix('r').ok_or_else(|| err(line, format!("expected register, got `{t}`")))?;
-    let n: u8 = num.parse().map_err(|_| err(line, format!("bad register `{t}`")))?;
+    let n: u8 = parse_dec(num).ok_or_else(|| err(line, format!("bad register `{t}`")))?;
     let r = Reg(n);
     if !r.is_valid() {
         return Err(err(line, format!("register out of range `{t}`")));
@@ -59,27 +67,29 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
     Ok(r)
 }
 
-fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
-    let t = tok.trim().trim_end_matches(',');
+/// One optional `-`, then decimal digits or `0x` and hex digits.
+fn parse_imm(t: &str, line: usize) -> Result<i64, AsmError> {
     let bad = || err(line, format!("bad immediate `{t}`"));
     let (neg, mag) = match t.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, t),
     };
+    let (radix, digits) = match mag.strip_prefix("0x") {
+        Some(hex) => (16, hex),
+        None => (10, mag),
+    };
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return Err(bad());
+    }
     // The magnitude is parsed wider than `i64` so that `i64::MIN`, whose
     // magnitude `i64` cannot hold, is accepted.
-    let v: i128 = match mag.strip_prefix("0x") {
-        Some(hex) => i128::from_str_radix(hex, 16),
-        None => mag.parse(),
-    }
-    .map_err(|_| bad())?;
+    let v = i128::from_str_radix(digits, radix).map_err(|_| bad())?;
     i64::try_from(if neg { -v } else { v }).map_err(|_| bad())
 }
 
-fn parse_target(tok: &str, line: usize) -> Result<Target, AsmError> {
-    let t = tok.trim().trim_end_matches(',');
+fn parse_target(t: &str, line: usize) -> Result<Target, AsmError> {
     if let Some(abs) = t.strip_prefix('@') {
-        let a: u32 = abs.parse().map_err(|_| err(line, format!("bad address `{t}`")))?;
+        let a = parse_dec(abs).ok_or_else(|| err(line, format!("bad address `{t}`")))?;
         Ok(Target::Abs(a))
     } else if t.is_empty() {
         Err(err(line, "missing target"))
@@ -88,26 +98,24 @@ fn parse_target(tok: &str, line: usize) -> Result<Target, AsmError> {
     }
 }
 
-/// Parse `offset(base)` memory operands like `-4(r2)`.
-fn parse_mem(tok: &str, line: usize) -> Result<(Reg, i64), AsmError> {
-    let t = tok.trim().trim_end_matches(',');
-    let open = t.find('(').ok_or_else(|| err(line, format!("expected offset(base), got `{t}`")))?;
-    let close = t[open..]
-        .rfind(')')
-        .map(|c| open + c)
-        .ok_or_else(|| err(line, format!("unclosed memory operand `{t}`")))?;
-    let off_str = &t[..open];
-    let base = parse_reg(&t[open + 1..close], line)?;
+/// Parse `offset(base)` memory operands like `-4(r2)`; the operand ends
+/// at its `)`.
+fn parse_mem(t: &str, line: usize) -> Result<(Reg, i64), AsmError> {
+    let (off_str, rest) =
+        t.split_once('(').ok_or_else(|| err(line, format!("expected offset(base), got `{t}`")))?;
+    let base = rest
+        .strip_suffix(')')
+        .ok_or_else(|| err(line, format!("memory operand must end at its `)`: `{t}`")))?;
+    let base = parse_reg(base, line)?;
     let offset = if off_str.is_empty() { 0 } else { parse_imm(off_str, line)? };
     Ok((base, offset))
 }
 
-fn parse_channel(tok: &str, line: usize) -> Result<u16, AsmError> {
-    let t = tok.trim().trim_end_matches(',');
+fn parse_channel(t: &str, line: usize) -> Result<u16, AsmError> {
     let n = t
         .strip_prefix("ch")
         .ok_or_else(|| err(line, format!("expected channel `chN`, got `{t}`")))?;
-    n.parse().map_err(|_| err(line, format!("bad channel `{t}`")))
+    parse_dec(n).ok_or_else(|| err(line, format!("bad channel `{t}`")))
 }
 
 fn bin_op(mnemonic: &str) -> Option<BinOp> {
@@ -174,10 +182,10 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             let mut toks = rest.split_whitespace();
             let addr: u64 = toks
                 .next()
-                .and_then(|t| t.parse().ok())
+                .and_then(parse_dec)
                 .ok_or_else(|| err(line_no, ".data needs an address"))?;
-            let words: Result<Vec<u64>, _> = toks.map(|t| t.parse::<u64>()).collect();
-            let words = words.map_err(|_| err(line_no, "bad .data word"))?;
+            let words: Option<Vec<u64>> = toks.map(parse_dec).collect();
+            let words = words.ok_or_else(|| err(line_no, "bad .data word"))?;
             b.data_block(addr, &words);
             continue;
         }
@@ -202,19 +210,16 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         // Instruction.
         let mut toks = rest.split_whitespace();
         let mnem = toks.next().expect("non-empty");
-        let ops: Vec<&str> = toks.collect();
+        let ops: Vec<&str> = toks.map(|t| t.strip_suffix(',').unwrap_or(t)).collect();
         let need = |n: usize| -> Result<(), AsmError> {
-            if ops.len() < n {
-                Err(err(line_no, format!("`{mnem}` needs {n} operand(s)")))
+            if ops.len() != n {
+                Err(err(line_no, format!("`{mnem}` takes {n} operand(s), got {}", ops.len())))
             } else {
                 Ok(())
             }
         };
 
         match mnem {
-            "nop" => {
-                b.nop();
-            }
             "li" => {
                 need(2)?;
                 b.li(parse_reg(ops[0], line_no)?, parse_imm(ops[1], line_no)?);
@@ -248,9 +253,6 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             "callr" => {
                 need(1)?;
                 b.call_ind(parse_reg(ops[0], line_no)?);
-            }
-            "ret" => {
-                b.ret();
             }
             "in" => {
                 need(2)?;
@@ -300,22 +302,21 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                     parse_reg(ops[3], line_no)?,
                 );
             }
-            "fence" => {
-                b.fence();
-            }
-            "yield" => {
-                b.yield_();
-            }
             "assert" => {
                 need(2)?;
-                let msg = ops[1]
-                    .trim_start_matches('#')
-                    .parse()
-                    .map_err(|_| err(line_no, "assert needs #N message id"))?;
+                let msg = parse_dec(ops[1].strip_prefix('#').unwrap_or(ops[1]))
+                    .ok_or_else(|| err(line_no, "assert needs #N message id"))?;
                 b.assert_(parse_reg(ops[0], line_no)?, msg);
             }
-            "halt" => {
-                b.halt();
+            "nop" | "ret" | "fence" | "yield" | "halt" => {
+                need(0)?;
+                match mnem {
+                    "nop" => b.nop(),
+                    "ret" => b.ret(),
+                    "fence" => b.fence(),
+                    "yield" => b.yield_(),
+                    _ => b.halt(),
+                };
             }
             "exit" => {
                 need(1)?;

@@ -2,7 +2,8 @@
 //! and CFG structural invariants.
 
 use dift_isa::{
-    assemble, disasm::disassemble, BinOp, BranchCond, Cfg, Instruction, ProgramBuilder, Reg,
+    assemble, disasm::disassemble, AsmError, BinOp, BranchCond, Cfg, Instruction, ProgramBuilder,
+    Reg,
 };
 use proptest::prelude::*;
 
@@ -183,8 +184,94 @@ fn edit_parens(line: &str, edit: usize) -> String {
     }
 }
 
+/// Malform one operand of a relisted instruction line (`edit` picks
+/// how): a doubled sign on an immediate or offset, an inner sign in a
+/// register, channel, target or message number, text after a memory
+/// operand's `)`, or one operand too many. `None` when the line has
+/// nothing that edit applies to.
+fn edit_operand(line: &str, edit: usize) -> Option<String> {
+    if line.starts_with('.') {
+        return None;
+    }
+    let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+    if edit == 3 {
+        let sep = if toks.len() > 1 { "," } else { "" };
+        return Some(format!("{line}{sep} r1"));
+    }
+    for t in toks.iter_mut().skip(1) {
+        let edited =
+            match edit {
+                0 => t
+                    .trim_start_matches('-')
+                    .starts_with(|c: char| c.is_ascii_digit())
+                    .then(|| if t.starts_with('-') { format!("-{t}") } else { format!("-+{t}") }),
+                1 => ["r", "ch", "@", "#"].iter().find_map(|p| {
+                    let n = t.strip_prefix(p)?;
+                    n.starts_with(|c: char| c.is_ascii_digit()).then(|| format!("{p}+{n}"))
+                }),
+                _ => t.contains(')').then(|| t.replacen(')', ")x", 1)),
+            };
+        if let Some(e) = edited {
+            *t = e;
+            return Some(toks.join(" "));
+        }
+    }
+    None
+}
+
+/// Operand forms the assembler once took (reading `--5` as 5, `0x-5` as
+/// -5, `r+1` as r1, `4(r2)x` as `4(r2)`, and dropping an extra operand):
+/// each is now an error on its own line.
+#[test]
+fn malformed_operand_forms_are_errors() {
+    for bad in [
+        "li r1, --5",
+        "li r1, 0x-5",
+        "li r1, 0x+5",
+        "li r1, -+5",
+        "li r1, +5",
+        "li r+1, 5",
+        "ld r1, 4(r+2)",
+        "in r1, ch+0",
+        "j @+1",
+        ".data +10 +5",
+        "ld r1, 4(r2)x",
+        "add r1, r2, r3, r4",
+        "li r1, 5 7",
+        "ret r1",
+        "halt r1",
+    ] {
+        let e = assemble(&format!(".func main\n{bad}\nhalt\n"));
+        assert!(matches!(e, Err(AsmError::Parse { line: 2, .. })), "{bad}: {e:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Malformed operands are assembly errors: `assemble` fails exactly
+    /// when some line of a relisted random program was edited.
+    #[test]
+    fn malformed_operands_are_errors(
+        emits in proptest::collection::vec(emit(), 1..60),
+        edits in proptest::collection::vec(0usize..6, 1..8),
+    ) {
+        let src = relisting(&disassemble(&build_program(&emits)));
+        let mut edits = edits.iter().cycle();
+        let mut edited = false;
+        let mut mutated = String::new();
+        for line in src.lines() {
+            match edit_operand(line, *edits.next().unwrap()) {
+                Some(e) => {
+                    mutated.push_str(&e);
+                    edited = true;
+                }
+                None => mutated.push_str(line),
+            }
+            mutated.push('\n');
+        }
+        prop_assert_eq!(assemble(&mutated).is_err(), edited, "source:\n{}", mutated);
+    }
 
     /// Memory operands with misplaced parentheses are assembly errors,
     /// never panics. Random byte mutations almost never produce one, so

@@ -12,7 +12,7 @@
 //!   (arena node over in-epoch inputs) ∪ ⋃ entry(loc)  for loc ∈ incoming
 //! ```
 //!
-//! — a [`SymSet`]: one shard-local roBDD node plus a sorted list of
+//! — a `SymSet`: one shard-local roBDD node plus a sorted list of
 //! interned incoming locations. No expression DAG is needed (unlike
 //! taint's `EpochSummary`, whose labels propagate through arbitrary
 //! `T::propagate` functions); union's associativity, commutativity and
@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 /// shard-arena roBDD node (inputs consumed in-epoch) and the
 /// epoch-entry sets of the summary's `incoming` locations.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SymSet {
+pub(crate) struct SymSet {
     /// Concrete in-epoch part, a node in the summary's private arena.
     node: NodeId,
     /// Sorted, deduped indices into the summary's incoming-loc table.
@@ -139,7 +139,7 @@ impl SinkLog {
 }
 
 /// The per-epoch lineage delta: final shadow rows, outputs and input
-/// provenance as [`SymSet`]s over a private arena, composable onto a
+/// provenance as `SymSet`s over a private arena, composable onto a
 /// primary [`LineageEngine`] in epoch order.
 pub struct LineageEpochSummary {
     arena: BddManager,

@@ -13,9 +13,10 @@
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
 use dift_lineage::{BddBackend, LineageEngine};
 use dift_multicore::{
-    shard_lineage_stream, shard_lineage_stream_tolerant, silence_injected_panics, FaultSite,
-    Injection, LineageShardConfig, LineageShardRun, ScriptedFaults,
+    shard_lineage_stream, shard_lineage_stream_obs, silence_injected_panics, FaultSite, Injection,
+    LineageShardConfig, LineageShardRun, ScriptedFaults,
 };
+use dift_obs::NoopRecorder;
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -201,7 +202,7 @@ proptest! {
         let cfg = LineageShardConfig::new(workers, epoch_len, 16);
         let epochs = fxs.len() / epoch_len + 1;
         let plan = ScriptedFaults::seeded(seed, nfaults, workers, epochs);
-        let run = shard_lineage_stream_tolerant(&fxs, &p, mem_words, &cfg, plan);
+        let run = shard_lineage_stream_obs(&fxs, &p, mem_words, &cfg, plan, NoopRecorder).0;
         assert_agrees(&run, &want, "tolerant sharded lineage");
         prop_assert_eq!(run.recovery.epochs_recovered, run.recovery.epochs_lost, "{:?}", run.recovery);
     }
@@ -233,7 +234,7 @@ fn every_fault_site_recovers_bit_identical() {
             let plan = ScriptedFaults::new(
                 (0..cfg.workers).map(|shard| Injection { site, shard, epoch }).collect(),
             );
-            let run = shard_lineage_stream_tolerant(&fxs, &p, mem_words, &cfg, plan);
+            let run = shard_lineage_stream_obs(&fxs, &p, mem_words, &cfg, plan, NoopRecorder).0;
             let what = format!("{site:?} at epoch {epoch}");
             assert_agrees(&run, &want, &what);
             assert!(run.recovery.faults_injected >= 1, "{what}: fault must fire");

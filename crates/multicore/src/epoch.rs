@@ -199,22 +199,13 @@ pub fn run_epoch_dift<T: TaintLabel + Send + 'static>(
     .0
 }
 
-/// [`run_epoch_dift`] with an observability recorder threaded through
-/// the cost layer (messages, stalls, queue occupancy) and the
-/// summarize/compose stages (per-epoch summarize latency, compose time).
-/// The recorder is returned alongside the run so callers can snapshot
-/// it; with [`NoopRecorder`] every probe compiles away.
-pub fn run_epoch_dift_obs<T: TaintLabel + Send + 'static, R: Recorder>(
-    machine: Machine,
-    model: EpochModel,
-    policy: TaintPolicy,
-    obs: R,
-) -> (DiftRun<T>, R) {
-    run_epoch_dift_tolerant(machine, model, policy, obs, NoopFaults, RecoveryPolicy::fail_stop())
-}
-
-/// The fault-tolerant epoch runner: [`run_epoch_dift_obs`] plus a
-/// [`FaultPlan`] adversary and a [`RecoveryPolicy`].
+/// The fault-tolerant epoch runner: [`run_epoch_dift`] with an
+/// observability recorder threaded through the cost layer (messages,
+/// stalls, queue occupancy) and the summarize/compose stages (per-epoch
+/// summarize latency, compose time), plus a [`FaultPlan`] adversary and
+/// a [`RecoveryPolicy`]. The recorder is returned alongside the run so
+/// callers can snapshot it; with [`NoopRecorder`] every probe compiles
+/// away.
 ///
 /// With recovery enabled the run **always completes** with results
 /// bit-identical to the serial engine, whatever single or multiple

@@ -32,8 +32,8 @@ pub mod resilience;
 
 pub use channel::{ChannelModel, MultiQueueSim, QueueSim};
 pub use epoch::{
-    epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_obs,
-    run_epoch_dift_tolerant, EpochModel,
+    epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_tolerant,
+    EpochModel,
 };
 pub use faultplan::{
     silence_injected_panics, FaultPlan, FaultSite, Injection, NoopFaults, ScriptedFaults,
@@ -41,7 +41,7 @@ pub use faultplan::{
 };
 pub use helper::{run_helper_dift, run_inline_dift, DiftRun, MulticoreStats};
 pub use lineage_shard::{
-    shard_lineage_stream, shard_lineage_stream_obs, shard_lineage_stream_tolerant,
-    LineageShardConfig, LineageShardRun, LineageShardStats,
+    shard_lineage_stream, shard_lineage_stream_obs, LineageShardConfig, LineageShardRun,
+    LineageShardStats,
 };
 pub use resilience::{RecoveryPolicy, RecoveryStats};

@@ -227,15 +227,3 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     let index = composer.map(|c| c.into_index());
     (LineageShardRun { engine, sinks, index, stats, recovery }, obs)
 }
-
-/// [`shard_lineage_stream_obs`] without probes — the fault-injection
-/// test entry point.
-pub fn shard_lineage_stream_tolerant<F: FaultPlan>(
-    stream: &[StepEffects],
-    program: &Program,
-    mem_words: usize,
-    cfg: &LineageShardConfig,
-    faults: F,
-) -> LineageShardRun {
-    shard_lineage_stream_obs(stream, program, mem_words, cfg, faults, NoopRecorder).0
-}

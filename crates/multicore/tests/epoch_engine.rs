@@ -4,9 +4,9 @@
 //! histograms get one sample per epoch.
 
 use dift_multicore::{
-    epoch_process_stream_tolerant, run_epoch_dift_obs, run_epoch_dift_tolerant,
-    shard_lineage_stream_obs, shard_lineage_stream_tolerant, silence_injected_panics, ChannelModel,
-    EpochModel, FaultSite, LineageShardConfig, NoopFaults, RecoveryPolicy, ScriptedFaults,
+    epoch_process_stream_tolerant, run_epoch_dift_tolerant, shard_lineage_stream_obs,
+    silence_injected_panics, ChannelModel, EpochModel, FaultSite, LineageShardConfig, NoopFaults,
+    RecoveryPolicy, ScriptedFaults,
 };
 use dift_obs::{Metric, NoopRecorder, StatsRecorder};
 use dift_taint::{BitTaint, TaintPolicy};
@@ -64,11 +64,13 @@ fn fail_stop_stall_aborts_instead_of_hanging() {
 #[test]
 fn shard_epoch_nanos_get_one_sample_per_epoch() {
     let w = workload();
-    let (run, obs) = run_epoch_dift_obs::<BitTaint, _>(
+    let (run, obs) = run_epoch_dift_tolerant::<BitTaint, _, _>(
         w.machine(),
         model(2, 64),
         TaintPolicy::propagate_only(),
         StatsRecorder::new(),
+        NoopFaults,
+        RecoveryPolicy::fail_stop(),
     );
     assert_eq!(run.stats.epochs, 40);
     assert_eq!(obs.hist(Metric::McShardEpochNanos).count(), run.stats.epochs);
@@ -116,12 +118,18 @@ fn fault_coordinates_are_deterministic() {
                 workers,
                 plan.clone(),
             );
-            let lineage =
-                shard_lineage_stream_tolerant(&stream, &w.program, w.mem_words, &cfg, plan);
+            let (lineage, _) = shard_lineage_stream_obs(
+                &stream,
+                &w.program,
+                w.mem_words,
+                &cfg,
+                plan,
+                NoopRecorder,
+            );
             for (runner, rs) in [
                 ("run_epoch_dift_tolerant", run.stats.recovery),
                 ("epoch_process_stream_tolerant", stream_rs),
-                ("shard_lineage_stream_tolerant", lineage.recovery),
+                ("shard_lineage_stream_obs", lineage.recovery),
             ] {
                 let what = format!("{runner}: {site:?} at epoch {e}");
                 assert_eq!(rs.faults_injected, 1, "{what}: {rs:?}");

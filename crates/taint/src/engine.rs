@@ -1,4 +1,12 @@
-//! The generic DIFT engine (a DBI tool).
+//! The generic DIFT engine (a DBI tool), and the one taint transfer
+//! function it shares with the epoch summarizer.
+//!
+//! Every taint rule — which uses are sources, which address uses alert,
+//! how `In` creates and `Out` observes a label — lives in one
+//! crate-private `step`, generic over the label state it reads and
+//! writes. [`TaintEngine::process`] is that step over the concrete
+//! shadow; the epoch summarizer (`crate::summary`) is the same step over
+//! labels that may depend on unknown epoch-entry state.
 
 use crate::costs;
 use crate::label::{LabelCtx, TaintLabel};
@@ -62,6 +70,188 @@ pub struct TaintStats {
     pub peak_shadow_bytes: usize,
 }
 
+/// Per-channel `In`/`Out` counts: the engine's running counts, and the
+/// counts of the stream prefix before an epoch.
+///
+/// Source labels (`T::source(ctx, ch, index)`) and output lineage use
+/// *global* per-channel indices; those are label-independent functions of
+/// the stream itself, so a cheap sequential pre-scan provides them to
+/// each epoch worker before summarization fans out.
+#[derive(Clone, Debug, Default)]
+pub struct IoBase {
+    pub inputs: HashMap<u16, u64>,
+    pub outputs: HashMap<u16, u64>,
+}
+
+impl IoBase {
+    /// Advance the counts past `fxs` (the cheap pre-scan step).
+    pub fn advance(&mut self, fxs: &[StepEffects]) {
+        for fx in fxs {
+            if let Some((ch, _)) = fx.input {
+                *self.inputs.entry(ch).or_insert(0) += 1;
+            }
+            if let Some((ch, _)) = fx.output {
+                *self.outputs.entry(ch).or_insert(0) += 1;
+            }
+        }
+    }
+}
+
+/// The label state one taint [`step`] reads and writes: the engine's
+/// concrete shadow, or the summarizer's symbolic overlay.
+pub(crate) trait TaintState<T: TaintLabel> {
+    /// The label the state stores (`T` itself for the engine).
+    type Label: Clone + Default + From<T>;
+
+    /// Per-channel counts; the step draws source and emit indices here.
+    fn io(&mut self) -> &mut IoBase;
+
+    /// Thread `tid`'s register labels, created on first use.
+    fn regs(&mut self, tid: ThreadId) -> &mut [Self::Label];
+
+    /// Label of memory word `addr`.
+    fn read_mem(&mut self, addr: MemAddr) -> Self::Label;
+
+    /// True only for a label that is clean whatever state it depends on.
+    fn is_clean(label: &Self::Label) -> bool;
+
+    /// `T::propagate(sources, ctx)`. Called only when some source is not
+    /// clean: the trait contract fixes propagate(all-clean) = clean.
+    fn join(&mut self, sources: &[Self::Label], ctx: &LabelCtx) -> Self::Label;
+
+    /// Count one step: `tainted` when some source is not clean.
+    fn count_step(&mut self, sources: &[Self::Label], is_source: bool, tainted: bool);
+
+    /// A tainted address register `r` of `fx` raised a `kind` alert.
+    fn alert(&mut self, fx: &StepEffects, kind: AlertKind, r: Reg, label: Self::Label);
+
+    /// Define `r`; `origin` is the loaded cell for a load, else `None`.
+    fn write_reg(&mut self, tid: ThreadId, r: Reg, label: Self::Label, origin: Option<MemAddr>);
+
+    /// Write memory word `addr`.
+    fn write_mem(&mut self, addr: MemAddr, label: Self::Label);
+
+    /// The `idx`-th word emitted on channel `ch` carries `label`.
+    fn output(&mut self, ch: u16, idx: u64, label: Self::Label);
+}
+
+/// The taint transfer function: one step's effects applied to `s`.
+///
+/// Sources gather in order — data uses, then address uses when the
+/// policy propagates through them, then the memory read. Address checks
+/// fire before any write, so an alert sees the pre-step state. Only the
+/// destinations of `fx` store the step's label, so a step without one
+/// never joins.
+pub(crate) fn step<T: TaintLabel, S: TaintState<T>>(
+    s: &mut S,
+    policy: &TaintPolicy,
+    fx: &StepEffects,
+) {
+    let tid = fx.tid;
+    let ctx = LabelCtx { addr: fx.addr, step: fx.step, stmt: fx.insn.stmt };
+
+    // Operand queries are pure functions of the opcode — compute each
+    // exactly once per step.
+    let data_uses = fx.insn.data_uses();
+    let addr_uses = fx.insn.addr_uses();
+
+    // Gather source labels into an inline buffer (no allocation).
+    let mut sources: [S::Label; MAX_SOURCES] = std::array::from_fn(|_| S::Label::default());
+    let mut nsrc = 0usize;
+    {
+        let regs = s.regs(tid);
+        for r in &data_uses {
+            debug_assert!(nsrc < MAX_SOURCES, "data-use gather exceeds MAX_SOURCES");
+            sources[nsrc] = regs[r.index()].clone();
+            nsrc += 1;
+        }
+        if policy.propagate_through_addr {
+            for r in &addr_uses {
+                debug_assert!(nsrc < MAX_SOURCES, "addr-use gather exceeds MAX_SOURCES");
+                sources[nsrc] = regs[r.index()].clone();
+                nsrc += 1;
+            }
+        }
+    }
+    if let Some((addr, _)) = fx.mem_read {
+        debug_assert!(
+            nsrc < MAX_SOURCES,
+            "memory-read gather exceeds MAX_SOURCES; widen the budget for this ISA shape"
+        );
+        sources[nsrc] = s.read_mem(addr);
+        nsrc += 1;
+    }
+    let sources = &sources[..nsrc];
+    let tainted = sources.iter().any(|l| !S::is_clean(l));
+
+    // Checks (before the write-side update).
+    if policy.check_mem_addr || policy.check_control {
+        for r in &addr_uses {
+            let label = &s.regs(tid)[r.index()];
+            if S::is_clean(label) {
+                continue;
+            }
+            let kind = match fx.insn.op {
+                Opcode::Load { .. } => AlertKind::TaintedLoadAddr,
+                Opcode::Store { .. } | Opcode::Atomic { .. } | Opcode::Cas { .. } => {
+                    AlertKind::TaintedStoreAddr
+                }
+                Opcode::JumpInd { .. } | Opcode::CallInd { .. } => AlertKind::TaintedControl,
+                _ => continue,
+            };
+            let wanted = match kind {
+                AlertKind::TaintedControl => policy.check_control,
+                _ => policy.check_mem_addr,
+            };
+            if wanted {
+                let label = label.clone();
+                s.alert(fx, kind, r, label);
+            }
+        }
+    }
+
+    // Write-side propagation.
+    let is_source = matches!(fx.insn.op, Opcode::In { .. });
+    let out_label = if is_source {
+        let (ch, _) = fx.input.expect("In always has an input effect");
+        let idx = s.io().inputs.entry(ch).or_insert(0);
+        let l = T::source(&ctx, ch, *idx);
+        *idx += 1;
+        S::Label::from(l)
+    } else if tainted && (fx.reg_write.is_some() || fx.mem_write.is_some()) {
+        s.join(sources, &ctx)
+    } else {
+        // Clean sources give a clean label, and a label no destination
+        // stores is never observed: the dominant case skips the join.
+        S::Label::default()
+    };
+    s.count_step(sources, is_source, tainted);
+
+    if let Some((r, _, _)) = fx.reg_write {
+        let origin = match fx.insn.op {
+            Opcode::Load { .. } => fx.mem_read.map(|(a, _)| a),
+            _ => None,
+        };
+        s.write_reg(tid, r, out_label.clone(), origin);
+    }
+    if let Some((addr, _, _)) = fx.mem_write {
+        s.write_mem(addr, out_label);
+    }
+
+    // Output sink labels.
+    if let Some((ch, _)) = fx.output {
+        let idx = s.io().outputs.entry(ch).or_insert(0);
+        let i = *idx;
+        *idx += 1;
+        let label = data_uses
+            .as_slice()
+            .first()
+            .map(|r| s.regs(tid)[r.index()].clone())
+            .unwrap_or_default();
+        s.output(ch, i, label);
+    }
+}
+
 /// The DIFT engine, generic over the label lattice and an observability
 /// [`Recorder`].
 ///
@@ -72,7 +262,7 @@ pub struct TaintStats {
 ///
 /// Fields are crate-visible so the epoch-summary composition pass
 /// (`crate::summary`) can splice a summarized window of execution into
-/// the engine's state exactly as if it had been processed serially.
+/// the engine's state exactly as if [`Self::process`] had stepped it.
 pub struct TaintEngine<T: TaintLabel, R: Recorder = NoopRecorder> {
     pub(crate) policy: TaintPolicy,
     /// Origins feed alert root-cause pointers only; when the policy has
@@ -84,12 +274,12 @@ pub struct TaintEngine<T: TaintLabel, R: Recorder = NoopRecorder> {
     /// loaded from (None after any non-load definition).
     pub(crate) origins: Vec<Vec<Option<MemAddr>>>,
     pub(crate) mem: ShadowMap<T>,
-    pub(crate) input_counts: HashMap<u16, u64>,
+    /// Words read and emitted so far, per channel.
+    pub(crate) io: IoBase,
     pub alerts: Vec<TaintAlert<T>>,
     /// Labels observed at `Out` instructions: `(channel, emit index,
     /// label)` — the lineage of each output word.
     pub output_labels: Vec<(u16, u64, T)>,
-    pub(crate) output_counts: HashMap<u16, u64>,
     pub(crate) stats: TaintStats,
     /// The probe sink. Public so callers can drain a live recorder
     /// after a run; with [`NoopRecorder`] it is a ZST.
@@ -114,10 +304,9 @@ impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
             regs: Vec::new(),
             origins: Vec::new(),
             mem: ShadowMap::new(),
-            input_counts: HashMap::new(),
+            io: IoBase::default(),
             alerts: Vec::new(),
             output_labels: Vec::new(),
-            output_counts: HashMap::new(),
             stats: TaintStats::default(),
             obs,
         }
@@ -158,6 +347,10 @@ impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
         &self.mem
     }
 
+    /// Register rows for every tid up to `tid`. Cold: the step meets a
+    /// new thread once, and keeping this out of line keeps its register
+    /// lookup inlined.
+    #[cold]
     pub(crate) fn ensure_tid(&mut self, tid: ThreadId) {
         while self.regs.len() <= tid as usize {
             self.regs.push(vec![T::default(); NUM_REGS]);
@@ -176,19 +369,6 @@ impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
         self.mem.get(addr)
     }
 
-    #[inline]
-    pub(crate) fn set_mem_label(&mut self, addr: MemAddr, label: T) {
-        self.mem.set(addr, label);
-        // Running counters make peak tracking O(1) per write; the old
-        // HashMap engine rescanned the whole map at every new peak.
-        if self.mem.tainted_words() > self.stats.peak_tainted_words {
-            self.stats.peak_tainted_words = self.mem.tainted_words();
-        }
-        if self.mem.shadow_bytes() > self.stats.peak_shadow_bytes {
-            self.stats.peak_shadow_bytes = self.mem.shadow_bytes();
-        }
-    }
-
     /// Number of currently tainted memory words.
     pub fn tainted_words(&self) -> usize {
         self.mem.tainted_words()
@@ -201,142 +381,97 @@ impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
     /// gather into an inline array, the shadow lookup is two array
     /// indexes, and peaks update from running counters.
     pub fn process(&mut self, fx: &StepEffects) {
-        let tid = fx.tid;
-        self.ensure_tid(tid);
+        let policy = self.policy;
+        step(self, &policy, fx);
+    }
+}
+
+/// The concrete state: labels are `T`, and the probes live here.
+impl<T: TaintLabel, R: Recorder> TaintState<T> for TaintEngine<T, R> {
+    type Label = T;
+
+    fn io(&mut self) -> &mut IoBase {
+        &mut self.io
+    }
+
+    fn regs(&mut self, tid: ThreadId) -> &mut [T] {
+        if tid as usize >= self.regs.len() {
+            self.ensure_tid(tid);
+        }
+        &mut self.regs[tid as usize]
+    }
+
+    fn read_mem(&mut self, addr: MemAddr) -> T {
+        self.mem.get(addr)
+    }
+
+    fn is_clean(label: &T) -> bool {
+        label.is_clean()
+    }
+
+    fn join(&mut self, sources: &[T], ctx: &LabelCtx) -> T {
+        T::propagate(sources, ctx)
+    }
+
+    fn count_step(&mut self, sources: &[T], is_source: bool, tainted: bool) {
         self.stats.instrs += 1;
-        if R::ENABLED {
-            self.obs.add(Metric::TaintProcessCalls, 1);
-        }
-        let ctx = LabelCtx { addr: fx.addr, step: fx.step, stmt: fx.insn.stmt };
-
-        // Operand queries are pure functions of the opcode — compute
-        // each exactly once per step.
-        let data_uses = fx.insn.data_uses();
-        let addr_uses = fx.insn.addr_uses();
-
-        // Gather source labels into an inline buffer (no allocation).
-        let t = tid as usize;
-        let mut sources: [T; MAX_SOURCES] = std::array::from_fn(|_| T::default());
-        let mut nsrc = 0usize;
-        {
-            // One outer bounds check for the whole gather.
-            let regs_t = &self.regs[t];
-            for r in &data_uses {
-                debug_assert!(nsrc < MAX_SOURCES, "data-use gather exceeds MAX_SOURCES");
-                sources[nsrc] = regs_t[r.index()].clone();
-                nsrc += 1;
-            }
-            if self.policy.propagate_through_addr {
-                for r in &addr_uses {
-                    debug_assert!(nsrc < MAX_SOURCES, "addr-use gather exceeds MAX_SOURCES");
-                    sources[nsrc] = regs_t[r.index()].clone();
-                    nsrc += 1;
-                }
-            }
-        }
-        if let Some((addr, _)) = fx.mem_read {
-            debug_assert!(
-                nsrc < MAX_SOURCES,
-                "memory-read gather exceeds MAX_SOURCES; widen the budget for this ISA shape"
-            );
-            sources[nsrc] = self.mem.get(addr);
-            nsrc += 1;
-        }
-        let sources = &sources[..nsrc];
-        let any_tainted = sources.iter().any(|s| !s.is_clean());
-
-        // Checks (before the write-side update).
-        if self.policy.check_mem_addr || self.policy.check_control {
-            for r in &addr_uses {
-                let label = &self.regs[t][r.index()];
-                if label.is_clean() {
-                    continue;
-                }
-                let kind = match fx.insn.op {
-                    Opcode::Load { .. } => AlertKind::TaintedLoadAddr,
-                    Opcode::Store { .. } | Opcode::Atomic { .. } | Opcode::Cas { .. } => {
-                        AlertKind::TaintedStoreAddr
-                    }
-                    Opcode::JumpInd { .. } | Opcode::CallInd { .. } => AlertKind::TaintedControl,
-                    _ => continue,
-                };
-                let wanted = match kind {
-                    AlertKind::TaintedControl => self.policy.check_control,
-                    _ => self.policy.check_mem_addr,
-                };
-                if wanted {
-                    let origin = self.origins[t][r.index()].map(|cell| (cell, self.mem.get(cell)));
-                    self.alerts.push(TaintAlert {
-                        step: fx.step,
-                        tid,
-                        at: fx.addr,
-                        kind,
-                        label: label.clone(),
-                        origin,
-                    });
-                    if R::ENABLED {
-                        self.obs.add(Metric::TaintAlerts, 1);
-                    }
-                }
-            }
-        }
-
-        // Write-side propagation.
-        let is_source = matches!(fx.insn.op, Opcode::In { .. });
-        let out_label = if is_source {
-            let (ch, _) = fx.input.expect("In always has an input effect");
-            let idx = self.input_counts.entry(ch).or_insert(0);
-            let l = T::source(&ctx, ch, *idx);
-            *idx += 1;
+        if is_source {
             self.stats.sources += 1;
-            l
-        } else if any_tainted {
-            T::propagate(sources, &ctx)
-        } else {
-            // The trait contract fixes propagate(all-clean) = clean, so
-            // the dominant untainted case skips the lattice join.
-            T::default()
-        };
-
-        if any_tainted || is_source {
+        }
+        if tainted || is_source {
             self.stats.tainted_instrs += 1;
         }
         if R::ENABLED {
+            self.obs.add(Metric::TaintProcessCalls, 1);
             if is_source {
                 self.obs.add(Metric::TaintSources, 1);
             }
-            if any_tainted {
+            if tainted {
                 self.obs.add(Metric::TaintTaintedSteps, 1);
-                self.obs.observe(Metric::TaintJoinWidth, nsrc as u64);
+                self.obs.observe(Metric::TaintJoinWidth, sources.len() as u64);
             } else if !is_source {
                 self.obs.add(Metric::TaintCleanFastPath, 1);
             }
         }
+    }
 
-        if let Some((r, _, _)) = fx.reg_write {
-            self.regs[t][r.index()] = out_label.clone();
-            if self.track_origins {
-                self.origins[t][r.index()] = match fx.insn.op {
-                    Opcode::Load { .. } => fx.mem_read.map(|(a, _)| a),
-                    _ => None,
-                };
-            }
+    fn alert(&mut self, fx: &StepEffects, kind: AlertKind, r: Reg, label: T) {
+        let origin =
+            self.origins[fx.tid as usize][r.index()].map(|cell| (cell, self.mem.get(cell)));
+        self.alerts.push(TaintAlert {
+            step: fx.step,
+            tid: fx.tid,
+            at: fx.addr,
+            kind,
+            label,
+            origin,
+        });
+        if R::ENABLED {
+            self.obs.add(Metric::TaintAlerts, 1);
         }
-        if let Some((addr, _, _)) = fx.mem_write {
-            self.set_mem_label(addr, out_label);
-        }
+    }
 
-        // Output sink labels.
-        if let Some((ch, _)) = fx.output {
-            let idx = self.output_counts.entry(ch).or_insert(0);
-            let label = data_uses
-                .as_slice()
-                .first()
-                .map(|r| self.regs[t][r.index()].clone())
-                .unwrap_or_default();
-            self.output_labels.push((ch, *idx, label));
-            *idx += 1;
+    fn write_reg(&mut self, tid: ThreadId, r: Reg, label: T, origin: Option<MemAddr>) {
+        self.regs[tid as usize][r.index()] = label;
+        if self.track_origins {
+            self.origins[tid as usize][r.index()] = origin;
         }
+    }
+
+    fn write_mem(&mut self, addr: MemAddr, label: T) {
+        self.mem.set(addr, label);
+        // Running counters make peak tracking O(1) per write; the old
+        // HashMap engine rescanned the whole map at every new peak.
+        if self.mem.tainted_words() > self.stats.peak_tainted_words {
+            self.stats.peak_tainted_words = self.mem.tainted_words();
+        }
+        if self.mem.shadow_bytes() > self.stats.peak_shadow_bytes {
+            self.stats.peak_shadow_bytes = self.mem.shadow_bytes();
+        }
+    }
+
+    fn output(&mut self, ch: u16, idx: u64, label: T) {
+        self.output_labels.push((ch, idx, label));
     }
 }
 

@@ -27,15 +27,12 @@ pub mod shadow;
 pub mod summary;
 pub mod summary_cache;
 
-pub use engine::{AlertKind, TaintAlert, TaintEngine, TaintStats};
+pub use engine::{AlertKind, IoBase, TaintAlert, TaintEngine, TaintStats};
 pub use label::{BitTaint, LabelCtx, PcTaint, TaintLabel};
 pub use policy::TaintPolicy;
 pub use reference::ReferenceTaintEngine;
 pub use shadow::ShadowMap;
-pub use summary::{
-    process_by_epochs, summarize_epoch, ApplyMemo, EpochSummarizer, EpochSummary, IoBase, Loc,
-    SymLabel,
-};
+pub use summary::{process_by_epochs, summarize_epoch, EpochSummary, Loc};
 pub use summary_cache::{SummaryCacheStats, SummaryCachedEngine};
 
 /// Cycle charges for the software (same-core) DIFT engine. Calibrated so

@@ -14,8 +14,10 @@
 //! stream: labels, alerts (including origin pointers), output lineage,
 //! and exact peak statistics.
 //!
-//! The symbolic domain is a small expression DAG, generic over any
-//! [`TaintLabel`]:
+//! The summarizer is no copy of the engine: it is the engine's own
+//! transfer function (`crate::engine::step`) run over a symbolic state,
+//! so every taint rule is written once. The symbolic domain is a small
+//! expression DAG, generic over any [`TaintLabel`]:
 //!
 //! * `Incoming(loc)` — the unknown label `loc` carries into the epoch;
 //! * `Prop { ctx, args }` — `T::propagate(args, ctx)` with the full,
@@ -28,12 +30,13 @@
 //! chains rooted at genuinely unknown incoming labels. Peak statistics
 //! stay exact because the summary records every shadow write in step
 //! order and composition replays them through the engine's own
-//! `set_mem_label`, which maintains the running peak counters.
+//! counter-maintaining shadow write.
 
-use crate::engine::{AlertKind, TaintAlert, TaintEngine};
+use crate::engine::{step, AlertKind, IoBase, TaintAlert, TaintEngine, TaintState};
 use crate::label::{LabelCtx, TaintLabel};
 use crate::policy::TaintPolicy;
-use dift_isa::{Addr, MemAddr, Opcode, Reg, NUM_REGS, SHADOW_PAGE_WORDS};
+use dift_isa::{Addr, MemAddr, Reg, NUM_REGS, SHADOW_PAGE_WORDS};
+use dift_obs::Recorder;
 use dift_vm::{StepEffects, ThreadId};
 use std::collections::HashMap;
 
@@ -46,11 +49,23 @@ pub enum Loc {
 
 /// A label that may depend on unknown incoming labels.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SymLabel<T> {
+pub(crate) enum SymLabel<T> {
     /// Fully determined within the epoch.
     Concrete(T),
     /// Index into the summary's node arena.
     Node(u32),
+}
+
+impl<T: Default> Default for SymLabel<T> {
+    fn default() -> SymLabel<T> {
+        SymLabel::Concrete(T::default())
+    }
+}
+
+impl<T> From<T> for SymLabel<T> {
+    fn from(label: T) -> SymLabel<T> {
+        SymLabel::Concrete(label)
+    }
 }
 
 /// One vertex of the symbolic expression DAG.
@@ -101,32 +116,6 @@ enum Event<T> {
     },
 }
 
-/// Per-channel `In`/`Out` counts of the stream prefix before an epoch.
-///
-/// Source labels (`T::source(ctx, ch, index)`) and output lineage use
-/// *global* per-channel indices; those are label-independent functions of
-/// the stream itself, so a cheap sequential pre-scan provides them to
-/// each worker before summarization fans out.
-#[derive(Clone, Debug, Default)]
-pub struct IoBase {
-    pub inputs: HashMap<u16, u64>,
-    pub outputs: HashMap<u16, u64>,
-}
-
-impl IoBase {
-    /// Advance the counts past `fxs` (the cheap pre-scan step).
-    pub fn advance(&mut self, fxs: &[StepEffects]) {
-        for fx in fxs {
-            if let Some((ch, _)) = fx.input {
-                *self.inputs.entry(ch).or_insert(0) += 1;
-            }
-            if let Some((ch, _)) = fx.output {
-                *self.outputs.entry(ch).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
 /// Overlay cell state for one shadow word during summarization.
 #[derive(Clone, Debug)]
 enum OverlayCell<T> {
@@ -153,10 +142,8 @@ pub struct EpochSummary<T: TaintLabel> {
     /// `(node id, loc)` for every `Incoming` node, resolved first.
     incoming: Vec<(u32, Loc)>,
     events: Vec<Event<T>>,
-    /// Final labels of registers the epoch wrote.
-    reg_updates: Vec<(ThreadId, Reg, SymLabel<T>)>,
-    /// Final origins of registers the epoch wrote.
-    origin_updates: Vec<(ThreadId, Reg, Option<MemAddr>)>,
+    /// Final label and origin of every register the epoch wrote.
+    reg_updates: Vec<(ThreadId, Reg, SymLabel<T>, Option<MemAddr>)>,
     max_tid: Option<ThreadId>,
     instrs: u64,
     sources: u64,
@@ -254,24 +241,24 @@ impl<T: TaintLabel> EpochSummary<T> {
 }
 
 /// Streaming builder of an [`EpochSummary`]: feed it the epoch's effects
-/// in order via [`Self::step`], then [`Self::finish`]. Mirrors
-/// [`TaintEngine::process`] step for step, but over symbolic labels.
-pub struct EpochSummarizer<T: TaintLabel> {
+/// in order via [`Self::step`], then [`Self::finish`]. It is the
+/// engine's transfer function over a symbolic [`TaintState`]: incoming
+/// cells intern on first read, and every observation is recorded as a
+/// replayable event.
+pub(crate) struct EpochSummarizer<T: TaintLabel> {
     policy: TaintPolicy,
     nodes: Vec<Node<T>>,
     incoming: Vec<(u32, Loc)>,
     events: Vec<Event<T>>,
     /// Per-tid symbolic register file (rows intern incoming nodes).
     regs: Vec<Vec<SymLabel<T>>>,
-    /// Per-tid dirty flags (which registers the epoch wrote).
-    written: Vec<Vec<bool>>,
+    /// Per-tid origins; `Known` marks the registers the epoch wrote.
     origins: Vec<Vec<OriginState>>,
     /// Paged shadow overlay (same page geometry as `ShadowMap`).
     mem_pages: Vec<Option<Box<[OverlayCell<T>]>>>,
-    input_counts: HashMap<u16, u64>,
-    output_counts: HashMap<u16, u64>,
+    /// Running per-channel counts, seeded with the stream prefix's.
+    io: IoBase,
     base: IoBase,
-    max_tid: Option<ThreadId>,
     instrs: u64,
     sources: u64,
     tainted_known: u64,
@@ -283,20 +270,17 @@ pub struct EpochSummarizer<T: TaintLabel> {
 impl<T: TaintLabel> EpochSummarizer<T> {
     /// `base` carries the per-channel `In`/`Out` counts of the stream
     /// prefix before this epoch (see [`IoBase`]).
-    pub fn new(policy: TaintPolicy, base: &IoBase) -> EpochSummarizer<T> {
+    pub(crate) fn new(policy: TaintPolicy, base: &IoBase) -> EpochSummarizer<T> {
         EpochSummarizer {
             policy,
             nodes: Vec::new(),
             incoming: Vec::new(),
             events: Vec::new(),
             regs: Vec::new(),
-            written: Vec::new(),
             origins: Vec::new(),
             mem_pages: Vec::new(),
-            input_counts: base.inputs.clone(),
-            output_counts: base.outputs.clone(),
+            io: base.clone(),
             base: base.clone(),
-            max_tid: None,
             instrs: 0,
             sources: 0,
             tainted_known: 0,
@@ -312,12 +296,9 @@ impl<T: TaintLabel> EpochSummarizer<T> {
         id
     }
 
-    fn prop_node(&mut self, ctx: LabelCtx, args: Vec<SymLabel<T>>) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Prop { ctx, args });
-        id
-    }
-
+    /// Register rows for every tid up to `tid`, each register an
+    /// incoming node (cold, as the engine's).
+    #[cold]
     fn ensure_tid(&mut self, tid: ThreadId) {
         while self.regs.len() <= tid as usize {
             let t = self.regs.len() as ThreadId;
@@ -325,216 +306,35 @@ impl<T: TaintLabel> EpochSummarizer<T> {
                 .map(|r| SymLabel::Node(self.intern_incoming(Loc::Reg(t, Reg(r as u8)))))
                 .collect();
             self.regs.push(row);
-            self.written.push(vec![false; NUM_REGS]);
             self.origins.push(vec![OriginState::Incoming; NUM_REGS]);
         }
     }
 
-    #[inline]
-    fn split(addr: MemAddr) -> (usize, usize) {
-        let a = addr as usize;
-        (a / SHADOW_PAGE_WORDS, a % SHADOW_PAGE_WORDS)
-    }
-
-    fn empty_page() -> Box<[OverlayCell<T>]> {
-        (0..SHADOW_PAGE_WORDS).map(|_| OverlayCell::Empty).collect()
-    }
-
-    /// Symbolic label of shadow word `addr`; interns (and caches) an
-    /// incoming node on the first read of an unwritten cell.
-    fn mem_label(&mut self, addr: MemAddr) -> SymLabel<T> {
-        let (p, off) = Self::split(addr);
-        if let Some(Some(page)) = self.mem_pages.get(p) {
-            match &page[off] {
-                OverlayCell::Incoming(id) => return SymLabel::Node(*id),
-                OverlayCell::Written(l) => return l.clone(),
-                OverlayCell::Empty => {}
-            }
-        }
-        let id = self.intern_incoming(Loc::Mem(addr));
+    /// The overlay cell of shadow word `addr`, its page allocated on
+    /// first touch.
+    fn cell(&mut self, addr: MemAddr) -> &mut OverlayCell<T> {
+        let (p, off) = (addr as usize / SHADOW_PAGE_WORDS, addr as usize % SHADOW_PAGE_WORDS);
         if p >= self.mem_pages.len() {
             self.mem_pages.resize_with(p + 1, || None);
         }
-        let page = self.mem_pages[p].get_or_insert_with(Self::empty_page);
-        page[off] = OverlayCell::Incoming(id);
-        SymLabel::Node(id)
+        let page = self.mem_pages[p]
+            .get_or_insert_with(|| (0..SHADOW_PAGE_WORDS).map(|_| OverlayCell::Empty).collect());
+        &mut page[off]
     }
 
-    fn mem_store(&mut self, addr: MemAddr, label: SymLabel<T>) {
-        let (p, off) = Self::split(addr);
-        if p >= self.mem_pages.len() {
-            self.mem_pages.resize_with(p + 1, || None);
-        }
-        let page = self.mem_pages[p].get_or_insert_with(Self::empty_page);
-        page[off] = OverlayCell::Written(label);
-    }
-
-    /// Summarize one step. Mirrors `TaintEngine::process` exactly, with
-    /// symbolic labels standing in for unknown incoming state.
-    pub fn step(&mut self, fx: &StepEffects) {
-        let tid = fx.tid;
-        self.ensure_tid(tid);
-        self.max_tid = Some(self.max_tid.map_or(tid, |m| m.max(tid)));
-        self.instrs += 1;
-        let ctx = LabelCtx { addr: fx.addr, step: fx.step, stmt: fx.insn.stmt };
-
-        let data_uses = fx.insn.data_uses();
-        let addr_uses = fx.insn.addr_uses();
-        let t = tid as usize;
-
-        // Gather source labels (same order as the serial engine).
-        let mut srcs: Vec<SymLabel<T>> = Vec::with_capacity(4);
-        for r in &data_uses {
-            srcs.push(self.regs[t][r.index()].clone());
-        }
-        if self.policy.propagate_through_addr {
-            for r in &addr_uses {
-                srcs.push(self.regs[t][r.index()].clone());
-            }
-        }
-        if let Some((addr, _)) = fx.mem_read {
-            srcs.push(self.mem_label(addr));
-        }
-
-        // Taintedness of the step: known when a concrete source is
-        // tainted or every source is concrete; otherwise conditional on
-        // the symbolic sources.
-        let mut concrete_tainted = false;
-        let mut deps: Vec<u32> = Vec::new();
-        for s in &srcs {
-            match s {
-                SymLabel::Concrete(l) => {
-                    if !l.is_clean() {
-                        concrete_tainted = true;
-                    }
-                }
-                SymLabel::Node(id) => deps.push(*id),
-            }
-        }
-
-        // Checks (before the write-side update), same loop order as the
-        // engine so the alert stream composes in identical order.
-        if self.policy.check_mem_addr || self.policy.check_control {
-            for r in &addr_uses {
-                let label = self.regs[t][r.index()].clone();
-                if let SymLabel::Concrete(l) = &label {
-                    if l.is_clean() {
-                        continue;
-                    }
-                }
-                let kind = match fx.insn.op {
-                    Opcode::Load { .. } => AlertKind::TaintedLoadAddr,
-                    Opcode::Store { .. } | Opcode::Atomic { .. } | Opcode::Cas { .. } => {
-                        AlertKind::TaintedStoreAddr
-                    }
-                    Opcode::JumpInd { .. } | Opcode::CallInd { .. } => AlertKind::TaintedControl,
-                    _ => continue,
-                };
-                let wanted = match kind {
-                    AlertKind::TaintedControl => self.policy.check_control,
-                    _ => self.policy.check_mem_addr,
-                };
-                if wanted {
-                    let origin = match self.origins[t][r.index()] {
-                        OriginState::Known(None) => OriginRef::None,
-                        OriginState::Known(Some(cell)) => {
-                            let l = self.mem_label(cell);
-                            OriginRef::Cell(cell, l)
-                        }
-                        OriginState::Incoming => OriginRef::IncomingReg(r),
-                    };
-                    self.events.push(Event::Alert {
-                        step: fx.step,
-                        tid,
-                        at: fx.addr,
-                        kind,
-                        label,
-                        origin,
-                    });
-                }
-            }
-        }
-
-        // Write-side propagation.
-        let is_source = matches!(fx.insn.op, Opcode::In { .. });
-        let out_label: SymLabel<T> = if is_source {
-            let (ch, _) = fx.input.expect("In always has an input effect");
-            let idx = self.input_counts.entry(ch).or_insert(0);
-            let l = T::source(&ctx, ch, *idx);
-            *idx += 1;
-            self.sources += 1;
-            SymLabel::Concrete(l)
-        } else if deps.is_empty() {
-            if concrete_tainted {
-                self.scratch.clear();
-                for s in &srcs {
-                    match s {
-                        SymLabel::Concrete(l) => self.scratch.push(l.clone()),
-                        SymLabel::Node(_) => unreachable!("deps is empty"),
-                    }
-                }
-                SymLabel::Concrete(T::propagate(&self.scratch, &ctx))
-            } else {
-                SymLabel::Concrete(T::default())
-            }
-        } else if fx.reg_write.is_some() || fx.mem_write.is_some() {
-            // At least one unknown source: keep the full, ordered
-            // propagate call symbolic (even when a concrete source is
-            // already tainted — a lattice like a lineage set still
-            // depends on the unknown arguments' values).
-            SymLabel::Node(self.prop_node(ctx, srcs))
-        } else {
-            // No destination reads this label (e.g. a branch over an
-            // incoming register) — don't grow the DAG for it.
-            SymLabel::Concrete(T::default())
-        };
-
-        if is_source || concrete_tainted {
-            self.tainted_known += 1;
-        } else if !deps.is_empty() {
-            self.tainted_cond.push(deps);
-        }
-
-        if let Some((r, _, _)) = fx.reg_write {
-            self.regs[t][r.index()] = out_label.clone();
-            self.written[t][r.index()] = true;
-            self.origins[t][r.index()] = OriginState::Known(match fx.insn.op {
-                Opcode::Load { .. } => fx.mem_read.map(|(a, _)| a),
-                _ => None,
-            });
-        }
-        if let Some((addr, _, _)) = fx.mem_write {
-            self.mem_store(addr, out_label.clone());
-            self.events.push(Event::MemWrite { addr, label: out_label });
-        }
-
-        if let Some((ch, _)) = fx.output {
-            let idx = self.output_counts.entry(ch).or_insert(0);
-            let label = data_uses
-                .as_slice()
-                .first()
-                .map(|r| self.regs[t][r.index()].clone())
-                .unwrap_or(SymLabel::Concrete(T::default()));
-            self.events.push(Event::Output { ch, idx: *idx, label });
-            *idx += 1;
-        }
+    /// Summarize one step.
+    pub(crate) fn step(&mut self, fx: &StepEffects) {
+        let policy = self.policy;
+        step(self, &policy, fx);
     }
 
     /// Seal the summary.
-    pub fn finish(self) -> EpochSummary<T> {
+    pub(crate) fn finish(self) -> EpochSummary<T> {
         let mut reg_updates = Vec::new();
-        let mut origin_updates = Vec::new();
-        for (t, row) in self.written.iter().enumerate() {
-            for (r, dirty) in row.iter().enumerate() {
-                if !dirty {
-                    continue;
-                }
-                let tid = t as ThreadId;
-                let reg = Reg(r as u8);
-                reg_updates.push((tid, reg, self.regs[t][r].clone()));
-                match self.origins[t][r] {
-                    OriginState::Known(o) => origin_updates.push((tid, reg, o)),
-                    OriginState::Incoming => unreachable!("written register has a known origin"),
+        for (t, row) in self.origins.iter().enumerate() {
+            for (r, origin) in row.iter().enumerate() {
+                if let OriginState::Known(o) = *origin {
+                    reg_updates.push((t as ThreadId, Reg(r as u8), self.regs[t][r].clone(), o));
                 }
             }
         }
@@ -550,19 +350,126 @@ impl<T: TaintLabel> EpochSummarizer<T> {
             v
         };
         EpochSummary {
-            input_delta: delta(&self.input_counts, &self.base.inputs),
-            output_delta: delta(&self.output_counts, &self.base.outputs),
+            input_delta: delta(&self.io.inputs, &self.base.inputs),
+            output_delta: delta(&self.io.outputs, &self.base.outputs),
             nodes: self.nodes,
             incoming: self.incoming,
             events: self.events,
             reg_updates,
-            origin_updates,
-            max_tid: self.max_tid,
+            // Every step reads its thread's register file, so the rows
+            // end at the highest tid stepped.
+            max_tid: self.regs.len().checked_sub(1).map(|t| t as ThreadId),
             instrs: self.instrs,
             sources: self.sources,
             tainted_known: self.tainted_known,
             tainted_cond: self.tainted_cond,
         }
+    }
+}
+
+/// The symbolic state: unknown epoch-entry labels intern as nodes, and
+/// every observation the engine would make is recorded as an event.
+impl<T: TaintLabel> TaintState<T> for EpochSummarizer<T> {
+    type Label = SymLabel<T>;
+
+    fn io(&mut self) -> &mut IoBase {
+        &mut self.io
+    }
+
+    fn regs(&mut self, tid: ThreadId) -> &mut [SymLabel<T>] {
+        if tid as usize >= self.regs.len() {
+            self.ensure_tid(tid);
+        }
+        &mut self.regs[tid as usize]
+    }
+
+    /// Interns (and caches) an incoming node on the first read of an
+    /// unwritten cell.
+    fn read_mem(&mut self, addr: MemAddr) -> SymLabel<T> {
+        match self.cell(addr) {
+            OverlayCell::Incoming(id) => return SymLabel::Node(*id),
+            OverlayCell::Written(l) => return l.clone(),
+            OverlayCell::Empty => {}
+        }
+        let id = self.intern_incoming(Loc::Mem(addr));
+        *self.cell(addr) = OverlayCell::Incoming(id);
+        SymLabel::Node(id)
+    }
+
+    fn is_clean(label: &SymLabel<T>) -> bool {
+        matches!(label, SymLabel::Concrete(l) if l.is_clean())
+    }
+
+    /// Folds when every source is concrete; otherwise keeps the full,
+    /// ordered propagate call symbolic (even when a concrete source is
+    /// already tainted — a lattice like a lineage set still depends on
+    /// the unknown arguments' values).
+    fn join(&mut self, sources: &[SymLabel<T>], ctx: &LabelCtx) -> SymLabel<T> {
+        self.scratch.clear();
+        self.scratch.extend(sources.iter().filter_map(|l| match l {
+            SymLabel::Concrete(l) => Some(l.clone()),
+            SymLabel::Node(_) => None,
+        }));
+        if self.scratch.len() == sources.len() {
+            return SymLabel::Concrete(T::propagate(&self.scratch, ctx));
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node::Prop { ctx: *ctx, args: sources.to_vec() });
+        SymLabel::Node(id)
+    }
+
+    /// Taintedness is known when the step is a source or a concrete
+    /// source is tainted; otherwise it is conditional on the symbolic
+    /// sources.
+    fn count_step(&mut self, sources: &[SymLabel<T>], is_source: bool, tainted: bool) {
+        self.instrs += 1;
+        if is_source {
+            self.sources += 1;
+        }
+        if is_source || sources.iter().any(|l| matches!(l, SymLabel::Concrete(l) if !l.is_clean()))
+        {
+            self.tainted_known += 1;
+        } else if tainted {
+            self.tainted_cond.push(
+                sources
+                    .iter()
+                    .filter_map(|l| match l {
+                        SymLabel::Node(id) => Some(*id),
+                        SymLabel::Concrete(_) => None,
+                    })
+                    .collect(),
+            );
+        }
+    }
+
+    fn alert(&mut self, fx: &StepEffects, kind: AlertKind, r: Reg, label: SymLabel<T>) {
+        let origin = match self.origins[fx.tid as usize][r.index()] {
+            OriginState::Known(None) => OriginRef::None,
+            OriginState::Known(Some(cell)) => OriginRef::Cell(cell, self.read_mem(cell)),
+            OriginState::Incoming => OriginRef::IncomingReg(r),
+        };
+        self.events.push(Event::Alert {
+            step: fx.step,
+            tid: fx.tid,
+            at: fx.addr,
+            kind,
+            label,
+            origin,
+        });
+    }
+
+    fn write_reg(&mut self, tid: ThreadId, r: Reg, label: SymLabel<T>, origin: Option<MemAddr>) {
+        self.regs[tid as usize][r.index()] = label;
+        self.origins[tid as usize][r.index()] = OriginState::Known(origin);
+    }
+
+    fn write_mem(&mut self, addr: MemAddr, label: SymLabel<T>) {
+        *self.cell(addr) = OverlayCell::Written(label.clone());
+        self.events.push(Event::MemWrite { addr, label });
+    }
+
+    fn output(&mut self, ch: u16, idx: u64, label: SymLabel<T>) {
+        self.events.push(Event::Output { ch, idx, label });
     }
 }
 
@@ -578,7 +485,8 @@ impl<T: TaintLabel> EpochSummarizer<T> {
 /// previous application's, and on equality replay the fully
 /// concretized action list recorded then — same writes, same alerts,
 /// same stats, bit for bit, at a fraction of the cost.
-pub struct ApplyMemo<T: TaintLabel> {
+#[derive(Default)]
+pub(crate) struct ApplyMemo<T: TaintLabel> {
     /// Incoming labels at the last recorded application, in
     /// `EpochSummary::incoming` order.
     inputs: Vec<T>,
@@ -587,28 +495,23 @@ pub struct ApplyMemo<T: TaintLabel> {
     replay: Option<Replay<T>>,
 }
 
-impl<T: TaintLabel> Default for ApplyMemo<T> {
-    fn default() -> ApplyMemo<T> {
-        ApplyMemo { inputs: Vec::new(), replay: None }
-    }
-}
-
 impl<T: TaintLabel> ApplyMemo<T> {
     /// Approximate resident bytes (cache-storage accounting).
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         let actions =
-            self.replay.as_ref().map(|r| r.actions.len() + r.reg_updates.len()).unwrap_or(0);
+            self.replay.as_ref().map(|r| r.actions.len() + r.reg_labels.len()).unwrap_or(0);
         (self.inputs.len() + actions) as u64 * 16
     }
 }
 
+#[derive(Default)]
 struct Replay<T: TaintLabel> {
     /// Writes, firing alerts, and outputs in event order. Alert steps
     /// keep the summary's recorded values; the caller's `step_delta` is
     /// added at replay time.
     actions: Vec<ReplayAction<T>>,
-    /// Final concrete labels of registers the epoch wrote.
-    reg_updates: Vec<(ThreadId, Reg, T)>,
+    /// Final concrete labels of the summary's `reg_updates`, in order.
+    reg_labels: Vec<T>,
     /// Conditional tainted steps that fired under these inputs.
     tainted_resolved: u64,
 }
@@ -632,7 +535,7 @@ pub fn summarize_epoch<T: TaintLabel>(
     s.finish()
 }
 
-impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
+impl<T: TaintLabel, R: Recorder> TaintEngine<T, R> {
     /// Compose an epoch summary onto this engine's state — the
     /// sequential stitching pass of epoch-parallel DIFT. After the call
     /// the engine is bit-identical to having `process`ed the epoch's
@@ -667,71 +570,30 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
     /// false when the full path ran and re-recorded the memo. The
     /// summary cache uses this bit to prove replay *fixpoints* for the
     /// even cheaper [`Self::apply_summary_sealed`] path.
-    pub fn apply_summary_memoized(
+    pub(crate) fn apply_summary_memoized(
         &mut self,
         s: &EpochSummary<T>,
         step_delta: u64,
         memo: &mut ApplyMemo<T>,
     ) -> bool {
-        if let Some(mt) = s.max_tid {
-            self.ensure_tid(mt);
-        }
         if let Some(replay) = &memo.replay {
             let same = memo.inputs.len() == s.incoming.len()
-                && s.incoming.iter().zip(&memo.inputs).all(|((_, loc), prev)| {
-                    let v = match *loc {
-                        Loc::Reg(tid, r) => self.reg_label(tid, r),
-                        Loc::Mem(a) => self.mem.get(a),
-                    };
-                    v == *prev
-                });
+                && s.incoming
+                    .iter()
+                    .zip(&memo.inputs)
+                    .all(|((_, loc), prev)| self.incoming_label(*loc) == *prev);
             if same {
-                for a in &replay.actions {
-                    match a {
-                        ReplayAction::Mem(addr, l) => self.set_mem_label(*addr, l.clone()),
-                        ReplayAction::Alert(al) => {
-                            let mut al = al.clone();
-                            al.step += step_delta;
-                            self.alerts.push(al);
-                        }
-                        ReplayAction::Output(ch, idx, l) => {
-                            self.output_labels.push((*ch, *idx, l.clone()));
-                        }
-                    }
-                }
-                for (tid, r, l) in &replay.reg_updates {
-                    self.regs[*tid as usize][r.index()] = l.clone();
-                }
-                if self.track_origins {
-                    for (tid, r, o) in &s.origin_updates {
-                        self.origins[*tid as usize][r.index()] = *o;
-                    }
-                }
-                self.stats.instrs += s.instrs;
-                self.stats.sources += s.sources;
-                self.stats.tainted_instrs += s.tainted_known + replay.tainted_resolved;
-                for (ch, d) in &s.input_delta {
-                    *self.input_counts.entry(*ch).or_insert(0) += *d;
-                }
-                for (ch, d) in &s.output_delta {
-                    *self.output_counts.entry(*ch).or_insert(0) += *d;
-                }
+                self.replay(s, replay, step_delta, true);
                 return true;
             }
         }
         // Inputs changed (or first application): run the full path while
         // re-recording the concretized actions for the next hit.
         memo.inputs.clear();
-        for (_, loc) in &s.incoming {
-            memo.inputs.push(match *loc {
-                Loc::Reg(tid, r) => self.reg_label(tid, r),
-                Loc::Mem(a) => self.mem.get(a),
-            });
-        }
-        let mut replay =
-            Replay { actions: Vec::new(), reg_updates: Vec::new(), tainted_resolved: 0 };
+        memo.inputs.extend(s.incoming.iter().map(|(_, loc)| self.incoming_label(*loc)));
+        let mut replay = Replay::default();
         let memoizable = self.apply_summary_inner(s, step_delta, Some(&mut replay));
-        memo.replay = if memoizable { Some(replay) } else { None };
+        memo.replay = memoizable.then_some(replay);
         false
     }
 
@@ -744,7 +606,7 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
     /// appended: alerts (rebased by `step_delta`), output lineage, and
     /// statistics. Returns false (doing nothing) when the memo holds no
     /// replay; the caller must then fall back to the memoized path.
-    pub fn apply_summary_sealed(
+    pub(crate) fn apply_summary_sealed(
         &mut self,
         s: &EpochSummary<T>,
         step_delta: u64,
@@ -753,36 +615,64 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
         let Some(replay) = &memo.replay else {
             return false;
         };
-        for a in &replay.actions {
-            match a {
-                // Sealed: the shadow already carries this exact label.
-                ReplayAction::Mem(..) => {}
-                ReplayAction::Alert(al) => {
-                    let mut al = al.clone();
-                    al.step += step_delta;
-                    self.alerts.push(al);
-                }
-                ReplayAction::Output(ch, idx, l) => {
-                    self.output_labels.push((*ch, *idx, l.clone()));
-                }
-            }
-        }
-        self.stats.instrs += s.instrs;
-        self.stats.sources += s.sources;
-        self.stats.tainted_instrs += s.tainted_known + replay.tainted_resolved;
-        for (ch, d) in &s.input_delta {
-            *self.input_counts.entry(*ch).or_insert(0) += *d;
-        }
-        for (ch, d) in &s.output_delta {
-            *self.output_counts.entry(*ch).or_insert(0) += *d;
-        }
+        self.replay(s, replay, step_delta, false);
         true
     }
 
-    /// Shared application body. When `rec` is given, every concrete
-    /// action is also recorded for memoized replay; returns false when
-    /// the application is non-memoizable (a firing alert resolved its
-    /// origin through live engine state rather than incoming labels).
+    /// The label `loc` carries now (an incoming unknown's value).
+    fn incoming_label(&self, loc: Loc) -> T {
+        match loc {
+            Loc::Reg(tid, r) => self.reg_label(tid, r),
+            Loc::Mem(a) => self.mem.get(a),
+        }
+    }
+
+    /// The one replay body of a memoized application: appends the
+    /// replay's rebased alerts and its outputs and, unless the engine
+    /// already holds the replay's post-state (`writes` false), its label
+    /// and origin writes. The full application that recorded the replay
+    /// created every register row it writes.
+    fn replay(&mut self, s: &EpochSummary<T>, rp: &Replay<T>, step_delta: u64, writes: bool) {
+        for a in &rp.actions {
+            match a {
+                ReplayAction::Mem(addr, l) => {
+                    if writes {
+                        self.write_mem(*addr, l.clone());
+                    }
+                }
+                ReplayAction::Alert(al) => {
+                    self.alerts.push(TaintAlert { step: al.step + step_delta, ..al.clone() })
+                }
+                ReplayAction::Output(ch, idx, l) => self.output(*ch, *idx, l.clone()),
+            }
+        }
+        if writes {
+            for ((tid, r, _, origin), l) in s.reg_updates.iter().zip(&rp.reg_labels) {
+                self.write_reg(*tid, *r, l.clone(), *origin);
+            }
+        }
+        self.add_summary_counts(s, rp.tainted_resolved);
+    }
+
+    /// A summary's statistics and per-channel I/O deltas, with
+    /// `tainted_resolved` of its conditional tainted steps firing.
+    fn add_summary_counts(&mut self, s: &EpochSummary<T>, tainted_resolved: u64) {
+        self.stats.instrs += s.instrs;
+        self.stats.sources += s.sources;
+        self.stats.tainted_instrs += s.tainted_known + tainted_resolved;
+        for (ch, d) in &s.input_delta {
+            *self.io.inputs.entry(*ch).or_insert(0) += *d;
+        }
+        for (ch, d) in &s.output_delta {
+            *self.io.outputs.entry(*ch).or_insert(0) += *d;
+        }
+    }
+
+    /// Full application: resolves the node DAG against the engine's
+    /// state. When `rec` is given, every concrete action is also
+    /// recorded for memoized replay; returns false when the application
+    /// is non-memoizable (a firing alert resolved its origin through
+    /// live engine state rather than incoming labels).
     fn apply_summary_inner(
         &mut self,
         s: &EpochSummary<T>,
@@ -799,11 +689,7 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
         // see the correctly interleaved mid-epoch state.
         let mut cache: Vec<Option<T>> = vec![None; s.nodes.len()];
         for (id, loc) in &s.incoming {
-            let v = match *loc {
-                Loc::Reg(tid, r) => self.reg_label(tid, r),
-                Loc::Mem(a) => self.mem.get(a),
-            };
-            cache[*id as usize] = Some(v);
+            cache[*id as usize] = Some(self.incoming_label(*loc));
         }
 
         for ev in &s.events {
@@ -815,7 +701,7 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
                     }
                     // The engine's own counter-maintaining write keeps
                     // peak statistics exact under replay.
-                    self.set_mem_label(*addr, l);
+                    self.write_mem(*addr, l);
                 }
                 Event::Alert { step, tid, at, kind, label, origin } => {
                     let l = s.eval(&mut cache, label);
@@ -856,41 +742,28 @@ impl<T: TaintLabel, R: dift_obs::Recorder> TaintEngine<T, R> {
                     if let Some(r) = rec.as_deref_mut() {
                         r.actions.push(ReplayAction::Output(*ch, *idx, l.clone()));
                     }
-                    self.output_labels.push((*ch, *idx, l));
+                    self.output(*ch, *idx, l);
                 }
             }
         }
 
-        for (tid, r, sym) in &s.reg_updates {
+        for (tid, r, sym, origin) in &s.reg_updates {
             let l = s.eval(&mut cache, sym);
             if let Some(rp) = rec.as_deref_mut() {
-                rp.reg_updates.push((*tid, *r, l.clone()));
+                rp.reg_labels.push(l.clone());
             }
-            self.regs[*tid as usize][r.index()] = l;
-        }
-        if self.track_origins {
-            for (tid, r, o) in &s.origin_updates {
-                self.origins[*tid as usize][r.index()] = *o;
-            }
+            self.write_reg(*tid, *r, l, *origin);
         }
 
-        self.stats.instrs += s.instrs;
-        self.stats.sources += s.sources;
-        self.stats.tainted_instrs += s.tainted_known;
-        for deps in &s.tainted_cond {
-            if deps.iter().any(|id| !s.eval_node(&mut cache, *id).is_clean()) {
-                self.stats.tainted_instrs += 1;
-                if let Some(r) = rec.as_deref_mut() {
-                    r.tainted_resolved += 1;
-                }
-            }
+        let resolved = s
+            .tainted_cond
+            .iter()
+            .filter(|deps| deps.iter().any(|id| !s.eval_node(&mut cache, *id).is_clean()))
+            .count() as u64;
+        if let Some(r) = rec {
+            r.tainted_resolved = resolved;
         }
-        for (ch, d) in &s.input_delta {
-            *self.input_counts.entry(*ch).or_insert(0) += *d;
-        }
-        for (ch, d) in &s.output_delta {
-            *self.output_counts.entry(*ch).or_insert(0) += *d;
-        }
+        self.add_summary_counts(s, resolved);
         memoizable
     }
 }

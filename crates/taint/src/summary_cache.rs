@@ -13,11 +13,14 @@
 //! next occurrence of the head), summarizes it once, and keys the
 //! summary by head address plus a **shape fingerprint** (`FastStep` per
 //! instruction: address, destination register, and concrete memory
-//! addresses). [`SummaryCachedEngine::process_stream`] checks the
-//! stream in place against the fingerprint at every cached head; only
-//! when the whole region matches does it apply the cached summary (via
-//! the bit-exact [`TaintEngine::apply_summary_memoized`] composition) —
-//! on a mismatch the head step runs on the plain path and the stream
+//! addresses). The recording is the epoch summarizer itself — the
+//! engine's own transfer function run over symbolic labels — so a
+//! region summary follows every taint rule [`TaintEngine::process`]
+//! does. [`SummaryCachedEngine::process_stream`] checks the stream in
+//! place against the fingerprint at every cached head; only when the
+//! whole region matches does it apply the cached summary through the
+//! bit-exact composition of [`TaintEngine::apply_summary`] — on a
+//! mismatch the head step runs on the plain path and the stream
 //! continues from there. Correctness is never speculative: the guard
 //! pins every input `process` reads except data *values*, which the
 //! engine provably never consults, and the step counter, which
@@ -38,16 +41,16 @@
 //!    opcode at `addr` determines which effect classes a step can carry,
 //!    so the compare is 24 packed bytes and touches only the
 //!    [`StepEffects`] cache lines the recorded step actually used.
-//! 2. **Memoized application** ([`ApplyMemo`]): when a region's
-//!    incoming labels are unchanged since its last application, the
-//!    concretized action list replays instead of re-evaluating the
-//!    summary's node DAG.
-//! 3. **Sealed application** ([`TaintEngine::apply_summary_sealed`]):
-//!    a generation counter proves nothing mutated taint state since the
-//!    region's last application; once the replay is additionally proven
-//!    a *fixpoint* on its own inputs, re-application degenerates to
-//!    appending observables (alerts, output lineage, statistics) with
-//!    no label resolution and no writes at all.
+//! 2. **Memoized application** (`ApplyMemo`): when a region's incoming
+//!    labels are unchanged since its last application, the concretized
+//!    action list replays instead of re-evaluating the summary's node
+//!    DAG.
+//! 3. **Sealed application**: a generation counter proves nothing
+//!    mutated taint state since the region's last application; once the
+//!    replay is additionally proven a *fixpoint* on its own inputs,
+//!    re-application degenerates to appending observables (alerts,
+//!    output lineage, statistics) with no label resolution and no writes
+//!    at all.
 //!
 //! Hot heads are nominated by counting taken backward branches and
 //! jumps in the stream itself. Regions containing I/O or faults are
@@ -57,10 +60,10 @@
 //! re-recorded a bounded number of times (versioned invalidation), then
 //! marked uncacheable.
 
-use crate::engine::TaintEngine;
+use crate::engine::{IoBase, TaintEngine};
 use crate::label::TaintLabel;
 use crate::policy::TaintPolicy;
-use crate::summary::{ApplyMemo, EpochSummarizer, EpochSummary, IoBase};
+use crate::summary::{ApplyMemo, EpochSummarizer, EpochSummary};
 use dift_isa::{Addr, Program};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_vm::{ControlEffect, StepEffects, ThreadId};

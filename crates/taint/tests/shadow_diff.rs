@@ -125,8 +125,9 @@ fn assert_engines_agree<T: TaintLabel>(p: &Arc<Program>, inputs: &[u64], policy:
 
     // Epoch-parallel summaries composed in order must be bit-identical
     // too: same labels, alerts (with origins), output lineage, live
-    // cells, and exact peak statistics, at every epoch granularity.
-    for epoch_len in [5usize, 17, 64] {
+    // cells, and exact peak statistics, at every epoch granularity —
+    // down to one step per epoch, where every read is symbolic.
+    for epoch_len in [1usize, 5, 17, 64] {
         let mut epoch = TaintEngine::<T>::new(policy);
         epoch.pre_size(mem_words);
         process_by_epochs(&mut epoch, &fxs, epoch_len);
@@ -158,7 +159,8 @@ proptest! {
     }
 
     /// Detector mode (alerts on) with pointer taint: the alert stream
-    /// and origin pointers agree too.
+    /// and origin pointers agree too. Each check also runs alone, so an
+    /// alert gated on the wrong check shows.
     #[test]
     fn shadow_map_matches_hashmap_oracle_with_checks(
         steps in proptest::collection::vec(step(), 1..40),
@@ -167,6 +169,10 @@ proptest! {
         let p = build(inputs.len(), &steps);
         let mut policy = TaintPolicy::default();
         assert_engines_agree::<PcTaint>(&p, &inputs, policy);
+        let control_only = TaintPolicy { check_mem_addr: false, ..policy };
+        assert_engines_agree::<PcTaint>(&p, &inputs, control_only);
+        let memory_only = TaintPolicy { check_control: false, ..policy };
+        assert_engines_agree::<PcTaint>(&p, &inputs, memory_only);
         policy.propagate_through_addr = true;
         assert_engines_agree::<BitTaint>(&p, &inputs, policy);
     }
