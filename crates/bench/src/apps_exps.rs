@@ -150,7 +150,7 @@ pub fn e8_omission(_scale: Scale) -> Table {
         m.feed_input(0, &input);
         let (events, _) = dift_dbi::capture(m);
         let records = dift_ddg::offline::derive_full_deps(&p, &events, cfg.mem_words);
-        let graph = dift_ddg::DdgGraph::from_records(records.iter(), &p);
+        let graph = dift_ddg::DdgGraph::from_records(records.iter().copied(), &p);
         let out_step = events.iter().rev().find(|e| e.output.is_some()).unwrap().step;
 
         let dynamic = Slicer::new(&graph).backward(&[out_step], KindMask::classic());

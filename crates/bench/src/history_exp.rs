@@ -30,7 +30,6 @@ use dift_slicing::{batch_via_rebuild, SliceService, StitchedOutcome};
 use dift_workloads::spec::all_spec;
 use dift_workloads::Workload;
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One steady-state window size in the snapshot sweep.
@@ -112,11 +111,9 @@ pub(crate) fn synth(step: u64) -> BufRecord {
 }
 
 /// One window of the snapshot sweep: an index filled to a fixed size,
-/// the FIFO of its live records, the snapshot held between cycles, and
-/// the best round so far.
+/// the snapshot held between cycles, and the best round so far.
 struct SweepWindow {
     idx: SliceIndex,
-    fifo: VecDeque<BufRecord>,
     next: u64,
     held: SliceSnapshot,
     /// Copy-on-write counters before the first measured cycle.
@@ -128,30 +125,27 @@ struct SweepWindow {
 impl SweepWindow {
     fn fill(records: u64) -> SweepWindow {
         let mut idx = SliceIndex::default();
-        let fifo: VecDeque<BufRecord> = (1..=records).map(synth).collect();
-        for r in &fifo {
-            idx.on_push(r);
+        for step in 1..=records {
+            idx.on_push(&synth(step));
         }
         // Warm-up snapshot, held so the first measured cycle already
         // pays the copy-on-write path.
         let held = idx.snapshot();
         let copies0 = (idx.chunk_copies(), idx.spine_copies());
-        SweepWindow { idx, fifo, next: records + 1, held, copies0, best_ns: f64::INFINITY }
+        SweepWindow { idx, next: records + 1, held, copies0, best_ns: f64::INFINITY }
     }
 
-    /// One round: churn `churn` records through the window (push + FIFO
-    /// evict) and re-snapshot while the previous snapshot is still
-    /// held, `cycles` times, keeping the round's mean if it is the best.
+    /// One round: churn `churn` records through the window (push +
+    /// evict the oldest) and re-snapshot while the previous snapshot is
+    /// still held, `cycles` times, keeping the round's mean if it is the
+    /// best.
     fn round(&mut self, cycles: usize, churn: u64) {
         let mut total_ns = 0u128;
         for _ in 0..cycles {
             for _ in 0..churn {
-                let r = synth(self.next);
-                self.idx.on_push(&r);
-                self.fifo.push_back(r);
+                self.idx.on_push(&synth(self.next));
                 self.next += 1;
-                let old = self.fifo.pop_front().expect("window is non-empty");
-                self.idx.on_evict(&old);
+                self.idx.evict_oldest().expect("window is non-empty");
             }
             let t0 = Instant::now();
             self.held = std::hint::black_box(self.idx.snapshot());
@@ -181,7 +175,7 @@ fn snapshot_sweep(windows: &[u64], cycles: usize, churn: u64, reps: usize) -> Ve
             let (deep_s, deep) = best_of(reps, || std::hint::black_box(w.idx.snapshot_deep()));
             drop(deep);
             SnapshotRow {
-                window_records: w.fifo.len() as u64,
+                window_records: w.idx.edges(),
                 chunks: w.idx.chunk_count() as u64,
                 index_bytes: w.idx.approx_bytes(),
                 chunked_snapshot_ns: w.best_ns,

@@ -12,10 +12,15 @@
 //! Records are accounted with the compact delta encoding ONTRAC uses:
 //! a varint of the gap since the previous record's user step, a varint of
 //! the user→def distance, and one kind/metadata byte.
+//!
+//! The buffer stores no records of its own: the window lives once, in
+//! the [`SliceIndex`] it owns, and the buffer keeps the byte budget and
+//! its counters beside it. While the budget is exceeded it evicts the
+//! index's oldest record.
 
 use crate::dep::{DepKind, Dependence, StepSite};
+use crate::index::SliceIndex;
 use dift_isa::{Addr, StmtId};
-use std::collections::VecDeque;
 
 /// One buffered record: the dependence plus the metadata needed to report
 /// slices in source terms.
@@ -91,9 +96,10 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Fixed-byte-budget circular dependence buffer.
 pub struct CircularTraceBuffer {
     cap_bytes: usize,
-    records: VecDeque<(BufRecord, u32)>, // record + its encoded size
     bytes: usize,
     last_user: u64,
+    /// The live window.
+    index: SliceIndex,
     /// Total records ever appended (including evicted).
     pub appended: u64,
     /// Total encoded bytes ever appended.
@@ -109,9 +115,9 @@ impl CircularTraceBuffer {
     pub fn new(cap_bytes: usize) -> CircularTraceBuffer {
         CircularTraceBuffer {
             cap_bytes,
-            records: VecDeque::new(),
             bytes: 0,
             last_user: 0,
+            index: SliceIndex::default(),
             appended: 0,
             bytes_appended: 0,
             evicted: 0,
@@ -119,44 +125,21 @@ impl CircularTraceBuffer {
         }
     }
 
-    /// Encoded size of `rec` given the previous appended record.
+    /// Encoded size of `dep` after a gap of `gap` user steps. The head
+    /// of the stream has no predecessor, so its gap is its absolute user
+    /// step (an *anchor*).
     ///
-    /// The delta stream is only decodable if user steps never regress:
-    /// a negative gap has no varint encoding, and `saturating_sub`
-    /// would silently emit gap 0 — a corrupt stream with no signal.
-    /// The tracer derives records as instructions retire, so user steps
-    /// are monotone by construction; the assert documents (and, in
-    /// debug builds, enforces) that invariant at the encoding boundary.
-    fn encoded_size(&self, rec: &BufRecord) -> usize {
+    /// A def cannot follow its user (a dependence points backwards in
+    /// time), so an underflowing user→def distance means a malformed
+    /// record, not a representable encoding.
+    fn size(dep: &Dependence, gap: u64) -> usize {
         debug_assert!(
-            rec.dep.user >= self.last_user,
-            "user step regressed below the previous record ({} < {}): \
-             the gap varint cannot encode it",
-            rec.dep.user,
-            self.last_user,
-        );
-        let gap = rec.dep.user.saturating_sub(self.last_user);
-        varint_len(gap) + varint_len(Self::dist(rec)) + 1
-    }
-
-    /// The user→def distance varint. A def cannot follow its user (a
-    /// dependence points backwards in time), so underflow here means a
-    /// malformed record, not a representable encoding.
-    fn dist(rec: &BufRecord) -> u64 {
-        debug_assert!(
-            rec.dep.def <= rec.dep.user,
+            dep.def <= dep.user,
             "def step {} follows its user {}: the distance varint cannot encode it",
-            rec.dep.def,
-            rec.dep.user,
+            dep.def,
+            dep.user,
         );
-        rec.dep.user.saturating_sub(rec.dep.def)
-    }
-
-    /// Encoded size of `rec` as the stream's first record: the head has
-    /// no predecessor, so its "gap" varint must carry the absolute user
-    /// step for the stream to be decodable.
-    fn anchored_size(rec: &BufRecord) -> usize {
-        varint_len(rec.dep.user) + varint_len(Self::dist(rec)) + 1
+        varint_len(gap) + varint_len(dep.user.saturating_sub(dep.def)) + 1
     }
 
     /// Append a record, evicting the oldest ones if the budget overflows.
@@ -166,53 +149,74 @@ impl CircularTraceBuffer {
 
     /// Append a record, invoking `on_evict` for every record dropped to
     /// respect the byte budget (oldest first). This is how the tracer
-    /// keeps its slice index in lockstep with the window.
+    /// feeds its cold tier.
     pub fn push_with(&mut self, rec: BufRecord, mut on_evict: impl FnMut(&BufRecord)) {
-        // A record entering an empty buffer is the stream head even when
+        // A record entering an empty window is the stream head even when
         // predecessors existed and were evicted — anchor it absolutely.
-        let size = if self.records.is_empty() {
-            Self::anchored_size(&rec) as u32
+        //
+        // Otherwise the delta stream is only decodable if user steps
+        // never regress: a negative gap has no varint encoding, and
+        // `saturating_sub` would silently emit gap 0 — a corrupt stream
+        // with no signal. The tracer derives records as instructions
+        // retire, so user steps are monotone by construction; the assert
+        // documents (and, in debug builds, enforces) that invariant at
+        // the encoding boundary.
+        let gap = if self.is_empty() {
+            rec.dep.user
         } else {
-            self.encoded_size(&rec) as u32
+            debug_assert!(
+                rec.dep.user >= self.last_user,
+                "user step regressed below the previous record ({} < {}): \
+                 the gap varint cannot encode it",
+                rec.dep.user,
+                self.last_user,
+            );
+            rec.dep.user.saturating_sub(self.last_user)
         };
+        let size = Self::size(&rec.dep, gap);
         self.last_user = rec.dep.user;
-        self.records.push_back((rec, size));
-        self.bytes += size as usize;
+        self.index.on_push(&rec);
+        self.bytes += size;
         self.appended += 1;
         self.bytes_appended += size as u64;
         while self.bytes > self.cap_bytes {
-            if let Some((r, sz)) = self.records.pop_front() {
-                self.bytes -= sz as usize;
-                self.evicted += 1;
-                on_evict(&r);
-            } else {
-                break;
-            }
+            // The evicted record was the head, which is always accounted
+            // as an anchor.
+            let Some(old) = self.index.evict_oldest() else { break };
+            self.bytes = self.bytes.saturating_sub(Self::size(&old.dep, old.dep.user));
+            self.evicted += 1;
+            on_evict(&old);
             // The surviving head's gap varint referenced the record just
             // evicted; re-account it as an absolute anchor (which can
-            // *grow* the byte count, hence inside the budget loop).
-            if let Some(front) = self.records.front_mut() {
-                let new_sz = Self::anchored_size(&front.0) as u32;
-                if new_sz != front.1 {
+            // *grow* the byte count, hence inside the budget loop). Only
+            // that varint changes size.
+            if let Some(head) = self.index.front() {
+                let gap = varint_len(head.user.saturating_sub(old.dep.user));
+                let anchor = varint_len(head.user);
+                if anchor != gap {
                     self.reanchors += 1;
                 }
-                self.bytes = self.bytes - front.1 as usize + new_sz as usize;
-                front.1 = new_sz;
+                self.bytes = self.bytes.saturating_sub(gap) + anchor;
             }
         }
     }
 
     /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &BufRecord> {
-        self.records.iter().map(|(r, _)| r)
+    pub fn records(&self) -> impl Iterator<Item = BufRecord> + '_ {
+        self.index.records()
+    }
+
+    /// The live window, indexed for slicing.
+    pub fn index(&self) -> &SliceIndex {
+        &self.index
     }
 
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.edges() as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.index.edges() == 0
     }
 
     /// Bytes currently held.
@@ -226,9 +230,7 @@ impl CircularTraceBuffer {
 
     /// The window of steps still covered: `(oldest_user, newest_user)`.
     pub fn window(&self) -> Option<(u64, u64)> {
-        let first = self.records.front()?.0.dep.user;
-        let last = self.records.back()?.0.dep.user;
-        Some((first, last))
+        Some((self.index.front()?.user, self.last_user))
     }
 
     /// Window length in steps (0 when empty).

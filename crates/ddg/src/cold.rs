@@ -641,8 +641,8 @@ impl DecodeMemo {
 
 /// Append-only store of compressed evicted-record segments. Owned by
 /// the tracer next to the buffer (see `OnTracConfig::cold_tier`) and
-/// fed from the same `push_with` eviction callback that prunes the
-/// live index, so it sees every evicted record exactly once, in order.
+/// fed from the buffer's `push_with` eviction callback, so it sees
+/// every evicted record exactly once, in order.
 ///
 /// Generic over an I/O fault plan ([`NoopIoFaults`] by default: every
 /// injection site compiles away). Clones share the decode memo, the

@@ -22,10 +22,7 @@ pub struct DdgGraph {
 impl DdgGraph {
     /// Build from buffered records. `program` is only used for sanity
     /// (records are self-contained).
-    pub fn from_records<'a>(
-        records: impl Iterator<Item = &'a BufRecord>,
-        _program: &Program,
-    ) -> DdgGraph {
+    pub fn from_records(records: impl Iterator<Item = BufRecord>, _program: &Program) -> DdgGraph {
         let mut g = DdgGraph::default();
         for r in records {
             g.meta.entry(r.dep.user).or_insert(StepMeta {

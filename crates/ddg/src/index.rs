@@ -1,18 +1,22 @@
-//! Incrementally-maintained slice index over the live ONTRAC window.
+//! The live ONTRAC window, stored once and indexed for slicing.
 //!
 //! §2.1's motivation for the in-memory circular buffer is that when a
 //! fault fires, the backward slice is computed *from the window, right
 //! now*. Rebuilding a [`DdgGraph`](crate::DdgGraph) per query costs
 //! O(window · log window) (sort + dedup + two hash maps); this module
 //! keeps the same information **incrementally**: every record the
-//! tracer pushes adds its two adjacency mentions, every record the
-//! buffer evicts removes them, so a demand-driven slice walks only the
-//! edges it visits and a whole-window graph is never materialized.
+//! tracer pushes adds its two adjacency mentions, and
+//! [`SliceIndex::evict_oldest`] removes the oldest record's two, so a
+//! demand-driven slice walks only the edges it visits and a
+//! whole-window graph is never materialized.
 //!
-//! The index is exact — not an approximation of the window but an
-//! equivalent representation of it. `dift-slicing`'s differential
-//! proptest holds it bit-identical to `DdgGraph::from_records` over the
-//! same live window, across eviction-heavy budgets.
+//! The index *is* the window: [`crate::CircularTraceBuffer`] owns one,
+//! keeps only the byte budget and its counters beside it, and evicts
+//! from it while the budget is exceeded;
+//! [`crate::CircularTraceBuffer::records`] reads the records back out
+//! of the adjacency lists. `dift-slicing`'s differential proptest holds
+//! queries bit-identical to `DdgGraph::from_records` over the same live
+//! window, across eviction-heavy budgets.
 //!
 //! Three FIFO facts make O(1) amortized maintenance possible:
 //!
@@ -22,11 +26,13 @@
 //! * eviction is strictly oldest-first, so for any adjacency list the
 //!   evicted mention is always that list's head: each list is a FIFO
 //!   queue, appended at its tail on push and popped at its head on
-//!   eviction;
+//!   eviction. The oldest record is therefore the head of the `defs`
+//!   list of the oldest user step that has one;
 //! * every mention of a step carries the same `(addr, stmt)` metadata
 //!   (an instruction instance has one address; def-side metadata is
 //!   captured at the def step itself), so per-step metadata can be
-//!   refcounted in the step's slot instead of re-derived.
+//!   refcounted in the step's slot instead of re-derived, and a record
+//!   is rebuilt exactly from its two steps' slots.
 //!
 //! # Flat chunks
 //!
@@ -68,15 +74,18 @@
 //! [`SliceIndex::snapshot_deep`] keeps an O(window) deep clone as the
 //! comparison baseline.
 //!
-//! Eviction keeps a **desync ledger** instead of panicking: if an
-//! evicted record is not found where the FIFO facts say it must be
-//! (head of both adjacency lists, live step slots), the index repairs
-//! what it can — unlinking the mention wherever it is in the list,
-//! clamping refcounts — and increments [`IndexData::desyncs`], which
-//! the tracer publishes as the `ddg/index/desync` observability
-//! counter. A desync means a tracer bug upstream, but a release-mode
-//! tracer must degrade to a slightly stale index, not abort the traced
-//! program.
+//! # Eviction
+//!
+//! [`SliceIndex`] keeps a cursor on the oldest record: the head of the
+//! `defs` list of the oldest user step that has one.
+//! [`SliceIndex::on_push`] only lowers it, with one comparison of user
+//! steps: the epoch composer pushes cross-epoch records out of user
+//! order. [`SliceIndex::evict_oldest`] unlinks that record from its
+//! user's `defs` list and its def's `users` list (the head in FIFO
+//! order; the list is searched, so a record pushed out of order still
+//! evicts consistently), drops both mentions and any chunk left empty,
+//! then moves the cursor forward over slots, skipping absent chunks, to
+//! the next head: amortized about one slot per traced step.
 //!
 //! Snapshots ([`SliceSnapshot`]) freeze the index behind an `Arc` so
 //! reader threads can answer queries while tracing continues; the
@@ -84,7 +93,7 @@
 //! `SliceService`) skip re-snapshotting when the window has not moved.
 
 use crate::buffer::BufRecord;
-use crate::dep::DepKind;
+use crate::dep::{DepKind, Dependence, StepSite};
 use dift_isa::{Addr, StmtId};
 use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
@@ -152,15 +161,6 @@ struct Link {
 // `IndexData::approx_bytes` charges one slot per live step and one link
 // per adjacency mention; keep both entries at their budgeted sizes.
 const _: () = assert!(size_of::<Slot>() == 28 && size_of::<Link>() == 16);
-
-/// How an eviction-side removal went: clean FIFO head pop, repaired
-/// out-of-place removal, or nothing to remove at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Removal {
-    Front,
-    Recovered,
-    Missing,
-}
 
 /// One step-range bin of the index: the slots and links of the steps in
 /// `[id << CHUNK_SHIFT, (id + 1) << CHUNK_SHIFT)`.
@@ -231,20 +231,15 @@ impl Chunk {
         s.count == 1
     }
 
-    /// Drop one mention of `step`. `Ok(true)` removed the step's last
-    /// mention, `Ok(false)` decremented the refcount, `Err(())` means
-    /// the step was not live at all (a desync).
-    fn untouch(&mut self, step: u64) -> Result<bool, ()> {
+    /// Drop one mention of `step`; returns true when it was the last.
+    fn untouch(&mut self, step: u64) -> bool {
         let s = &mut self.slots[slot_of(step)];
-        if s.count == 0 {
-            return Err(());
-        }
         s.count -= 1;
         if s.count > 0 {
-            return Ok(false);
+            return false;
         }
         self.live_steps -= 1;
-        Ok(true)
+        true
     }
 
     /// Append `(other, kind)` at the tail of `step`'s `side` list,
@@ -274,24 +269,19 @@ impl Chunk {
         list.tail = i;
     }
 
-    /// Unlink one `want` mention from `step`'s `side` list and release
-    /// it. The FIFO fast path pops the head; the recovery path walks
-    /// the list, so an out-of-order eviction still resyncs the index
-    /// instead of corrupting it.
-    fn remove_link(&mut self, step: u64, side: Side, want: (u64, DepKind)) -> Removal {
+    /// Unlink the first `want` mention from `step`'s `side` list and
+    /// release it. In FIFO order it is the list's head; the walk keeps
+    /// a record pushed out of user order evictable.
+    fn remove_link(&mut self, step: u64, side: Side, want: (u64, DepKind)) {
         let list = &mut self.slots[slot_of(step)].lists[side as usize];
         let (mut prev, mut cur) = (NIL, list.head);
-        while cur != NIL {
-            let l = self.links[cur as usize];
+        let next = loop {
+            let l = self.links.get(cur as usize).expect("every record links both of its steps");
             if (l.other, l.kind) == want {
-                break;
+                break l.next;
             }
             (prev, cur) = (cur, l.next);
-        }
-        if cur == NIL {
-            return Removal::Missing;
-        }
-        let next = self.links[cur as usize].next;
+        };
         if prev == NIL {
             list.head = next;
         } else {
@@ -303,11 +293,6 @@ impl Chunk {
         self.links[cur as usize].next = self.free;
         self.free = cur;
         self.live_links -= 1;
-        if prev == NIL {
-            Removal::Front
-        } else {
-            Removal::Recovered
-        }
     }
 
     /// `step`'s `side` list, head first.
@@ -372,8 +357,6 @@ pub struct IndexData {
     chunk_copies: u64,
     /// Spine (pointer-map) clones forced by copy-on-write.
     spine_copies: u64,
-    /// Eviction-integrity violations repaired (see the module docs).
-    desyncs: u64,
 }
 
 impl IndexData {
@@ -411,30 +394,56 @@ impl IndexData {
     }
 
     /// Evict one side of a record: unlink its mention from `step`'s
-    /// `side` list and, if it was there, drop one mention of the step.
-    /// Anomalies go to the desync ledger; a chunk left empty is dropped
-    /// so the spine stays O(window / CHUNK_STEPS) as the window slides.
-    fn evict_mention(&mut self, step: u64, side: Side, want: (u64, DepKind)) -> Removal {
+    /// `side` list and drop one mention of the step, whose site it
+    /// returns (read before the drop). A chunk left empty is dropped so
+    /// the spine stays O(window / CHUNK_STEPS) as the window slides.
+    fn evict_mention(&mut self, step: u64, side: Side, want: (u64, DepKind)) -> StepSite {
         let chunk = self.chunk_mut(step);
-        let removal = chunk.remove_link(step, side, want);
-        // Only drop the step's mention when the list actually held the
-        // edge: untouching on a missing side would corrupt other
-        // records' refcounts on top of the original desync.
-        let untouched = (removal != Removal::Missing).then(|| chunk.untouch(step));
-        let empty = chunk.is_empty();
-        if removal != Removal::Front {
-            self.desyncs += 1;
-        }
-        match untouched {
-            Some(Ok(true)) => self.step_total -= 1,
-            Some(Err(())) => self.desyncs += 1,
-            Some(Ok(false)) | None => {}
-        }
+        let Slot { addr, stmt, .. } = chunk.slots[slot_of(step)];
+        chunk.remove_link(step, side, want);
+        let (last, empty) = (chunk.untouch(step), chunk.is_empty());
+        self.step_total -= u64::from(last);
         if let (true, Ok(i)) = (empty, self.find(step >> CHUNK_SHIFT)) {
             // `chunk_mut` left the spine unshared.
             Arc::make_mut(&mut self.chunks).remove(i);
         }
-        removal
+        StepSite { step, addr, stmt }
+    }
+
+    /// The head of the `defs` list of the first step at or after `from`
+    /// that has one: a slot scan that skips absent chunks.
+    fn next_front(&self, from: u64) -> Option<Dependence> {
+        let id = from >> CHUNK_SHIFT;
+        let start = self.find(id).unwrap_or_else(|i| i);
+        self.chunks[start..].iter().find_map(|&(cid, ref c)| {
+            let first = if cid == id { slot_of(from) } else { 0 };
+            let i =
+                c.slots[first..].iter().position(|s| s.lists[Side::Defs as usize].head != NIL)?;
+            let user = (cid << CHUNK_SHIFT) | (first + i) as u64;
+            let (def, kind) = c.list(user, Side::Defs).next()?;
+            Some(Dependence::new(user, def, kind))
+        })
+    }
+
+    /// The live record `user → def` of `kind`, rebuilt from its two
+    /// steps' slots.
+    fn record(&self, user: u64, def: u64, kind: DepKind) -> BufRecord {
+        let site = |step| {
+            let (addr, stmt) = self.meta_of(step).expect("a linked step is live");
+            StepSite { step, addr, stmt }
+        };
+        BufRecord::new(kind, site(user), site(def))
+    }
+
+    /// The live records, oldest first: by user step, and in push order
+    /// within a step (FIFO facts 1 and 2).
+    pub(crate) fn records(&self) -> impl Iterator<Item = BufRecord> + '_ {
+        self.chunks.iter().flat_map(move |&(id, ref c)| {
+            (0..CHUNK_STEPS).flat_map(move |i| {
+                let user = (id << CHUNK_SHIFT) | i;
+                c.list(user, Side::Defs).map(move |(def, kind)| self.record(user, def, kind))
+            })
+        })
     }
 
     /// One of `step`'s adjacency lists (empty when the chunk is absent).
@@ -516,13 +525,6 @@ impl IndexData {
         self.spine_copies
     }
 
-    /// Eviction-integrity violations repaired (see the module docs).
-    /// Nonzero means a tracer bug upstream; published as the
-    /// `ddg/index/desync` observability counter.
-    pub fn desyncs(&self) -> u64 {
-        self.desyncs
-    }
-
     /// Estimated resident bytes of the index: entries only (the slots
     /// of dead steps, released links and allocator slack are not
     /// modeled). Feeds the `ddg/index/resident_bytes` observability
@@ -539,19 +541,25 @@ impl IndexData {
     }
 }
 
-/// The live, incrementally-maintained index. Owned by the tracer
-/// ([`crate::OnTrac`]) next to the circular buffer; updated on every
-/// `push` and pruned on every eviction so its contents always equal the
-/// buffer's window.
+/// The live, incrementally-maintained index: the only store of the
+/// ONTRAC window. Owned by [`crate::CircularTraceBuffer`], which pushes
+/// every record into it and evicts the oldest while its byte budget is
+/// exceeded.
 #[derive(Clone, Debug, Default)]
 pub struct SliceIndex {
     data: IndexData,
     generation: u64,
+    /// The eviction cursor: the oldest record, the head of the `defs`
+    /// list of the oldest user step that has one (see the module docs).
+    front: Option<Dependence>,
 }
 
 impl SliceIndex {
     /// Index one record as it enters the window.
     pub fn on_push(&mut self, rec: &BufRecord) {
+        if self.front.is_none_or(|f| rec.dep.user < f.user) {
+            self.front = Some(rec.dep);
+        }
         let d = &mut self.data;
         let (user, def, kind) = (rec.dep.user, rec.dep.def, rec.dep.kind);
         let uc = d.chunk_mut(user);
@@ -565,20 +573,23 @@ impl SliceIndex {
         self.generation += 1;
     }
 
-    /// Remove one record as the buffer evicts it. Eviction is strictly
-    /// FIFO, so the record is normally the head of both of its
-    /// adjacency lists; anything else is an integrity violation that
-    /// is repaired and counted in [`IndexData::desyncs`] instead of
-    /// panicking (the tracer hot loop must not abort in release mode).
-    pub fn on_evict(&mut self, rec: &BufRecord) {
+    /// The oldest record's dependence: the one
+    /// [`evict_oldest`](Self::evict_oldest) removes next.
+    pub(crate) fn front(&self) -> Option<Dependence> {
+        self.front
+    }
+
+    /// Remove the oldest record from the window and return it: the head
+    /// of the `defs` list of the oldest user step that has one.
+    pub fn evict_oldest(&mut self) -> Option<BufRecord> {
+        let Dependence { user, def, kind } = self.front?;
         let d = &mut self.data;
-        let (user, def, kind) = (rec.dep.user, rec.dep.def, rec.dep.kind);
-        let removed_user = d.evict_mention(user, Side::Defs, (def, kind));
-        let removed_def = d.evict_mention(def, Side::Users, (user, kind));
-        if removed_user != Removal::Missing || removed_def != Removal::Missing {
-            d.edges = d.edges.saturating_sub(1);
-        }
+        let user_site = d.evict_mention(user, Side::Defs, (def, kind));
+        let def_site = d.evict_mention(def, Side::Users, (user, kind));
+        d.edges -= 1;
+        self.front = d.next_front(user);
         self.generation += 1;
+        Some(BufRecord::new(kind, user_site, def_site))
     }
 
     /// Mutation stamp: bumped on every push and eviction, so two equal
@@ -662,24 +673,35 @@ mod tests {
         record(user, def, kind, user as u32 % 7, def as u32 % 7, user as u32, def as u32)
     }
 
-    /// Drive a buffer and index in lockstep, the way `OnTrac` does.
-    fn push(buf: &mut CircularTraceBuffer, idx: &mut SliceIndex, r: BufRecord) {
-        idx.on_push(&r);
-        buf.push_with(r, |evicted| idx.on_evict(evicted));
+    /// A buffer of `cap` bytes fed `records` in order.
+    fn fed(cap: usize, records: &[BufRecord]) -> CircularTraceBuffer {
+        let mut buf = CircularTraceBuffer::new(cap);
+        for &r in records {
+            buf.push(r);
+        }
+        buf
     }
 
-    /// The index must describe exactly the buffer's live window. One
-    /// wrinkle: `from_records` dedups identical records while the index
-    /// keeps one mention per buffered record (FIFO eviction needs it) —
-    /// slices are step *sets*, so the deduped adjacency is what must
-    /// agree.
-    fn assert_matches_rebuild(buf: &CircularTraceBuffer, idx: &SliceIndex) {
+    fn chain(steps: std::ops::RangeInclusive<u64>) -> Vec<BufRecord> {
+        steps.map(|i| rec(i, i - 1, DepKind::RegData)).collect()
+    }
+
+    /// The index must describe exactly the buffer's live window, which
+    /// eviction being FIFO makes the suffix of `pushed` past the evicted
+    /// records. One wrinkle: `from_records` dedups identical records
+    /// while the index keeps one mention per buffered record (FIFO
+    /// eviction needs it) — slices are step *sets*, so the deduped
+    /// adjacency is what must agree.
+    fn assert_matches_rebuild(buf: &CircularTraceBuffer, pushed: &[BufRecord]) {
         fn sorted_dedup(mut v: Vec<(u64, DepKind)>) -> Vec<(u64, DepKind)> {
             v.sort_unstable_by_key(|e| (e.0, e.1 as u8));
             v.dedup();
             v
         }
-        let g = DdgGraph::from_records(buf.records(), &dummy_program());
+        let window = &pushed[buf.evicted as usize..];
+        assert!(buf.records().eq(window.iter().copied()), "records() is the pushed suffix");
+        let idx = buf.index();
+        let g = DdgGraph::from_records(window.iter().copied(), &dummy_program());
         for step in g.steps() {
             let want = sorted_dedup(g.defs_of(step).iter().map(|d| (d.def, d.kind)).collect());
             let got = sorted_dedup(idx.defs(step).collect());
@@ -701,73 +723,114 @@ mod tests {
 
     #[test]
     fn push_and_query_without_eviction() {
-        let mut buf = CircularTraceBuffer::new(1 << 20);
-        let mut idx = SliceIndex::default();
-        for (u, d, k) in
-            [(3, 1, DepKind::RegData), (3, 2, DepKind::MemData), (5, 3, DepKind::Control)]
-        {
-            push(&mut buf, &mut idx, rec(u, d, k));
-        }
+        let pushed =
+            [rec(3, 1, DepKind::RegData), rec(3, 2, DepKind::MemData), rec(5, 3, DepKind::Control)];
+        let buf = fed(1 << 20, &pushed);
+        let idx = buf.index();
         assert_eq!(idx.edges(), 3);
         assert_eq!(idx.defs(3).count(), 2);
         assert_eq!(idx.users(3).collect::<Vec<_>>(), vec![(5, DepKind::Control)]);
-        assert_matches_rebuild(&buf, &idx);
+        assert_matches_rebuild(&buf, &pushed);
     }
 
     #[test]
     fn eviction_prunes_edges_steps_and_addr_map() {
+        let pushed = chain(1..=100);
         let mut buf = CircularTraceBuffer::new(30); // ~10 dense records
-        let mut idx = SliceIndex::default();
-        for i in 1..=100u64 {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-            assert_eq!(idx.edges(), buf.len() as u64);
+        for (i, &r) in pushed.iter().enumerate() {
+            buf.push(r);
+            assert_eq!(buf.len(), (i + 1).min(10));
         }
         assert!(buf.evicted > 0);
-        assert_eq!(idx.desyncs(), 0, "FIFO eviction must never desync");
-        assert_matches_rebuild(&buf, &idx);
+        assert_matches_rebuild(&buf, &pushed);
     }
 
     #[test]
     fn duplicate_edges_refcount_correctly() {
-        let mut buf = CircularTraceBuffer::new(12);
-        let mut idx = SliceIndex::default();
         // Same (user, def, kind) record repeatedly: the bucket holds one
         // mention per record and eviction removes them one at a time.
-        for _ in 0..6 {
-            push(&mut buf, &mut idx, rec(9, 4, DepKind::MemData));
-        }
-        assert_eq!(idx.edges(), buf.len() as u64);
-        assert_matches_rebuild(&buf, &idx);
+        let pushed = [rec(9, 4, DepKind::MemData); 6];
+        let buf = fed(12, &pushed);
+        assert!(buf.evicted > 0);
+        assert_matches_rebuild(&buf, &pushed);
     }
 
     #[test]
     fn full_drain_empties_the_index() {
-        let mut buf = CircularTraceBuffer::new(5);
-        let mut idx = SliceIndex::default();
-        push(&mut buf, &mut idx, rec(1_000_000, 999_999, DepKind::RegData));
-        push(&mut buf, &mut idx, rec(1_000_001, 1_000_000, DepKind::RegData));
+        let pushed = [
+            rec(1_000_000, 999_999, DepKind::RegData),
+            rec(1_000_001, 1_000_000, DepKind::RegData),
+        ];
+        let buf = fed(5, &pushed);
         assert_eq!(buf.len(), 1);
-        assert_matches_rebuild(&buf, &idx);
-        assert_eq!(idx.edges(), 1);
-        assert_eq!(idx.step_count(), 2);
+        assert_matches_rebuild(&buf, &pushed);
+        assert_eq!(buf.index().edges(), 1);
+        assert_eq!(buf.index().step_count(), 2);
+    }
+
+    /// `evict_oldest` hands back the records in push order, rebuilt
+    /// exactly, across duplicates, several records per user step, defs
+    /// chunks back and user steps that skip absent chunks; the drained
+    /// index holds nothing.
+    #[test]
+    fn evict_oldest_returns_the_fifo_and_empties_the_index() {
+        let far = 5 * CHUNK_STEPS;
+        let pushed = [
+            rec(3, 1, DepKind::RegData),
+            rec(3, 2, DepKind::MemData),
+            rec(3, 2, DepKind::MemData),
+            rec(5, 3, DepKind::Control),
+            rec(far, 5, DepKind::MemData),
+            rec(far, far - 1, DepKind::RegData),
+            rec(far + 1, 3, DepKind::War),
+        ];
+        let mut idx = SliceIndex::default();
+        for r in &pushed {
+            idx.on_push(r);
+        }
+        for (i, want) in pushed.iter().enumerate() {
+            assert_eq!(idx.evict_oldest().as_ref(), Some(want), "eviction {i}");
+            assert_eq!(idx.edges(), (pushed.len() - i - 1) as u64);
+        }
+        assert_eq!(idx.evict_oldest(), None);
+        assert_eq!(idx.step_count(), 0);
+        assert_eq!(idx.chunk_count(), 0, "empty chunks are pruned");
+    }
+
+    /// The epoch composer pushes cross-epoch records below the user
+    /// steps already indexed. Eviction then takes the lowest user step
+    /// first and finds its mention behind the head of its def's `users`
+    /// list, leaving the rest of the index intact.
+    #[test]
+    fn out_of_order_push_evicts_by_user_step() {
+        let mut idx = SliceIndex::default();
+        for r in
+            [rec(9, 2, DepKind::RegData), rec(5, 2, DepKind::MemData), rec(9, 3, DepKind::RegData)]
+        {
+            idx.on_push(&r);
+        }
+        assert_eq!(idx.evict_oldest(), Some(rec(5, 2, DepKind::MemData)));
+        assert_eq!(idx.users(2).collect::<Vec<_>>(), vec![(9, DepKind::RegData)]);
+        assert!(idx.meta_of(5).is_none(), "step 5 is gone");
+        assert_eq!(idx.step_count(), 3);
+        assert_eq!(idx.evict_oldest(), Some(rec(9, 2, DepKind::RegData)));
+        assert_eq!(idx.evict_oldest(), Some(rec(9, 3, DepKind::RegData)));
+        assert_eq!(idx.evict_oldest(), None);
+        assert_eq!((idx.edges(), idx.step_count(), idx.chunk_count()), (0, 0, 0));
     }
 
     #[test]
     fn snapshot_is_frozen_while_the_live_index_moves() {
-        let mut buf = CircularTraceBuffer::new(1 << 20);
-        let mut idx = SliceIndex::default();
-        for i in 1..=10u64 {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-        }
-        let snap = idx.snapshot();
-        let gen_at_snap = idx.generation();
+        let mut buf = fed(1 << 20, &chain(1..=10));
+        let snap = buf.index().snapshot();
+        let gen_at_snap = buf.index().generation();
         assert_eq!(snap.generation(), gen_at_snap);
-        for i in 11..=20u64 {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
+        for r in chain(11..=20) {
+            buf.push(r);
         }
         assert_eq!(snap.edges(), 10, "snapshot must not see later pushes");
-        assert_eq!(idx.edges(), 20);
-        assert_ne!(idx.generation(), gen_at_snap);
+        assert_eq!(buf.index().edges(), 20);
+        assert_ne!(buf.index().generation(), gen_at_snap);
         // Snapshots are Send + Sync: queryable off-thread.
         let s2 = snap.clone();
         std::thread::spawn(move || {
@@ -779,30 +842,18 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_the_window() {
-        let mut buf = CircularTraceBuffer::new(30);
-        let mut idx = SliceIndex::default();
-        for i in 1..=100u64 {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-        }
-        let small = idx.approx_bytes();
+        let small = fed(30, &chain(1..=100)).index().approx_bytes();
         assert!(small > 0);
-        let mut big_buf = CircularTraceBuffer::new(1 << 20);
-        let mut big = SliceIndex::default();
-        for i in 1..=100u64 {
-            push(&mut big_buf, &mut big, rec(i, i - 1, DepKind::RegData));
-        }
-        assert!(big.approx_bytes() > small, "a wider window costs more index bytes");
+        let big = fed(1 << 20, &chain(1..=100)).index().approx_bytes();
+        assert!(big > small, "a wider window costs more index bytes");
     }
 
     #[test]
     fn snapshots_share_clean_chunks_and_copy_only_dirty_ones() {
-        let mut buf = CircularTraceBuffer::new(1 << 24);
-        let mut idx = SliceIndex::default();
         // Fill several chunks' worth of steps.
         let top = 6 * CHUNK_STEPS;
-        for i in 1..=top {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-        }
+        let mut buf = fed(1 << 24, &chain(1..=top));
+        let idx = buf.index();
         let chunks = idx.chunk_count();
         assert!(chunks >= 6, "expected several chunks, got {chunks}");
         let copies_before = idx.chunk_copies();
@@ -812,9 +863,10 @@ mod tests {
         // spine is cloned once and exactly the dirty chunks (the head
         // chunk holding both user and def) are deep-copied.
         let snap = idx.snapshot();
-        for i in 0..8u64 {
-            push(&mut buf, &mut idx, rec(top + 1 + i, top + i, DepKind::RegData));
+        for r in chain(top + 1..=top + 8) {
+            buf.push(r);
         }
+        let idx = buf.index();
         assert_eq!(idx.spine_copies(), spine_before + 1, "one spine clone per interval");
         let dirtied = idx.chunk_copies() - copies_before;
         assert!(dirtied <= 2, "only dirty chunks may be copied, got {dirtied} of {chunks}");
@@ -826,79 +878,26 @@ mod tests {
         drop(snap);
         let copies = idx.chunk_copies();
         let spine = idx.spine_copies();
-        for i in 9..64u64 {
-            push(&mut buf, &mut idx, rec(top + 1 + i, top + i, DepKind::RegData));
+        for r in chain(top + 10..=top + 64) {
+            buf.push(r);
         }
-        assert_eq!(idx.chunk_copies(), copies, "unshared chunks must mutate in place");
-        assert_eq!(idx.spine_copies(), spine);
+        assert_eq!(buf.index().chunk_copies(), copies, "unshared chunks must mutate in place");
+        assert_eq!(buf.index().spine_copies(), spine);
     }
 
     #[test]
     fn snapshot_deep_copies_every_chunk_and_stays_frozen() {
-        let mut buf = CircularTraceBuffer::new(1 << 24);
-        let mut idx = SliceIndex::default();
-        for i in 1..=3 * CHUNK_STEPS {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-        }
-        let snap = idx.snapshot_deep();
-        let copies = idx.chunk_copies();
-        let spine = idx.spine_copies();
+        let mut buf = fed(1 << 24, &chain(1..=3 * CHUNK_STEPS));
+        let snap = buf.index().snapshot_deep();
+        let copies = buf.index().chunk_copies();
+        let spine = buf.index().spine_copies();
         // Deep snapshots share nothing, so later pushes trigger no
         // copy-on-write at all.
-        for i in 0..8u64 {
-            let s = 3 * CHUNK_STEPS + 1 + i;
-            push(&mut buf, &mut idx, rec(s, s - 1, DepKind::RegData));
+        for r in chain(3 * CHUNK_STEPS + 1..=3 * CHUNK_STEPS + 8) {
+            buf.push(r);
         }
-        assert_eq!(idx.chunk_copies(), copies);
-        assert_eq!(idx.spine_copies(), spine);
+        assert_eq!(buf.index().chunk_copies(), copies);
+        assert_eq!(buf.index().spine_copies(), spine);
         assert_eq!(snap.edges(), 3 * CHUNK_STEPS);
-    }
-
-    /// Satellite regression: evicting a record that was never indexed
-    /// (or already evicted) must not panic — it increments the desync
-    /// ledger and leaves the rest of the index intact.
-    #[test]
-    fn evicting_an_unindexed_record_is_counted_not_fatal() {
-        let mut buf = CircularTraceBuffer::new(1 << 20);
-        let mut idx = SliceIndex::default();
-        for i in 1..=10u64 {
-            push(&mut buf, &mut idx, rec(i, i - 1, DepKind::RegData));
-        }
-        let phantom = rec(999, 998, DepKind::MemData);
-        idx.on_evict(&phantom);
-        assert!(idx.desyncs() > 0, "phantom eviction must be recorded");
-        assert_eq!(idx.edges(), 10, "live edges must be untouched");
-        assert_matches_rebuild(&buf, &idx);
-        // A second phantom eviction is equally harmless.
-        idx.on_evict(&phantom);
-        assert_matches_rebuild(&buf, &idx);
-    }
-
-    /// Satellite regression: an out-of-FIFO-order eviction (the bucket
-    /// holds the mention, but not at the front) resyncs by removing the
-    /// mention where it is, and counts the anomaly.
-    #[test]
-    fn out_of_order_eviction_resyncs_the_bucket() {
-        let mut buf = CircularTraceBuffer::new(1 << 20);
-        let mut idx = SliceIndex::default();
-        let first = rec(9, 1, DepKind::RegData);
-        let second = rec(9, 2, DepKind::MemData);
-        push(&mut buf, &mut idx, first);
-        push(&mut buf, &mut idx, second);
-        // Evict the *second* record first: defs_of(9)'s front is the
-        // first record, so the fast path misses and recovery scans.
-        idx.on_evict(&second);
-        assert!(idx.desyncs() > 0);
-        assert_eq!(idx.edges(), 1);
-        assert_eq!(idx.defs(9).collect::<Vec<_>>(), vec![(1, DepKind::RegData)]);
-        assert_eq!(idx.users(2).count(), 0, "step 2's mention is gone");
-        assert!(idx.meta_of(2).is_none(), "step 2 itself is gone");
-        // The surviving record evicts cleanly afterwards.
-        let desyncs = idx.desyncs();
-        idx.on_evict(&first);
-        assert_eq!(idx.desyncs(), desyncs, "clean eviction after resync");
-        assert_eq!(idx.edges(), 0);
-        assert_eq!(idx.step_count(), 0);
-        assert_eq!(idx.chunk_count(), 0, "empty chunks are pruned");
     }
 }

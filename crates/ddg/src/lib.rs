@@ -11,9 +11,10 @@
 //!   region-stack algorithm, reference \[11\] of the paper), whose open
 //!   regions hold their branch's site.
 //! * [`buffer`] — ONTRAC's fixed-size in-memory **circular trace buffer**:
-//!   dependences are appended with a compact delta encoding and the oldest
-//!   records are evicted when the byte budget is exceeded, bounding the
-//!   execution-history *window*.
+//!   dependences are accounted with a compact delta encoding and the
+//!   oldest records are evicted when the byte budget is exceeded,
+//!   bounding the execution-history *window*. The buffer is the byte
+//!   budget; the records themselves live once, in its [`index`].
 //! * [`ontrac`] — the ONTRAC tool itself with the paper's five
 //!   optimizations, each independently switchable for ablation:
 //!   1. intra-basic-block static inference,
@@ -34,13 +35,13 @@
 //!   register/memory dependences, composed in stream order into a
 //!   whole-run index identical to the serial tracer's (DESIGN §17). Run
 //!   as one epoch it is [`offline`]'s post-processing pass.
-//! * [`index`] — the incrementally-maintained slice index: per-step
-//!   adjacency plus an addr→steps map kept in lockstep with the buffer
-//!   (fed on push, pruned on eviction), so backward/forward slices over
-//!   the live window are demand-driven — O(|slice|), never a
-//!   whole-window graph rebuild. Storage is chunked by step range
-//!   behind `Arc`s, so snapshots for concurrent readers are O(1) with
-//!   copy-on-write charged per *dirty* chunk.
+//! * [`index`] — the incrementally-maintained slice index, which is the
+//!   live window itself: per-step adjacency plus an addr→steps map, fed
+//!   on push, and evicted from oldest first by the buffer that owns it,
+//!   so backward/forward slices over the live window are demand-driven
+//!   — O(|slice|), never a whole-window graph rebuild. Storage is
+//!   chunked by step range behind `Arc`s, so snapshots for concurrent
+//!   readers are O(1) with copy-on-write charged per *dirty* chunk.
 //! * [`cold`] — the compressed cold tier: evicted records spill into
 //!   append-only varint-gap-encoded segments, so the window budget is a
 //!   cache size rather than a correctness limit — slices stitched by

@@ -100,7 +100,7 @@ impl OfflinePipeline {
         // Phase 2: offline post-processing (modeled cost).
         let records = derive_full_deps(&program, &collector.events, mem_words);
         let post_cycles = costs::OFFLINE_POST_PER_INSN * result.steps;
-        let graph = DdgGraph::from_records(records.iter(), &program);
+        let graph = DdgGraph::from_records(records.iter().copied(), &program);
         let compact = CompactDdg::from_graph(&graph);
 
         let stats = OfflineStats {
@@ -189,7 +189,11 @@ mod tests {
             let r = Engine::new(m).run(&mut [&mut tracer, &mut cap]);
             assert!(r.status.is_clean(), "{}: {:?}", w.name, r.status);
             let recs = derive_full_deps(&program, &cap.0, mem_words);
-            assert!(recs.iter().eq(tracer.buffer().records()), "{}: records differ", w.name);
+            assert!(
+                recs.iter().copied().eq(tracer.buffer().records()),
+                "{}: records differ",
+                w.name
+            );
             for rec in &recs {
                 for (step, addr, stmt) in [
                     (rec.dep.def, rec.def_addr, rec.def_stmt),

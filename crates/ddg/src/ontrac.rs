@@ -186,14 +186,8 @@ pub struct OnTrac<R: Recorder = NoopRecorder> {
     /// Last reader's site per memory word since its last store, for WAR
     /// edges ([`StepSite::NONE`] = none).
     mem_last_read: Vec<StepSite>,
-    /// Demand-driven slice index over the live window; kept in lockstep
-    /// with the buffer (fed on push, pruned on eviction), so slice
-    /// queries walk only the edges they visit instead of rebuilding a
-    /// whole-window [`DdgGraph`] per query.
-    index: SliceIndex,
-    /// Compressed cold tier of evicted records; fed from the same
-    /// eviction callback that prunes the index. `None` when
-    /// `cfg.cold_tier` is off.
+    /// Compressed cold tier of evicted records, fed from the buffer's
+    /// eviction callback. `None` when `cfg.cold_tier` is off.
     cold: Option<ColdStore>,
     stats: OnTracStats,
     /// The probe sink (ZST under the default [`NoopRecorder`]).
@@ -225,7 +219,6 @@ impl<R: Recorder> OnTrac<R> {
             trace_inst: Vec::new(),
             ctrl_recorded: Vec::new(),
             mem_last_read: vec![StepSite::NONE; if cfg.record_war_waw { mem_words } else { 0 }],
-            index: SliceIndex::default(),
             cold: match &cfg.durable_dir {
                 Some(dir) => Some(ColdStore::durable_or_memory(dir)),
                 None => cfg.cold_tier.then(ColdStore::new),
@@ -255,15 +248,18 @@ impl<R: Recorder> OnTrac<R> {
         DdgGraph::from_records(self.buffer.records(), program)
     }
 
-    /// The incremental slice index over the live window. Bit-identical
-    /// to [`graph`](Self::graph) over the same window; query it directly
-    /// (O(|slice|)) or snapshot it for concurrent readers.
+    /// The incremental slice index over the live window: the buffer's
+    /// own store, so slice queries walk only the edges they visit
+    /// instead of rebuilding a whole-window [`DdgGraph`] per query.
+    /// Bit-identical to [`graph`](Self::graph) over the same window;
+    /// query it directly (O(|slice|)) or snapshot it for concurrent
+    /// readers.
     ///
     /// Always `Some`: the index is maintained unconditionally. The
     /// `Option` is kept because the pipeline benchmark (`perfbench/`)
     /// calls `.expect`/`.map` on it.
     pub fn slice_index(&self) -> Option<&SliceIndex> {
-        Some(&self.index)
+        Some(self.buffer.index())
     }
 
     /// The compressed cold tier of evicted records (`None` when
@@ -353,19 +349,10 @@ impl<R: Recorder> OnTrac<R> {
             (0, 0, 0)
         };
         let rec = BufRecord::new(kind, StepSite::of(fx), def);
-        // Index before pushing: with a budget smaller than one record
-        // the buffer may evict the record it just accepted, and the
-        // eviction hook must find it indexed.
-        self.index.on_push(&rec);
-        let index = &mut self.index;
-        let cold = &mut self.cold;
-        self.buffer.push_with(rec, |evicted| {
-            // Spill first: the cold tier archives the record exactly as
-            // the window held it, then the index forgets it.
-            if let Some(store) = cold.as_mut() {
-                store.append(evicted);
+        self.buffer.push_with(rec, |e| {
+            if let Some(cold) = &mut self.cold {
+                cold.append(e);
             }
-            index.on_evict(evicted);
         });
         self.stats.deps_recorded += 1;
         self.stats.bytes_appended = self.buffer.bytes_appended;
@@ -567,13 +554,12 @@ impl<R: Recorder> Tool for OnTrac<R> {
         if R::ENABLED {
             self.obs.gauge(Metric::DdgWindowLen, self.buffer.window_len());
             self.obs.gauge(Metric::DdgResidentBytes, self.buffer.bytes() as u64);
-            let idx = &self.index;
+            let idx = self.buffer.index();
             self.obs.gauge(Metric::DdgIndexEdges, idx.edges());
             self.obs.gauge(Metric::DdgIndexBytes, idx.approx_bytes());
             self.obs.gauge(Metric::DdgIndexChunks, idx.chunk_count() as u64);
             self.obs.gauge(Metric::DdgIndexChunkCopies, idx.chunk_copies());
             self.obs.gauge(Metric::DdgIndexSpineCopies, idx.spine_copies());
-            self.obs.add(Metric::DdgIndexDesync, idx.desyncs());
             if let Some(cold) = &self.cold {
                 self.obs.gauge(Metric::DdgColdSegments, cold.segment_count() as u64);
                 self.obs.gauge(Metric::DdgColdBytes, cold.bytes());

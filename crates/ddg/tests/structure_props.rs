@@ -4,7 +4,7 @@ use dift_ddg::buffer::{record, varint_len, BufRecord, CircularTraceBuffer};
 use dift_ddg::cold::SEGMENT_RECORDS;
 use dift_ddg::index::CHUNK_STEPS;
 use dift_ddg::{
-    ColdStore, ColdView, CompactDdg, DdgGraph, DepKind, Dependence, IndexData, SliceIndex, StepMeta,
+    ColdStore, ColdView, CompactDdg, DdgGraph, DepKind, Dependence, IndexData, StepMeta,
 };
 use dift_isa::{Addr, Program, ProgramBuilder};
 use proptest::prelude::*;
@@ -28,6 +28,20 @@ fn index_record(user: u64, def: u64, k: u8) -> BufRecord {
     let addr = |s: u64| ((s * 7 + 3) % INDEX_ADDRS) as Addr;
     let stmt = |s: u64| (s % 1000) as u32;
     record(user, def, kind(k), addr(user), addr(def), stmt(user), stmt(def))
+}
+
+/// Bytes a decoder needs for `window`: the head carries its absolute
+/// user step, every later record the gap from its predecessor.
+fn decodable_bytes(window: &[BufRecord]) -> usize {
+    let mut prev = None;
+    window
+        .iter()
+        .map(|r| {
+            let gap = prev.map_or(r.dep.user, |p| r.dep.user - p);
+            prev = Some(r.dep.user);
+            varint_len(gap) + varint_len(r.dep.user - r.dep.def) + 1
+        })
+        .sum()
 }
 
 /// `DdgGraph::from_records` ignores the program; any program works.
@@ -141,7 +155,7 @@ proptest! {
         }
         prop_assert_eq!(mem.segment_count(), mem.segment_metas().len() + 1);
         prop_assert!(mem.segment_metas().len() >= 2, "the stream spans several segments");
-        let g = DdgGraph::from_records(records.iter(), &empty_program());
+        let g = DdgGraph::from_records(records.iter().copied(), &empty_program());
         assert_cold_is_records(&mem, &g, user + 1, "memory");
 
         let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("structure_props_cold");
@@ -179,7 +193,10 @@ proptest! {
     ) {
         let program = empty_program();
         let mut buf = CircularTraceBuffer::new(budget);
-        let mut idx = SliceIndex::default();
+        // Every pushed record: eviction is FIFO, so the window is the
+        // suffix past the evicted ones, an oracle that does not read
+        // the index back.
+        let mut pushed = Vec::new();
         let mut seen = BTreeSet::new();
         let snap_at = snap_pick % stream.len();
         let mut held = None;
@@ -205,15 +222,16 @@ proptest! {
             }
             for _ in 0..=dups {
                 let r = index_record(user, def, k);
-                idx.on_push(&r);
-                buf.push_with(r, |evicted| idx.on_evict(evicted));
+                buf.push(r);
+                pushed.push(r);
             }
             seen.extend([user, def]);
-            let g = DdgGraph::from_records(buf.records(), &program);
-            assert_index_is_window(&idx, &g, buf.len(), &seen, &format!("push {i}"));
-            prop_assert_eq!(idx.desyncs(), 0);
+            let window = &pushed[buf.evicted as usize..];
+            prop_assert_eq!(buf.records().collect::<Vec<_>>(), window.to_vec(), "push {}", i);
+            let g = DdgGraph::from_records(window.iter().copied(), &program);
+            assert_index_is_window(buf.index(), &g, window.len(), &seen, &format!("push {i}"));
             if i == snap_at {
-                held = Some((idx.snapshot(), g, buf.len(), seen.clone()));
+                held = Some((buf.index().snapshot(), g, window.len(), seen.clone()));
             }
         }
         let (snap, g, records, seen_then) = held.expect("snapshot taken");
@@ -221,21 +239,29 @@ proptest! {
     }
 
     /// The circular buffer never exceeds its byte budget, evicts oldest
-    /// first, and accounts appended totals exactly.
+    /// first, holds exactly the pushed suffix at exactly the bytes a
+    /// decoder of that suffix needs, and accounts appended totals
+    /// exactly.
     #[test]
     fn buffer_invariants(
         cap in 8usize..256,
         gaps in proptest::collection::vec((1u64..50, 0u64..1000, 0u8..3), 1..120),
     ) {
         let mut b = CircularTraceBuffer::new(cap);
+        let mut pushed = Vec::new();
         let mut user = 0u64;
         let mut appended_bytes = 0u64;
         for (gap, dist, k) in gaps.clone() {
             user += gap;
             let def = user.saturating_sub(dist);
             appended_bytes += (varint_len(gap) + varint_len(user - def) + 1) as u64;
-            b.push(record(user, def, kind(k), 0, 0, 0, 0));
+            let r = record(user, def, kind(k), 0, 0, 0, 0);
+            b.push(r);
+            pushed.push(r);
             prop_assert!(b.bytes() <= cap, "budget respected");
+            let window = &pushed[b.evicted as usize..];
+            prop_assert_eq!(b.records().collect::<Vec<_>>(), window.to_vec());
+            prop_assert_eq!(b.bytes(), decodable_bytes(window));
         }
         prop_assert_eq!(b.appended as usize, gaps.len());
         prop_assert_eq!(b.bytes_appended, appended_bytes);

@@ -18,8 +18,11 @@
 //! Branch/jump/call/spawn targets may be labels or absolute `@addr`
 //! references (the form the disassembler emits). Operands are strict:
 //! an immediate is one optional `-` then decimal digits or `0x` and hex
-//! digits, every other number is plain decimal, and a line with more
-//! operands than its mnemonic takes is an error.
+//! digits, every other number is plain decimal, an atomic's memory
+//! operand is `(rN)` (the atomics have no offset field), and a line
+//! with more operands than its mnemonic takes is an error. A directive
+//! is its line's first whitespace-delimited token; `.func` and `.entry`
+//! take exactly one name.
 
 use crate::builder::{BuildError, ProgramBuilder, Target};
 use crate::insn::{BinOp, BranchCond};
@@ -111,6 +114,15 @@ fn parse_mem(t: &str, line: usize) -> Result<(Reg, i64), AsmError> {
     Ok((base, offset))
 }
 
+/// An atomic's memory operand: `(rN)`, with no offset.
+fn parse_atomic_mem(t: &str, line: usize) -> Result<Reg, AsmError> {
+    let base = t
+        .strip_prefix('(')
+        .and_then(|t| t.strip_suffix(')'))
+        .ok_or_else(|| err(line, format!("an atomic's memory operand is `(rN)`, got `{t}`")))?;
+    parse_reg(base, line)
+}
+
 fn parse_channel(t: &str, line: usize) -> Result<u16, AsmError> {
     let n = t
         .strip_prefix("ch")
@@ -165,21 +177,21 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             continue;
         }
 
-        // Directives.
-        if let Some(rest) = line.strip_prefix(".func") {
-            let name = rest.trim();
-            if name.is_empty() {
-                return Err(err(line_no, ".func needs a name"));
+        // Directives: the line's first token.
+        let mut toks = line.split_whitespace();
+        let first = toks.next().expect("non-empty");
+        if let ".func" | ".entry" = first {
+            let (Some(name), None) = (toks.next(), toks.next()) else {
+                return Err(err(line_no, format!("`{first}` takes one name")));
+            };
+            if first == ".func" {
+                b.func(name);
+            } else {
+                b.entry(name);
             }
-            b.func(name);
             continue;
         }
-        if let Some(rest) = line.strip_prefix(".entry") {
-            b.entry(rest.trim());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(".data") {
-            let mut toks = rest.split_whitespace();
+        if first == ".data" {
             let addr: u64 = toks
                 .next()
                 .and_then(parse_dec)
@@ -284,17 +296,17 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             }
             "amoadd" => {
                 need(3)?;
-                let (base, _) = parse_mem(ops[1], line_no)?;
+                let base = parse_atomic_mem(ops[1], line_no)?;
                 b.fetch_add(parse_reg(ops[0], line_no)?, base, parse_reg(ops[2], line_no)?);
             }
             "amoswap" => {
                 need(3)?;
-                let (base, _) = parse_mem(ops[1], line_no)?;
+                let base = parse_atomic_mem(ops[1], line_no)?;
                 b.swap(parse_reg(ops[0], line_no)?, base, parse_reg(ops[2], line_no)?);
             }
             "cas" => {
                 need(4)?;
-                let (base, _) = parse_mem(ops[1], line_no)?;
+                let base = parse_atomic_mem(ops[1], line_no)?;
                 b.cas(
                     parse_reg(ops[0], line_no)?,
                     base,

@@ -184,14 +184,15 @@ fn edit_parens(line: &str, edit: usize) -> String {
     }
 }
 
-/// Malform one operand of a relisted instruction line (`edit` picks
-/// how): a doubled sign on an immediate or offset, an inner sign in a
-/// register, channel, target or message number, text after a memory
-/// operand's `)`, or one operand too many. `None` when the line has
-/// nothing that edit applies to.
+/// Malform one operand of a relisted line (`edit` picks how): a
+/// doubled sign on an immediate or offset, an inner sign in a register,
+/// channel, target or message number, text after a memory operand's
+/// `)`, one operand too many, a directive fused with its operand, or an
+/// offset on an atomic's `(rN)`. `None` when the line has nothing that
+/// edit applies to.
 fn edit_operand(line: &str, edit: usize) -> Option<String> {
     if line.starts_with('.') {
-        return None;
+        return (edit == 4).then(|| line.replacen(' ', "", 1));
     }
     let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
     if edit == 3 {
@@ -209,7 +210,11 @@ fn edit_operand(line: &str, edit: usize) -> Option<String> {
                     let n = t.strip_prefix(p)?;
                     n.starts_with(|c: char| c.is_ascii_digit()).then(|| format!("{p}+{n}"))
                 }),
-                _ => t.contains(')').then(|| t.replacen(')', ")x", 1)),
+                2 => t.contains(')').then(|| t.replacen(')', ")x", 1)),
+                // Only an atomic's memory operand starts at its `(`: the
+                // disassembler prints every load and store offset.
+                5 => t.starts_with('(').then(|| format!("8{t}")),
+                _ => None,
             };
         if let Some(e) = edited {
             *t = e;
@@ -220,8 +225,10 @@ fn edit_operand(line: &str, edit: usize) -> Option<String> {
 }
 
 /// Operand forms the assembler once took (reading `--5` as 5, `0x-5` as
-/// -5, `r+1` as r1, `4(r2)x` as `4(r2)`, and dropping an extra operand):
-/// each is now an error on its own line.
+/// -5, `r+1` as r1, `4(r2)x` as `4(r2)`, dropping an extra operand or an
+/// atomic's offset, and reading a directive fused with its operand, or
+/// followed by two names, as that directive): each is now an error on
+/// its own line.
 #[test]
 fn malformed_operand_forms_are_errors() {
     for bad in [
@@ -240,6 +247,16 @@ fn malformed_operand_forms_are_errors() {
         "li r1, 5 7",
         "ret r1",
         "halt r1",
+        ".funcmain",
+        ".entrymain",
+        ".data100 5",
+        ".func main extra",
+        ".entry",
+        ".entry main extra",
+        "amoadd r1, 8(r2), r3",
+        "amoswap r1, 8(r2), r3",
+        "cas r1, 16(r2), r3, r4",
+        "amoadd r1, 0(r2), r3",
     ] {
         let e = assemble(&format!(".func main\n{bad}\nhalt\n"));
         assert!(matches!(e, Err(AsmError::Parse { line: 2, .. })), "{bad}: {e:?}");

@@ -21,9 +21,8 @@
 //!   `crates/bench/benches/obs.rs` checks the residual is < 2 %).
 //! * [`StatsRecorder`] is the real collector: fixed-size counter and
 //!   gauge arrays plus log2-bucketed [`Histogram`]s, all inline — no
-//!   allocation ever, on or off the hot path. Its probe bodies are
-//!   additionally feature-gated (`enabled`, on by default): built with
-//!   `--no-default-features` even a wired-up stats recorder is inert.
+//!   allocation ever, on or off the hot path. Code that should cost
+//!   nothing takes the default [`NoopRecorder`] instead.
 //!
 //! Snapshots serialize through [`snapshot::section_value`] into the
 //! stable `BENCH_obs.json` schema (see `DESIGN.md` §10); the schema is
@@ -38,7 +37,7 @@ pub use recorder::{NoopRecorder, Recorder, StatsRecorder};
 
 /// Version stamp of the `BENCH_obs.json` schema. Bump when a metric is
 /// renamed or its meaning changes; additions are backward-compatible.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// What a metric's storage and serialization look like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +114,6 @@ metrics! {
     DdgIndexChunks      => ("ddg/index/chunks", Gauge),
     DdgIndexChunkCopies => ("ddg/index/chunk_copies", Gauge),
     DdgIndexSpineCopies => ("ddg/index/spine_copies", Gauge),
-    DdgIndexDesync      => ("ddg/index/desync", Counter),
     // ddg::cold — the compressed cold tier of evicted records.
     DdgColdSegments     => ("ddg/cold/segments", Gauge),
     DdgColdBytes        => ("ddg/cold/bytes", Gauge),

@@ -85,11 +85,6 @@ impl Recorder for NoopRecorder {
 /// The collecting recorder: one `u64` slot per counter/gauge metric and
 /// one inline [`Histogram`] per histogram metric. Fixed-size arrays —
 /// recording never allocates.
-///
-/// With the crate's `enabled` feature off (`--no-default-features`)
-/// every method body is compiled out and `ENABLED` is `false`, so even
-/// code paths that plug in a `StatsRecorder` unconditionally carry no
-/// cost.
 #[derive(Clone, Debug)]
 pub struct StatsRecorder {
     counters: [u64; Metric::COUNT],
@@ -138,56 +133,35 @@ impl StatsRecorder {
 }
 
 impl Recorder for StatsRecorder {
-    const ENABLED: bool = cfg!(feature = "enabled");
+    const ENABLED: bool = true;
 
     #[inline]
     fn add(&mut self, m: Metric, delta: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            debug_assert!(matches!(m.kind(), MetricKind::Counter), "{}: not a counter", m.path());
-            self.counters[m as usize] += delta;
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (m, delta);
+        debug_assert!(matches!(m.kind(), MetricKind::Counter), "{}: not a counter", m.path());
+        self.counters[m as usize] += delta;
     }
 
     #[inline]
     fn gauge(&mut self, m: Metric, value: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            debug_assert!(matches!(m.kind(), MetricKind::Gauge), "{}: not a gauge", m.path());
-            self.counters[m as usize] = value;
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (m, value);
+        debug_assert!(matches!(m.kind(), MetricKind::Gauge), "{}: not a gauge", m.path());
+        self.counters[m as usize] = value;
     }
 
     #[inline]
     fn observe(&mut self, m: Metric, value: u64) {
-        #[cfg(feature = "enabled")]
         self.hists[HIST_SLOT[m as usize]].record(value);
-        #[cfg(not(feature = "enabled"))]
-        let _ = (m, value);
     }
 
     #[inline]
     fn timed<O>(&mut self, m: Metric, f: impl FnOnce() -> O) -> O {
-        #[cfg(feature = "enabled")]
-        {
-            let start = std::time::Instant::now();
-            let out = f();
-            let nanos = start.elapsed().as_nanos() as u64;
-            match m.kind() {
-                MetricKind::Histogram => self.observe(m, nanos),
-                _ => self.counters[m as usize] += nanos,
-            }
-            out
+        let start = std::time::Instant::now();
+        let out = f();
+        let nanos = start.elapsed().as_nanos() as u64;
+        match m.kind() {
+            MetricKind::Histogram => self.observe(m, nanos),
+            _ => self.counters[m as usize] += nanos,
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = m;
-            f()
-        }
+        out
     }
 }
 
@@ -223,11 +197,9 @@ mod tests {
 
     #[test]
     fn noop_is_disabled_stats_is_enabled() {
-        const { assert!(!NoopRecorder::ENABLED) }
-        assert_eq!(StatsRecorder::ENABLED, cfg!(feature = "enabled"));
+        const { assert!(!NoopRecorder::ENABLED && StatsRecorder::ENABLED) }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_gauges_and_hists_record() {
         let mut r = StatsRecorder::new();
@@ -242,7 +214,6 @@ mod tests {
         assert_eq!(r.hist(Metric::TaintJoinWidth).max(), 3);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn timed_charges_nanos() {
         let mut r = StatsRecorder::new();
@@ -252,7 +223,6 @@ mod tests {
         assert!(r.get(Metric::McComposeNanos) > 0, "a real computation takes >0ns");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn merge_combines_by_kind() {
         let mut a = StatsRecorder::new();

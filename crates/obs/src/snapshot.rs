@@ -95,7 +95,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn recorded_values_show_up_at_their_path() {
         let mut r = StatsRecorder::new();

@@ -130,7 +130,7 @@ pub fn locate_omission_error(
     let events = cap.0;
 
     let records = derive_full_deps(program, &events, config.mem_words);
-    let graph = DdgGraph::from_records(records.iter(), program);
+    let graph = DdgGraph::from_records(records.iter().copied(), program);
 
     // The failing criterion: the last output instruction on the channel.
     let out_step = events

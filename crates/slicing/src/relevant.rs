@@ -211,7 +211,7 @@ mod tests {
         let p = omission_program();
         let events = run_with_events(&p);
         let full = dift_ddg::offline::derive_full_deps(&p, &events, 1 << 12);
-        let graph = DdgGraph::from_records(full.iter(), &p);
+        let graph = DdgGraph::from_records(full.iter().copied(), &p);
         let out_step = events.iter().find(|e| e.output.is_some()).unwrap().step;
 
         let dynamic = Slicer::new(&graph).backward(&[out_step], KindMask::classic());

@@ -478,9 +478,8 @@ mod tests {
 
     /// Window: 1 -> 3 (reg), 2 -> 3 (mem), 3 -> 5 (reg), 4 -> 5 (ctrl),
     /// 5 -> 6 (war); two instances of addr 9 at steps 5 and 6.
-    fn index() -> (CircularTraceBuffer, SliceIndex) {
+    fn window() -> CircularTraceBuffer {
         let mut buf = CircularTraceBuffer::new(1 << 20);
-        let mut idx = SliceIndex::default();
         let edges = [
             (3u64, 1u64, DepKind::RegData),
             (3, 2, DepKind::MemData),
@@ -490,11 +489,9 @@ mod tests {
         ];
         for (user, def, kind) in edges {
             let addr = |s: u64| if s >= 5 { 9 } else { s as u32 };
-            let r = record(user, def, kind, addr(user), addr(def), user as u32, def as u32);
-            idx.on_push(&r);
-            buf.push_with(r, |e| idx.on_evict(e));
+            buf.push(record(user, def, kind, addr(user), addr(def), user as u32, def as u32));
         }
-        (buf, idx)
+        buf
     }
 
     fn bwd(criterion: &[u64], mask: KindMask) -> SliceQuery {
@@ -503,8 +500,8 @@ mod tests {
 
     #[test]
     fn service_matches_slicer_semantics() {
-        let (_, idx) = index();
-        let mut svc = SliceService::new(&idx);
+        let buf = window();
+        let mut svc = SliceService::new(buf.index());
         let b = svc.query(&bwd(&[5], KindMask::classic()));
         assert_eq!(b.steps, [1, 2, 3, 4, 5].into_iter().collect());
         assert!(b.contains_addr(9));
@@ -518,13 +515,13 @@ mod tests {
 
     #[test]
     fn batch_matches_per_query_answers() {
-        let (_, idx) = index();
+        let buf = window();
         let queries = vec![
             SliceQuery::Backward { criterion: vec![5], mask: KindMask::classic() },
             SliceQuery::Forward { criterion: vec![2], mask: KindMask::data_only() },
             SliceQuery::BackwardFromAddr { addr: 9, mask: KindMask::multithreaded() },
         ];
-        let mut svc = SliceService::new(&idx);
+        let mut svc = SliceService::new(buf.index());
         let batched = svc.batch(&queries);
         let singles: Vec<Slice> = queries.iter().map(|q| svc.query(q)).collect();
         assert_eq!(batched, singles);
@@ -532,16 +529,14 @@ mod tests {
 
     #[test]
     fn refresh_follows_the_live_window() {
-        let (mut buf, mut idx) = index();
-        let mut svc = SliceService::new(&idx);
+        let mut buf = window();
+        let mut svc = SliceService::new(buf.index());
         let gen0 = svc.generation();
-        svc.refresh(&idx); // unchanged window: same snapshot
+        svc.refresh(buf.index()); // unchanged window: same snapshot
         assert_eq!(svc.generation(), gen0);
-        let r = record(8, 6, DepKind::RegData, 9, 9, 8, 6);
-        idx.on_push(&r);
-        buf.push_with(r, |e| idx.on_evict(e));
+        buf.push(record(8, 6, DepKind::RegData, 9, 9, 8, 6));
         assert!(svc.query(&bwd(&[8], KindMask::classic())).steps.len() == 1, "stale window");
-        svc.refresh(&idx);
+        svc.refresh(buf.index());
         assert_ne!(svc.generation(), gen0);
         // 8 <- 6 (reg), then the WAR edge 6 <- 5 stops a classic walk.
         let b = svc.query(&bwd(&[8], KindMask::classic()));
@@ -552,8 +547,8 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_one_frozen_window() {
-        let (_, idx) = index();
-        let svc = SliceService::new(&idx);
+        let buf = window();
+        let svc = SliceService::new(buf.index());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let snap = svc.snapshot();

@@ -110,21 +110,16 @@ fn run_full(p: &Arc<Program>) -> OnTrac {
 
 /// Replay the reference record stream through an eviction-heavy window
 /// backed by the given durable cold store, mirroring the tracer's exact
-/// wiring (spill-before-index-forget). Flushes the open tail so every
-/// evicted record sits in a sealed segment.
+/// wiring (every evicted record spills to the cold tier). Flushes the
+/// open tail so every evicted record sits in a sealed segment.
 fn replay(
     full: &OnTrac,
     budget: usize,
     mut cold: ColdStore<ScriptedIoFaults>,
-) -> (SliceIndex, ColdStore<ScriptedIoFaults>) {
+) -> (CircularTraceBuffer, ColdStore<ScriptedIoFaults>) {
     let mut buf = CircularTraceBuffer::new(budget);
-    let mut idx = SliceIndex::default();
     for r in full.buffer().records() {
-        idx.on_push(r);
-        buf.push_with(*r, |e| {
-            cold.append(e);
-            idx.on_evict(e);
-        });
+        buf.push_with(r, |e| cold.append(e));
     }
     cold.flush();
     assert_eq!(
@@ -132,7 +127,7 @@ fn replay(
         full.buffer().len() as u64,
         "cold + live must partition the full stream"
     );
-    (idx, cold)
+    (buf, cold)
 }
 
 /// Fresh scratch directory under the target tmpdir; unique per call so
@@ -150,7 +145,7 @@ fn durable_replay(
     budget: usize,
     tag: &str,
     plan: ScriptedIoFaults,
-) -> (SliceIndex, ColdStore<ScriptedIoFaults>) {
+) -> (CircularTraceBuffer, ColdStore<ScriptedIoFaults>) {
     let cold = ColdStore::durable_with_faults(&scratch(tag), plan).expect("create store");
     replay(full, budget, cold)
 }
@@ -333,22 +328,28 @@ fn transient_faults_leave_stitched_slices_bit_identical() {
     for budget in [64usize, 2048] {
         // Clean baseline: an armed plan with no injections still goes
         // through every instrumented path.
-        let (idx, cold) = durable_replay(&full, budget, "clean", ScriptedIoFaults::new(Vec::new()));
+        let (buf, cold) = durable_replay(&full, budget, "clean", ScriptedIoFaults::new(Vec::new()));
         let metas = cold.segment_metas();
         assert!(metas.len() >= 3, "budget {budget} must seal several segments");
         assert!(cold.verify().is_empty(), "clean run must scrub clean");
-        assert_full_identity(&idx, &cold, &slicer, &g, &format!("budget={budget} plan=clean"));
+        assert_full_identity(
+            buf.index(),
+            &cold,
+            &slicer,
+            &g,
+            &format!("budget={budget} plan=clean"),
+        );
 
         for seq in 0..metas.len() as u64 {
             for site in [IoFaultSite::FsyncFail, IoFaultSite::ShortRead, IoFaultSite::Enospc] {
-                let (idx, cold) =
+                let (buf, cold) =
                     durable_replay(&full, budget, site.name(), ScriptedIoFaults::single(site, seq));
                 assert!(
                     cold.verify().is_empty(),
                     "budget {budget} {site:?}@{seq} must lose nothing"
                 );
                 assert_full_identity(
-                    &idx,
+                    buf.index(),
                     &cold,
                     &slicer,
                     &g,
@@ -386,7 +387,7 @@ fn permanent_faults_degrade_with_exact_missing_ranges() {
     for seq in 0..metas.len() as u64 {
         for site in [IoFaultSite::TornWrite, IoFaultSite::BitFlip] {
             let plan = ScriptedIoFaults::single(site, seq);
-            let (idx, cold) = durable_replay(&full, budget, site.name(), plan.clone());
+            let (buf, cold) = durable_replay(&full, budget, site.name(), plan.clone());
             // Segment cuts are fault-independent, so the clean run's
             // metas predict the damage exactly.
             assert_eq!(cold.segment_metas(), metas, "segment cut must be plan-independent");
@@ -396,7 +397,7 @@ fn permanent_faults_degrade_with_exact_missing_ranges() {
             assert_eq!(cold.verify(), expect, "scrub must find exactly {site:?}@{seq}");
             assert_eq!(cold.corrupt_segments(), 1, "{site:?}@{seq} quarantines one segment");
             assert_degraded_exactly(
-                &idx,
+                buf.index(),
                 &cold,
                 &slicer,
                 &g,
@@ -414,11 +415,11 @@ fn service_counts_degraded_queries() {
     let p = pinned_program();
     let full = run_full(&p);
     let plan = ScriptedIoFaults::single(IoFaultSite::TornWrite, 0);
-    let (idx, cold) = durable_replay(&full, 64, "svc", plan);
+    let (buf, cold) = durable_replay(&full, 64, "svc", plan);
     let missing = cold.verify();
     assert_eq!(missing.len(), 1);
 
-    let mut svc = SliceService::with_recorder(&idx, StatsRecorder::new());
+    let mut svc = SliceService::with_recorder(buf.index(), StatsRecorder::new());
     let q = SliceQuery::Backward { criterion: vec![u64::MAX], mask: KindMask::classic() };
     let out = svc.query_stitched(&cold, &q);
     assert!(out.is_degraded());
@@ -452,25 +453,25 @@ proptest! {
         let slicer = Slicer::new(&g);
         let budget = 64usize;
 
-        let (idx, clean) =
+        let (buf, clean) =
             durable_replay(&full, budget, "prop_clean", ScriptedIoFaults::new(Vec::new()));
         let metas = clean.segment_metas();
         prop_assert!(!metas.is_empty(), "eviction-heavy budget must seal segments");
         prop_assert!(clean.verify().is_empty());
-        assert_full_identity(&idx, &clean, &slicer, &g, "plan=clean");
+        assert_full_identity(buf.index(), &clean, &slicer, &g, "plan=clean");
 
         for salt in 0..2u64 {
             let plan =
                 ScriptedIoFaults::seeded(seed ^ salt.wrapping_mul(0x9e37_79b9), 4, metas.len() as u64);
             let ctx = format!("seed={seed} salt={salt} plan={:?}", plan.injections());
-            let (idx, cold) = durable_replay(&full, budget, "prop_seeded", plan.clone());
+            let (buf, cold) = durable_replay(&full, budget, "prop_seeded", plan.clone());
             prop_assert_eq!(cold.segment_metas(), metas.clone(), "segment cut drifted: {}", ctx);
             let expect = expected_losses(&plan, &metas);
             prop_assert_eq!(cold.verify(), expect.clone(), "scrub mismatch: {}", ctx);
             if expect.is_empty() {
-                assert_full_identity(&idx, &cold, &slicer, &g, &ctx);
+                assert_full_identity(buf.index(), &cold, &slicer, &g, &ctx);
             } else {
-                assert_degraded_exactly(&idx, &cold, &slicer, &g, &expect, &ctx);
+                assert_degraded_exactly(buf.index(), &cold, &slicer, &g, &expect, &ctx);
             }
         }
     }

@@ -6,13 +6,13 @@
 //! eviction-heavy ones where most of the execution has been evicted and
 //! the head was re-anchored many times. For every budget and every
 //! [`KindMask`] preset, slices served from the tracer's incremental
-//! [`SliceIndex`] (live, snapshotted, and batched through
+//! `SliceIndex` (live, snapshotted, and batched through
 //! [`SliceService`]) must be **bit-identical** to [`Slicer`] over
 //! `DdgGraph::from_records` of the same live window.
 
 use dift_dbi::Engine;
 use dift_ddg::buffer::record;
-use dift_ddg::{CircularTraceBuffer, DdgGraph, DepKind, OnTrac, OnTracConfig, SliceIndex};
+use dift_ddg::{CircularTraceBuffer, DdgGraph, DepKind, OnTrac, OnTracConfig};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
 use dift_obs::{Metric, StatsRecorder};
 use dift_slicing::{
@@ -326,21 +326,18 @@ fn stitched_slices_cross_the_eviction_horizon() {
 #[test]
 fn refresh_with_unmoved_generation_copies_no_chunks() {
     let mut buf = CircularTraceBuffer::new(1 << 20);
-    let mut idx = SliceIndex::default();
     let rec = |u: u64| {
         record(u, u - 1, DepKind::RegData, u as u32 % 7, (u - 1) as u32 % 7, u as u32, u as u32 - 1)
     };
     for i in 1..=200u64 {
-        let r = rec(i);
-        idx.on_push(&r);
-        buf.push_with(r, |e| idx.on_evict(e));
+        buf.push(rec(i));
     }
 
-    let mut svc = SliceService::with_recorder(&idx, StatsRecorder::new());
+    let mut svc = SliceService::with_recorder(buf.index(), StatsRecorder::new());
     assert_eq!(svc.obs.get(Metric::SlChunkCopies), 0, "no copies at first snapshot");
     let gen = svc.generation();
     for _ in 0..5 {
-        svc.refresh(&idx);
+        svc.refresh(buf.index());
     }
     assert_eq!(svc.generation(), gen, "generation unmoved");
     assert_eq!(svc.obs.get(Metric::SlSnapshotReuse), 5, "every refresh reused the snapshot");
@@ -348,18 +345,16 @@ fn refresh_with_unmoved_generation_copies_no_chunks() {
 
     // Queries are reads; they never force copy-on-write either.
     svc.query(&SliceQuery::Backward { criterion: vec![200], mask: KindMask::classic() });
-    svc.refresh(&idx);
+    svc.refresh(buf.index());
     assert_eq!(svc.obs.get(Metric::SlChunkCopies), 0);
 
     // Control: actually moving the window DOES copy (the service's
     // snapshot shares the chunks the new pushes touch), which is what
     // makes the zero above meaningful.
     for i in 201..=210u64 {
-        let r = rec(i);
-        idx.on_push(&r);
-        buf.push_with(r, |e| idx.on_evict(e));
+        buf.push(rec(i));
     }
-    svc.refresh(&idx);
+    svc.refresh(buf.index());
     assert_ne!(svc.generation(), gen);
     assert!(svc.obs.get(Metric::SlChunkCopies) >= 1, "a moved window pays its dirty chunks");
 }

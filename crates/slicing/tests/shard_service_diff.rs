@@ -99,7 +99,7 @@ fn serial_index(p: &Arc<Program>) -> (OnTrac, Vec<StepEffects>) {
 /// it names (a single-threaded stream is indexed by step).
 fn assert_one_deriver(p: &Arc<Program>, tracer: &OnTrac, fxs: &[StepEffects]) {
     let offline = derive_full_deps(p, fxs, MachineConfig::small().mem_words);
-    let serial: Vec<BufRecord> = tracer.buffer().records().copied().collect();
+    let serial: Vec<BufRecord> = tracer.buffer().records().collect();
     assert_eq!(offline, serial, "offline derivation vs serial tracer");
     for r in &offline {
         for (step, addr, stmt) in

@@ -6,7 +6,7 @@
 
 use dift_dbi::Engine;
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
-use dift_obs::{Metric, Recorder, StatsRecorder};
+use dift_obs::{Metric, StatsRecorder};
 use dift_taint::{PcTaint, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, MachineConfig};
 use proptest::prelude::*;
@@ -92,19 +92,13 @@ proptest! {
             probed.shadow().iter_tainted().map(|(a, l)| (a, *l)).collect();
         prop_assert_eq!(plain_shadow, probed_shadow);
 
-        // And when the feature is on, the recorder agrees with the
-        // engine's own counters — the probes observe, not invent.
-        if StatsRecorder::ENABLED {
-            prop_assert_eq!(
-                probed.obs.get(Metric::TaintProcessCalls), probed.stats().instrs
-            );
-            prop_assert_eq!(probed.obs.get(Metric::TaintSources), probed.stats().sources);
-            prop_assert_eq!(
-                probed.obs.get(Metric::TaintAlerts) as usize, probed.alerts.len()
-            );
-            prop_assert_eq!(
-                probed.obs.get(Metric::TaintTaintedWords) as usize, probed.tainted_words()
-            );
-        }
+        // And the recorder agrees with the engine's own counters — the
+        // probes observe, not invent.
+        prop_assert_eq!(probed.obs.get(Metric::TaintProcessCalls), probed.stats().instrs);
+        prop_assert_eq!(probed.obs.get(Metric::TaintSources), probed.stats().sources);
+        prop_assert_eq!(probed.obs.get(Metric::TaintAlerts) as usize, probed.alerts.len());
+        prop_assert_eq!(
+            probed.obs.get(Metric::TaintTaintedWords) as usize, probed.tainted_words()
+        );
     }
 }
