@@ -18,9 +18,10 @@
 //! their overlap assumed, so the number is meaningful even on a 1-core
 //! CI host (wall rows are stamped `modeled_only` with `host_cores`
 //! provenance, exactly like the T2 scaling sweep). The merge-cost
-//! columns (arena nodes absorbed, cross-epoch dependences resolved,
-//! index chunks spliced vs merged) quantify what composition pays to
-//! keep the answer bit-identical.
+//! columns (arena nodes absorbed, cross-epoch dependences resolved)
+//! quantify what composition pays to keep the answer bit-identical, and
+//! each width's `index_nanos` splits out of `compose_nanos` the time
+//! spent appending dependence fragments to the merged index.
 
 use crate::throughput::capture;
 use crate::{fx, geomean, pct, Scale, Table};
@@ -48,8 +49,12 @@ pub struct LineageShardPoint {
     pub shard_nanos_total: u64,
     /// Busiest worker's summarize nanos (parallel critical path).
     pub max_worker_nanos: u64,
-    /// Sequential composition nanos (arena merge + fragment splice).
+    /// Sequential composition nanos (arena merges, symbolic
+    /// resolution, fragment replay into the index).
     pub compose_nanos: u64,
+    /// The part of `compose_nanos` spent appending dependence fragments
+    /// to the merged index.
+    pub index_nanos: u64,
     /// Sharded engine + merged index ≡ serial, bit for bit.
     pub identical: bool,
     /// Cores the measuring host exposed when this cell was taken.
@@ -156,6 +161,7 @@ fn measure_row(w: &Workload, epoch_len: usize, host_cores: usize) -> LineageShar
             shard_nanos_total: run.stats.shard_nanos_total,
             max_worker_nanos: run.stats.max_worker_nanos,
             compose_nanos: run.stats.compose_nanos,
+            index_nanos: run.stats.index_nanos,
             identical,
             host_cores,
             modeled_only: host_cores == 1,
@@ -218,12 +224,14 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
             "arena nodes",
             "cross-epoch",
             "edges",
+            "index ns/instr",
             "model w4/w1",
             "identical",
         ],
     );
     for row in &r.rows {
-        let at4 = row.points.iter().find(|p| p.workers == 4);
+        let at = |w| row.points.iter().find(|p| p.workers == w);
+        let index_ns = |p: &LineageShardPoint| p.index_nanos as f64 / row.instrs.max(1) as f64;
         t.row(vec![
             row.name.clone(),
             row.instrs.to_string(),
@@ -231,7 +239,8 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
             row.arena_nodes.to_string(),
             row.cross_epoch_deps.to_string(),
             row.index_edges.to_string(),
-            at4.map(|p| fx(p.modeled_speedup)).unwrap_or_default(),
+            at(1).map(|p| format!("{:.0}", index_ns(p))).unwrap_or_default(),
+            at(4).map(|p| fx(p.modeled_speedup)).unwrap_or_default(),
             if row.points.iter().all(|p| p.identical) { "yes" } else { "NO" }.into(),
         ]);
     }
@@ -241,6 +250,7 @@ pub fn lineage_shard_to_table(r: &LineageShardReport) -> Table {
         "-".into(),
         r.total_arena_nodes.to_string(),
         r.total_cross_epoch_deps.to_string(),
+        "-".into(),
         "-".into(),
         fx(r.modeled_speedup_geomean_4w),
         pct(r.identical_fraction),
@@ -274,6 +284,14 @@ mod tests {
                     p.workers,
                     p.modeled_speedup
                 );
+                assert!(
+                    p.index_nanos <= p.compose_nanos,
+                    "{}@{}w: index {} ns within compose {} ns",
+                    row.name,
+                    p.workers,
+                    p.index_nanos,
+                    p.compose_nanos
+                );
                 assert_eq!(p.host_cores, r.host_cores, "provenance on every cell");
                 assert_eq!(p.modeled_only, r.host_cores == 1);
             }
@@ -282,5 +300,6 @@ mod tests {
         assert!(json.contains("identical_fraction"));
         assert!(json.contains("modeled_speedup_geomean_4w"));
         assert!(json.contains("cross_epoch_deps"));
+        assert!(json.contains("index_nanos"));
     }
 }

@@ -31,11 +31,15 @@
 //! ([`crate::offline::derive_full_deps`]).
 //!
 //! Composition ([`EpochDepComposer`]) replays fragments in epoch
-//! order: it pushes each fragment's records, then its resolved
-//! pendings, through [`SliceIndex::on_push`] — the same O(1) path the
-//! serial tracer takes, so no index is ever built shard-side or
-//! spliced. The shards do the derivation (last-writer lookups, control
-//! stack); the composer only indexes.
+//! order: it appends each fragment's records with one
+//! [`SliceIndex::push_batch`], then its resolved pendings with another
+//! — the serial tracer's append path (its `on_push` is a one-record
+//! batch), so no index is ever built shard-side or spliced. A batch
+//! checks copy-on-write once per run of records sharing a chunk rather
+//! than twice per record, and the pendings resolve into a buffer the
+//! composer keeps across epochs, so resolving them allocates nothing
+//! per fragment. The shards do the derivation (last-writer lookups,
+//! control stack); the composer only indexes.
 //!
 //! Register last-writers are per-thread register arrays (the
 //! [`crate::ShadowState`] layout); the memory last-writer tables are
@@ -254,6 +258,8 @@ pub struct EpochDepComposer {
     index: SliceIndex,
     reg_defs: RegDefs,
     mem_defs: HashMap<MemAddr, StepSite>,
+    /// The current fragment's resolved pendings, cleared per fragment.
+    resolved: Vec<BufRecord>,
     stats: DepComposeStats,
 }
 
@@ -262,28 +268,26 @@ impl EpochDepComposer {
         EpochDepComposer::default()
     }
 
-    /// Absorb the next epoch's fragment: push its records, then resolve
-    /// its pendings against the pre-epoch global tables and push those,
-    /// then fold the fragment's exit tables forward. A pending whose
-    /// location was never written resolves to no dependence, exactly
-    /// like the serial tracer's `None` shadow lookup.
+    /// Absorb the next epoch's fragment: append its records, then
+    /// resolve its pendings against the pre-epoch global tables and
+    /// append those, then fold the fragment's exit tables forward. A
+    /// pending whose location was never written resolves to no
+    /// dependence, exactly like the serial tracer's `None` shadow lookup.
     pub fn absorb(&mut self, frag: EpochDeps) {
-        for rec in &frag.records {
-            self.index.on_push(rec);
-        }
-        self.stats.cross_epoch_records += frag.cross_epoch;
+        self.index.push_batch(&frag.records);
+        self.resolved.clear();
         for p in &frag.pending {
             let def = match p.src {
                 PendingSource::Reg(tid, r) => self.reg_defs.get(tid, r),
                 PendingSource::Mem(addr) => self.mem_defs.get(&addr).copied(),
             };
-            let Some(def) = def else {
-                self.stats.unresolved_pendings += 1;
-                continue;
-            };
-            self.index.on_push(&BufRecord::new(p.kind, p.user, def));
-            self.stats.cross_epoch_records += 1;
+            match def {
+                Some(def) => self.resolved.push(BufRecord::new(p.kind, p.user, def)),
+                None => self.stats.unresolved_pendings += 1,
+            }
         }
+        self.index.push_batch(&self.resolved);
+        self.stats.cross_epoch_records += frag.cross_epoch + self.resolved.len() as u64;
         self.stats.fragments += 1;
         self.reg_defs.fold(&frag.reg_defs);
         self.mem_defs.extend(frag.mem_defs);

@@ -57,6 +57,21 @@
 //! chunks. Neither hashes nor allocates per step: a chunk allocates its
 //! slots once, and its arena grows amortized.
 //!
+//! # One append path
+//!
+//! [`SliceIndex::push_batch`] is the only way records enter;
+//! [`SliceIndex::on_push`], the tracer's per-record call, is a
+//! one-record batch. A batch is appended in two passes: the first
+//! appends every record's `defs` link in its user's chunk, the second
+//! every `users` link in its def's chunk. Each pass takes the chunk
+//! (the copy-on-write check below) once per run of consecutive records
+//! whose step lies in the same chunk, so the epoch composer's fragments,
+//! whose users are monotone and whose defs mostly sit in the user's
+//! chunk, pay it a few times per fragment instead of twice per record.
+//! A list lives in one chunk and each pass walks the batch in order, so
+//! every list gets its links in push order whatever the runs are, and
+//! the index reads exactly as record-by-record pushes would leave it.
+//!
 //! # Copy-on-write chunks and O(dirty-chunk) snapshots
 //!
 //! Each chunk sits behind an `Arc`, and the chunk map (the *spine*,
@@ -78,14 +93,14 @@
 //!
 //! [`SliceIndex`] keeps a cursor on the oldest record: the head of the
 //! `defs` list of the oldest user step that has one.
-//! [`SliceIndex::on_push`] only lowers it, with one comparison of user
-//! steps: the epoch composer pushes cross-epoch records out of user
-//! order. [`SliceIndex::evict_oldest`] unlinks that record from its
-//! user's `defs` list and its def's `users` list (the head in FIFO
-//! order; the list is searched, so a record pushed out of order still
-//! evicts consistently), drops both mentions and any chunk left empty,
-//! then moves the cursor forward over slots, skipping absent chunks, to
-//! the next head: amortized about one slot per traced step.
+//! [`SliceIndex::push_batch`] only lowers it, with one comparison of
+//! user steps per record: the epoch composer pushes cross-epoch records
+//! out of user order. [`SliceIndex::evict_oldest`] unlinks that record
+//! from its user's `defs` list and its def's `users` list (the head in
+//! FIFO order; the list is searched, so a record pushed out of order
+//! still evicts consistently), drops both mentions and any chunk left
+//! empty, then moves the cursor forward over slots, skipping absent
+//! chunks, to the next head: amortized about one slot per traced step.
 //!
 //! Snapshots ([`SliceSnapshot`]) freeze the index behind an `Arc` so
 //! reader threads can answer queries while tracing continues; the
@@ -393,6 +408,34 @@ impl IndexData {
         chunk
     }
 
+    /// Append one side of every record of `recs`, in order: its `side`
+    /// link and one mention of the step that link lives on. Takes
+    /// [`chunk_mut`](Self::chunk_mut) once per run of consecutive
+    /// records whose step lies in the same chunk (see the module docs).
+    /// Always inlined, so `side` is a constant in each of
+    /// `push_batch`'s two passes.
+    #[inline(always)]
+    fn append_side(&mut self, recs: &[BufRecord], side: Side) {
+        let ends = |r: &BufRecord| match side {
+            Side::Defs => (r.dep.user, r.dep.def, r.user_addr, r.user_stmt),
+            Side::Users => (r.dep.def, r.dep.user, r.def_addr, r.def_stmt),
+        };
+        let (mut rest, mut new_steps) = (recs, 0);
+        while let Some(first) = rest.first() {
+            let id = ends(first).0 >> CHUNK_SHIFT;
+            let run = rest.iter().position(|r| ends(r).0 >> CHUNK_SHIFT != id);
+            let (now, later) = rest.split_at(run.unwrap_or(rest.len()));
+            let chunk = self.chunk_mut(ends(first).0);
+            for r in now {
+                let (step, other, addr, stmt) = ends(r);
+                chunk.push_link(step, side, other, r.dep.kind);
+                new_steps += u64::from(chunk.touch(step, addr, stmt));
+            }
+            rest = later;
+        }
+        self.step_total += new_steps;
+    }
+
     /// Evict one side of a record: unlink its mention from `step`'s
     /// `side` list and drop one mention of the step, whose site it
     /// returns (read before the drop). A chunk left empty is dropped so
@@ -437,7 +480,7 @@ impl IndexData {
 
     /// The live records, oldest first: by user step, and in push order
     /// within a step (FIFO facts 1 and 2).
-    pub(crate) fn records(&self) -> impl Iterator<Item = BufRecord> + '_ {
+    pub fn records(&self) -> impl Iterator<Item = BufRecord> + '_ {
         self.chunks.iter().flat_map(move |&(id, ref c)| {
             (0..CHUNK_STEPS).flat_map(move |i| {
                 let user = (id << CHUNK_SHIFT) | i;
@@ -555,22 +598,34 @@ pub struct SliceIndex {
 }
 
 impl SliceIndex {
-    /// Index one record as it enters the window.
+    /// Index one record as it enters the window: a one-record
+    /// [`push_batch`](Self::push_batch).
     pub fn on_push(&mut self, rec: &BufRecord) {
-        if self.front.is_none_or(|f| rec.dep.user < f.user) {
-            self.front = Some(rec.dep);
+        self.push_batch(std::slice::from_ref(rec));
+    }
+
+    /// Index `recs` as they enter the window, in order, leaving the
+    /// index exactly as pushing them one by one would: every list gets
+    /// its links in push order, the cursor is lowered to the first
+    /// record of the lowest user step when that step is below it, and
+    /// `generation`, the counts and the copy-on-write counters move as
+    /// they would. User steps may come in any order. Copy-on-write is
+    /// checked once per run of records whose user (then def) shares a
+    /// chunk, not twice per record.
+    // Inlined so that `on_push`'s one-record batch compiles to a
+    // straight-line push: the window store keeps its per-record speed.
+    #[inline]
+    pub fn push_batch(&mut self, recs: &[BufRecord]) {
+        for r in recs {
+            if self.front.is_none_or(|f| r.dep.user < f.user) {
+                self.front = Some(r.dep);
+            }
         }
         let d = &mut self.data;
-        let (user, def, kind) = (rec.dep.user, rec.dep.def, rec.dep.kind);
-        let uc = d.chunk_mut(user);
-        uc.push_link(user, Side::Defs, def, kind);
-        let new_user = uc.touch(user, rec.user_addr, rec.user_stmt);
-        let dc = d.chunk_mut(def);
-        dc.push_link(def, Side::Users, user, kind);
-        let new_def = dc.touch(def, rec.def_addr, rec.def_stmt);
-        d.step_total += new_user as u64 + new_def as u64;
-        d.edges += 1;
-        self.generation += 1;
+        d.append_side(recs, Side::Defs);
+        d.append_side(recs, Side::Users);
+        d.edges += recs.len() as u64;
+        self.generation += recs.len() as u64;
     }
 
     /// The oldest record's dependence: the one

@@ -4,11 +4,11 @@ use dift_ddg::buffer::{record, varint_len, BufRecord, CircularTraceBuffer};
 use dift_ddg::cold::SEGMENT_RECORDS;
 use dift_ddg::index::CHUNK_STEPS;
 use dift_ddg::{
-    ColdStore, ColdView, CompactDdg, DdgGraph, DepKind, Dependence, IndexData, StepMeta,
+    ColdStore, ColdView, CompactDdg, DdgGraph, DepKind, Dependence, IndexData, SliceIndex, StepMeta,
 };
 use dift_isa::{Addr, Program, ProgramBuilder};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 fn kind(i: u8) -> DepKind {
@@ -50,6 +50,14 @@ fn empty_program() -> Program {
     b.func("main");
     b.halt();
     b.build().unwrap()
+}
+
+/// `records` stably sorted by user step: the order the index reads its
+/// records back in, whatever order they were pushed in.
+fn by_user(records: &[BufRecord]) -> Vec<BufRecord> {
+    let mut v = records.to_vec();
+    v.sort_by_key(|r| r.dep.user);
+    v
 }
 
 fn sorted_dedup(mut v: Vec<(u64, DepKind)>) -> Vec<(u64, DepKind)> {
@@ -236,6 +244,128 @@ proptest! {
         }
         let (snap, g, records, seen_then) = held.expect("snapshot taken");
         assert_index_is_window(&snap, &g, records, &seen_then, "held snapshot");
+    }
+
+    /// `push_batch` leaves the index as the pushed records say, checked
+    /// against the pushed vector itself after every batch. Streams look
+    /// like the epoch composer's: monotone users with defs in the user's
+    /// chunk or several chunks back, duplicate records, and per-epoch
+    /// tails of pending records whose users fall back below the epoch's
+    /// last user and whose defs precede the epoch. They are cut into
+    /// random batches, which straddle chunk boundaries on both sides. A
+    /// snapshot held across one batch keeps the pre-batch state, and
+    /// copy-on-write copies exactly the pre-existing chunks the batch
+    /// writes. Draining with `evict_oldest` returns `records()`.
+    #[test]
+    fn push_batch_matches_pushed_records(
+        stream in proptest::collection::vec(
+            ((0u64..900, 0u8..4, 1u64..300), (0u64..4, 0u8..3, 0usize..3), (0u8..4, 0u8..6)),
+            1..120,
+        ),
+        cuts in proptest::collection::vec(1usize..16, 1..24),
+        snap_pick in 0usize..64,
+    ) {
+        let mut records = Vec::new();
+        let mut pending = Vec::new();
+        let (mut user, mut epoch_start) = (1u64, 1u64);
+        for &((gap, reach, near), (chunks_back, k, dups), (pend, flush)) in &stream {
+            user += gap;
+            let def = match reach {
+                0 => user.saturating_sub(chunks_back * CHUNK_STEPS + near),
+                1 => user - 1,
+                _ => user.saturating_sub(near).max(user & !(CHUNK_STEPS - 1)).min(user - 1),
+            };
+            for _ in 0..=dups {
+                records.push(index_record(user, def, k));
+            }
+            if pend == 0 {
+                let old = (epoch_start - 1).saturating_sub(chunks_back * CHUNK_STEPS + near);
+                pending.push(index_record(user, old, k));
+            }
+            if flush == 0 {
+                records.append(&mut pending);
+                epoch_start = user + 1;
+            }
+        }
+        records.append(&mut pending);
+
+        let mut idx = SliceIndex::default();
+        // The oracle: per-step lists appended in push order, read off
+        // the pushed records and never off the index.
+        let mut want_defs: BTreeMap<u64, Vec<(u64, DepKind)>> = BTreeMap::new();
+        let mut want_users: BTreeMap<u64, Vec<(u64, DepKind)>> = BTreeMap::new();
+        let mut pushed: Vec<BufRecord> = Vec::new();
+        let mut batches = Vec::new();
+        let mut rest = &records[..];
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            batches.push(batch);
+            rest = tail;
+        }
+        let snap_at = snap_pick % batches.len();
+        for (b, &batch) in batches.iter().enumerate() {
+            let held =
+                (b == snap_at).then(|| (idx.snapshot(), idx.chunk_copies(), idx.spine_copies()));
+            let live_chunks: BTreeSet<u64> =
+                want_defs.keys().chain(want_users.keys()).map(|s| s / CHUNK_STEPS).collect();
+            idx.push_batch(batch);
+            for r in batch {
+                want_defs.entry(r.dep.user).or_default().push((r.dep.def, r.dep.kind));
+                want_users.entry(r.dep.def).or_default().push((r.dep.user, r.dep.kind));
+            }
+            pushed.extend_from_slice(batch);
+            let ctx = format!("batch {b} ({} records)", batch.len());
+
+            let steps: BTreeSet<u64> = want_defs.keys().chain(want_users.keys()).copied().collect();
+            for &s in &steps {
+                let none = Vec::new();
+                let want = want_defs.get(&s).unwrap_or(&none);
+                prop_assert_eq!(&idx.defs(s).collect::<Vec<_>>(), want, "{}: defs({})", ctx, s);
+                let want = want_users.get(&s).unwrap_or(&none);
+                prop_assert_eq!(&idx.users(s).collect::<Vec<_>>(), want, "{}: users({})", ctx, s);
+                let meta = index_record(s, 0, 0);
+                let want = Some((meta.user_addr, meta.user_stmt));
+                prop_assert_eq!(idx.meta_of(s), want, "{}: meta_of({})", ctx, s);
+            }
+            prop_assert_eq!(idx.records().collect::<Vec<_>>(), by_user(&pushed), "{}", ctx);
+            prop_assert_eq!(idx.step_count(), steps.len(), "{}: step_count", ctx);
+            prop_assert_eq!(idx.edges(), pushed.len() as u64, "{}: edges", ctx);
+            prop_assert_eq!(idx.generation(), pushed.len() as u64, "{}: generation", ctx);
+
+            if let Some((snap, copies, spines)) = held {
+                let before = &pushed[..pushed.len() - batch.len()];
+                let n = before.len() as u64;
+                prop_assert_eq!(snap.records().collect::<Vec<_>>(), by_user(before), "{}", ctx);
+                prop_assert_eq!((snap.edges(), snap.generation()), (n, n), "{}: snapshot", ctx);
+                for s in batch.iter().flat_map(|r| [r.dep.user, r.dep.def]) {
+                    let defs =
+                        before.iter().filter(|o| o.dep.user == s).map(|o| (o.dep.def, o.dep.kind));
+                    prop_assert_eq!(snap.defs(s).collect::<Vec<_>>(), defs.collect::<Vec<_>>());
+                    let users =
+                        before.iter().filter(|o| o.dep.def == s).map(|o| (o.dep.user, o.dep.kind));
+                    prop_assert_eq!(snap.users(s).collect::<Vec<_>>(), users.collect::<Vec<_>>());
+                    let live = before.iter().any(|o| o.dep.user == s || o.dep.def == s);
+                    prop_assert_eq!(snap.meta_of(s).is_some(), live, "{}: snapshot {}", ctx, s);
+                }
+                let touched: BTreeSet<u64> = batch
+                    .iter()
+                    .flat_map(|r| [r.dep.user / CHUNK_STEPS, r.dep.def / CHUNK_STEPS])
+                    .collect();
+                let copied = idx.chunk_copies() - copies;
+                prop_assert!(copied <= touched.len() as u64, "{}: {} copies", ctx, copied);
+                let shared = touched.intersection(&live_chunks).count() as u64;
+                prop_assert_eq!(copied, shared, "{}: copies of the shared chunks", ctx);
+                prop_assert_eq!(idx.spine_copies() - spines, 1, "{}: one spine copy", ctx);
+            }
+        }
+
+        let want = idx.records().collect::<Vec<_>>();
+        let drained: Vec<BufRecord> = std::iter::from_fn(|| idx.evict_oldest()).collect();
+        prop_assert_eq!(drained, want, "evict_oldest drains in records() order");
+        prop_assert_eq!((idx.edges(), idx.step_count(), idx.chunk_count()), (0, 0, 0));
     }
 
     /// The circular buffer never exceeds its byte budget, evicts oldest

@@ -209,7 +209,10 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             if label.contains(char::is_whitespace) {
                 break; // `:` belongs to something else
             }
-            b.label(label.trim());
+            if label.is_empty() {
+                return Err(err(line_no, "empty label"));
+            }
+            b.label(label);
             rest = tail[1..].trim();
             if rest.is_empty() {
                 break;
@@ -532,6 +535,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.fetch(0).op, Opcode::Jump { target: 2 });
+    }
+
+    #[test]
+    fn a_name_defined_twice_is_an_error() {
+        let e = assemble(".func main\nx:\n nop\nx:\n j x\n halt").unwrap_err();
+        assert_eq!(e, AsmError::Build(BuildError::DuplicateLabel("x".into())));
+        let e = assemble(".func main\n nop\n.func main\n halt").unwrap_err();
+        assert_eq!(e, AsmError::Build(BuildError::DuplicateLabel("main".into())));
+    }
+
+    #[test]
+    fn an_overflowing_data_block_is_an_error() {
+        let e = assemble(".func main\n halt\n.data 18446744073709551615 1 2").unwrap_err();
+        let want = BuildError::DataOverflow { addr: u64::MAX, words: 2 };
+        assert_eq!(e, AsmError::Build(want));
+        let p = assemble(".func main\n halt\n.data 18446744073709551615 1").unwrap();
+        assert_eq!(p.data_image().get(&u64::MAX), Some(&1));
+    }
+
+    #[test]
+    fn an_empty_label_is_an_error() {
+        for src in [".func main\n: halt", ".func main\n:\n halt", ".func main\na:: halt"] {
+            let e = assemble(src).unwrap_err();
+            assert!(matches!(e, AsmError::Parse { line: 2, .. }), "{src:?}: {e}");
+        }
     }
 
     #[test]

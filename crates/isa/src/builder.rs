@@ -47,8 +47,11 @@ impl From<&String> for Target {
 pub enum BuildError {
     /// A label was referenced but never defined.
     UndefinedLabel(String),
-    /// The same label was defined twice.
+    /// The same label (or function name, which doubles as one) was
+    /// defined twice.
     DuplicateLabel(String),
+    /// A data block runs past the end of the address space.
+    DataOverflow { addr: MemAddr, words: usize },
     /// A target address is outside the program.
     TargetOutOfRange { at: Addr, target: Addr },
     /// An instruction names a register `>= NUM_REGS`.
@@ -64,6 +67,9 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
             BuildError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
+            BuildError::DataOverflow { addr, words } => {
+                write!(f, "data block of {words} words at {addr} overflows the address space")
+            }
             BuildError::TargetOutOfRange { at, target } => {
                 write!(f, "instruction {at} targets out-of-range address {target}")
             }
@@ -102,6 +108,9 @@ pub struct ProgramBuilder {
     next_stmt: StmtId,
     cur_stmt: Option<StmtId>,
     in_func: bool,
+    /// The first definition error (a duplicate label or an overflowing
+    /// data block), reported by [`ProgramBuilder::build`].
+    error: Option<BuildError>,
 }
 
 impl Default for ProgramBuilder {
@@ -122,6 +131,7 @@ impl ProgramBuilder {
             next_stmt: 0,
             cur_stmt: None,
             in_func: false,
+            error: None,
         }
     }
 
@@ -139,15 +149,22 @@ impl ProgramBuilder {
             last.end = here;
         }
         self.funcs.push(FuncInfo { name: name.to_string(), entry: here, end: here });
-        self.labels.insert(name.to_string(), here);
         self.in_func = true;
+        self.label(name)
+    }
+
+    /// Define `name` at the current address. A name defined twice is a
+    /// [`BuildError::DuplicateLabel`] at [`ProgramBuilder::build`].
+    pub fn label(&mut self, name: &str) -> &mut Self {
+        if self.labels.insert(name.to_string(), self.here()).is_some() {
+            self.fail(BuildError::DuplicateLabel(name.to_string()));
+        }
         self
     }
 
-    /// Define `name` at the current address.
-    pub fn label(&mut self, name: &str) -> &mut Self {
-        self.labels.insert(name.to_string(), self.here());
-        self
+    /// Keep the first definition error for [`ProgramBuilder::build`].
+    fn fail(&mut self, e: BuildError) {
+        self.error.get_or_insert(e);
     }
 
     /// Force the entry point to the named function/label (defaults to
@@ -180,8 +197,14 @@ impl ProgramBuilder {
         self
     }
 
-    /// Seed consecutive words starting at `addr`.
+    /// Seed consecutive words starting at `addr`. A block whose last
+    /// word would lie past `MemAddr::MAX` is a
+    /// [`BuildError::DataOverflow`] at [`ProgramBuilder::build`].
     pub fn data_block(&mut self, addr: MemAddr, values: &[u64]) -> &mut Self {
+        if !values.is_empty() && addr.checked_add(values.len() as MemAddr - 1).is_none() {
+            self.fail(BuildError::DataOverflow { addr, words: values.len() });
+            return self;
+        }
         for (i, v) in values.iter().enumerate() {
             self.data.insert(addr + i as MemAddr, *v);
         }
@@ -360,6 +383,9 @@ impl ProgramBuilder {
         if self.funcs.is_empty() {
             return Err(BuildError::CodeOutsideFunction);
         }
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         if let Some(last) = self.funcs.last_mut() {
             last.end = self.instrs.len() as Addr;
         }
@@ -527,8 +553,54 @@ mod tests {
         b.halt();
         b.data_block(100, &[1, 2, 3]);
         let p = b.build().unwrap();
-        assert_eq!(p.data_image().get(&101), Some(&2));
-        assert_eq!(p.data_extent(), 103);
+        let image: Vec<(MemAddr, u64)> = p.data_image().iter().map(|(&a, &v)| (a, v)).collect();
+        assert_eq!(image, [(100, 1), (101, 2), (102, 3)]);
+    }
+
+    #[test]
+    fn data_block_at_the_top_of_memory() {
+        let mut b = ProgramBuilder::new();
+        b.func("main");
+        b.halt();
+        b.data_block(u64::MAX, &[7]);
+        b.data_block(u64::MAX - 1, &[]);
+        let p = b.build().unwrap();
+        let image: Vec<(MemAddr, u64)> = p.data_image().iter().map(|(&a, &v)| (a, v)).collect();
+        assert_eq!(image, [(u64::MAX, 7)]);
+
+        let mut b = ProgramBuilder::new();
+        b.func("main");
+        b.halt();
+        b.data_block(u64::MAX, &[1, 2]);
+        assert_eq!(b.build().unwrap_err(), BuildError::DataOverflow { addr: u64::MAX, words: 2 });
+    }
+
+    #[test]
+    fn a_label_defined_twice_is_an_error() {
+        let mut b = ProgramBuilder::new();
+        b.func("main");
+        b.label("x");
+        b.nop();
+        b.label("x");
+        b.jump("x");
+        assert_eq!(b.build().unwrap_err(), BuildError::DuplicateLabel("x".into()));
+    }
+
+    #[test]
+    fn a_function_defined_twice_is_an_error() {
+        let mut b = ProgramBuilder::new();
+        b.func("main");
+        b.nop();
+        b.func("main");
+        b.halt();
+        assert_eq!(b.build().unwrap_err(), BuildError::DuplicateLabel("main".into()));
+
+        // A label may not reuse a function's name either.
+        let mut b = ProgramBuilder::new();
+        b.func("f");
+        b.label("f");
+        b.halt();
+        assert_eq!(b.build().unwrap_err(), BuildError::DuplicateLabel("f".into()));
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl Program {
     pub fn data_image(&self) -> &BTreeMap<MemAddr, u64> {
         &self.data
     }
-
-    /// Highest address touched by the data image plus one (0 when empty).
-    pub fn data_extent(&self) -> MemAddr {
-        self.data.keys().next_back().map(|a| a + 1).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -174,11 +169,5 @@ mod tests {
         assert_eq!(p.label("main"), Some(0));
         assert_eq!(p.label("helper"), Some(3));
         assert_eq!(p.label("nope"), None);
-    }
-
-    #[test]
-    fn data_extent_empty_is_zero() {
-        let p = sample();
-        assert_eq!(p.data_extent(), 0);
     }
 }

@@ -76,6 +76,10 @@ pub struct LineageShardStats {
     /// Sequential composition time (arena merges, symbolic resolution,
     /// fragment replay into the index).
     pub compose_nanos: u64,
+    /// The part of `compose_nanos` spent appending dependence fragments
+    /// to the merged index (`EpochDepComposer::absorb`); 0 without
+    /// `slice`.
+    pub index_nanos: u64,
     /// roBDD nodes built in shard arenas (upper bound on merge traffic).
     pub arena_nodes: u64,
     /// Dependences whose def lay in an earlier epoch (resolved at
@@ -208,7 +212,9 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
         stats.arena_nodes += sum.arena_nodes() as u64;
         sum.apply(&mut engine, sinks.as_mut());
         if let (Some(c), Some(d)) = (composer.as_mut(), deps) {
+            let t = Instant::now();
             c.absorb(d);
+            stats.index_nanos += t.elapsed().as_nanos() as u64;
         }
     }
     stats.compose_nanos = t0.elapsed().as_nanos() as u64;
@@ -219,6 +225,7 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     }
     if R::ENABLED {
         obs.add(Metric::LsComposeNanos, stats.compose_nanos);
+        obs.add(Metric::LsIndexNanos, stats.index_nanos);
         obs.add(Metric::LsArenaNodes, stats.arena_nodes);
         obs.add(Metric::LsCrossEpochDeps, stats.cross_epoch_deps);
         obs.add(Metric::LsEpochsRecovered, recovery.epochs_recovered);

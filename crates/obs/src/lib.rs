@@ -170,6 +170,7 @@ metrics! {
     LsArenaNodes        => ("multicore/lineage_shard/arena_nodes", Counter),
     LsCrossEpochDeps    => ("multicore/lineage_shard/cross_epoch_deps", Counter),
     LsComposeNanos      => ("multicore/lineage_shard/compose_nanos", Counter),
+    LsIndexNanos        => ("multicore/lineage_shard/index_nanos", Counter),
     LsShardEpochNanos   => ("multicore/lineage_shard/shard_epoch_nanos", Histogram),
     // sentinel::eval — taint-boundary policy evaluation at sink sites.
     SentinelSinkEvents      => ("sentinel/eval/sink_events", Counter),
