@@ -26,7 +26,7 @@ fn every_subsystem_is_reachable() {
     // Touch one item per re-exported crate so a facade regression is a
     // compile error here.
     let _ = vm::MachineConfig::small();
-    let _ = dbi::InstrumentationScope::All;
+    let _ = dbi::CountingTool::default();
     let _ = ddg::OnTracConfig::optimized(1024);
     let _ = slicing::KindMask::classic();
     let _ = taint::TaintPolicy::default();

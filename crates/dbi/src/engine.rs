@@ -2,44 +2,12 @@
 //! callbacks.
 
 use crate::tool::Tool;
-use dift_isa::{Addr, Cfg, FuncId, Program};
+use dift_isa::Cfg;
 use dift_vm::{ExitStatus, Machine, RunResult};
-use std::collections::HashSet;
-
-/// Which instructions receive instrumentation callbacks.
-#[derive(Clone, Debug, Default)]
-pub enum InstrumentationScope {
-    /// Everything (default).
-    #[default]
-    All,
-    /// Only instructions inside the named functions. Used by ONTRAC's
-    /// selective tracing; note that *engine* events stop at the boundary,
-    /// and it is the tracer's job to summarize dependences through
-    /// unselected code (`dift-ddg`).
-    Funcs(HashSet<FuncId>),
-}
-
-impl InstrumentationScope {
-    /// Build a function scope from names, resolving against `program`.
-    pub fn funcs(program: &Program, names: &[&str]) -> InstrumentationScope {
-        let set = names.iter().filter_map(|n| program.func_by_name(n)).collect();
-        InstrumentationScope::Funcs(set)
-    }
-
-    fn covers(&self, program: &Program, addr: Addr) -> bool {
-        match self {
-            InstrumentationScope::All => true,
-            InstrumentationScope::Funcs(set) => {
-                program.func_at(addr).is_some_and(|f| set.contains(&f))
-            }
-        }
-    }
-}
 
 /// [`Engine`]'s per-address flag bits.
 const LEADER: u8 = 1;
 const SEEN: u8 = 2;
-const IN_SCOPE: u8 = 4;
 
 /// Drives a machine to completion while dispatching to tools.
 ///
@@ -49,42 +17,27 @@ const IN_SCOPE: u8 = 4;
 /// reproduces the first-touch distinction.
 ///
 /// Dispatch is table-driven and hash-free: one flag byte per program
-/// address (block leader, already entered, in scope) and one
-/// block-pending flag per thread, both plain vectors indexed by address
-/// and tid.
+/// address (block leader, already entered) and one block-pending flag
+/// per thread, both plain vectors indexed by address and tid.
 pub struct Engine {
     machine: Machine,
-    /// `LEADER | SEEN | IN_SCOPE` bits, indexed by program address.
+    /// `LEADER | SEEN` bits, indexed by program address.
     addr_flags: Vec<u8>,
     /// Indexed by tid: the thread's last instrumented instruction
     /// transferred control, so its next one begins a block.
     block_pending: Vec<bool>,
-    /// Total instrumented (callback-dispatched) instructions.
-    pub instrumented_steps: u64,
 }
 
 impl Engine {
     pub fn new(machine: Machine) -> Engine {
         let program = machine.program();
-        let mut addr_flags = vec![IN_SCOPE; program.len()];
+        let mut addr_flags = vec![0; program.len()];
         for cfg in Cfg::build_all(program) {
             for b in &cfg.blocks {
                 addr_flags[b.start as usize] |= LEADER;
             }
         }
-        Engine { machine, addr_flags, block_pending: Vec::new(), instrumented_steps: 0 }
-    }
-
-    pub fn with_scope(mut self, scope: InstrumentationScope) -> Engine {
-        let program = self.machine.program();
-        for (addr, flags) in self.addr_flags.iter_mut().enumerate() {
-            if scope.covers(program, addr as Addr) {
-                *flags |= IN_SCOPE;
-            } else {
-                *flags &= !IN_SCOPE;
-            }
-        }
-        self
+        Engine { machine, addr_flags, block_pending: Vec::new() }
     }
 
     pub fn machine(&self) -> &Machine {
@@ -112,9 +65,6 @@ impl Engine {
         };
         let at = pending.addr as usize;
         let flags = self.addr_flags[at];
-        if flags & IN_SCOPE == 0 {
-            return self.machine.step();
-        }
         // Block-entry dispatch: the pending address is a leader, or the
         // thread's last instrumented instruction transferred control. The
         // thread's flag is consumed either way so it cannot leak into the
@@ -131,7 +81,6 @@ impl Engine {
             t.before(&mut self.machine, &pending);
         }
         let status = self.machine.step();
-        self.instrumented_steps += 1;
         let fx = self.machine.last_step().clone();
         if fx.control.is_some() {
             if tid >= self.block_pending.len() {
@@ -181,7 +130,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::tool::{CountingTool, NullTool};
-    use dift_isa::{BinOp, BranchCond, ProgramBuilder, Reg};
+    use dift_isa::{Addr, BinOp, BranchCond, ProgramBuilder, Reg};
     use dift_vm::{Arrival, Fault, MachineConfig, Pending, StepEffects, ThreadId};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
@@ -210,7 +159,6 @@ mod tests {
         assert!(tool.started && tool.finished);
         assert_eq!(tool.before_calls, r.steps);
         assert_eq!(tool.after_calls, r.steps);
-        assert_eq!(e.instrumented_steps, r.steps);
     }
 
     #[test]
@@ -222,18 +170,6 @@ mod tests {
         // Blocks: [li], [sub,bne] x5, [call], [halt], [leaf li,ret].
         assert_eq!(tool.new_blocks as usize, 5);
         assert_eq!(tool.block_entries, 1 + 5 + 1 + 1 + 1);
-    }
-
-    #[test]
-    fn scope_restricts_callbacks_to_selected_functions() {
-        let p = looping_program();
-        let m = Machine::new(p.clone(), MachineConfig::small());
-        let scope = InstrumentationScope::funcs(&p, &["leaf"]);
-        let mut e = Engine::new(m).with_scope(scope);
-        let mut tool = CountingTool::default();
-        let r = e.run_tool(&mut tool);
-        assert_eq!(tool.before_calls, 2, "only leaf's two instructions");
-        assert!(r.steps > tool.before_calls);
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   trace), which ONTRAC uses to extend static dependence inference
 //!   across block boundaries. Like the engine's dispatch flags, its
 //!   tables are arrays indexed by code address.
-//! * Function filtering — tools can restrict instrumentation to selected
-//!   functions, the mechanism behind ONTRAC's "trace only where the
-//!   programmer expects the bug" optimization.
+//!
+//! The engine instruments every instruction. ONTRAC's selective
+//! tracing ("trace only where the programmer expects the bug") is the
+//! tracer's own filter (`OnTracConfig::selective_funcs` in `dift-ddg`),
+//! which still sees every step so it can summarize dependences through
+//! unselected code.
 //!
 //! Instrumentation *cost* is explicit: a tool charges cycles to the
 //! machine via [`dift_vm::Machine::charge`], and every slowdown factor in
@@ -31,7 +34,7 @@ pub mod profile;
 pub mod tool;
 pub mod trace;
 
-pub use engine::{Engine, InstrumentationScope};
+pub use engine::Engine;
 pub use profile::{InsnClass, ProfileTool};
 pub use tool::{capture, Capture, CountingTool, NullTool, Tool};
 pub use trace::TraceBuilder;

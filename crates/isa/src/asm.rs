@@ -25,7 +25,7 @@
 //! take exactly one name.
 
 use crate::builder::{BuildError, ProgramBuilder, Target};
-use crate::insn::{BinOp, BranchCond};
+use crate::disasm::{BIN_OPS, BRANCH_CONDS};
 use crate::program::Program;
 use crate::reg::Reg;
 
@@ -130,41 +130,9 @@ fn parse_channel(t: &str, line: usize) -> Result<u16, AsmError> {
     parse_dec(n).ok_or_else(|| err(line, format!("bad channel `{t}`")))
 }
 
-fn bin_op(mnemonic: &str) -> Option<BinOp> {
-    Some(match mnemonic {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "rem" => BinOp::Rem,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        "sar" => BinOp::Sar,
-        "seq" => BinOp::Eq,
-        "sne" => BinOp::Ne,
-        "slt" => BinOp::Lt,
-        "sle" => BinOp::Le,
-        "sltu" => BinOp::Ltu,
-        "sleu" => BinOp::Leu,
-        "min" => BinOp::Min,
-        "max" => BinOp::Max,
-        _ => return None,
-    })
-}
-
-fn branch_cond(mnemonic: &str) -> Option<BranchCond> {
-    Some(match mnemonic {
-        "beq" => BranchCond::Eq,
-        "bne" => BranchCond::Ne,
-        "blt" => BranchCond::Lt,
-        "bge" => BranchCond::Ge,
-        "bltu" => BranchCond::Ltu,
-        "bgeu" => BranchCond::Geu,
-        _ => return None,
-    })
+/// The variant `mnemonic` names in one of the disassembler's tables.
+fn lookup<T: Copy>(table: &[(T, &str)], mnemonic: &str) -> Option<T> {
+    table.iter().find(|&&(_, m)| m == mnemonic).map(|&(v, _)| v)
 }
 
 /// Assemble a source string into a [`Program`].
@@ -340,7 +308,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
             other => {
                 // Register-register and register-immediate ALU forms:
                 // `add rd, rs1, rs2` / `addi rd, rs1, imm`.
-                if let Some(op) = bin_op(other) {
+                if let Some(op) = lookup(&BIN_OPS, other) {
                     need(3)?;
                     b.bin(
                         op,
@@ -348,7 +316,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                         parse_reg(ops[1], line_no)?,
                         parse_reg(ops[2], line_no)?,
                     );
-                } else if let Some(op) = other.strip_suffix('i').and_then(bin_op) {
+                } else if let Some(op) = other.strip_suffix('i').and_then(|m| lookup(&BIN_OPS, m)) {
                     need(3)?;
                     b.bini(
                         op,
@@ -356,7 +324,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                         parse_reg(ops[1], line_no)?,
                         parse_imm(ops[2], line_no)?,
                     );
-                } else if let Some(cond) = branch_cond(other) {
+                } else if let Some(cond) = lookup(&BRANCH_CONDS, other) {
                     need(3)?;
                     b.branch(
                         cond,

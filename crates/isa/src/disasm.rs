@@ -4,44 +4,64 @@ use crate::insn::{AtomicOp, BinOp, BranchCond, Instruction, Opcode};
 use crate::program::Program;
 use std::fmt;
 
+/// Every [`BinOp`] with its mnemonic, in declaration order: `Display`
+/// indexes it by discriminant and the assembler searches it.
+pub(crate) const BIN_OPS: [(BinOp, &str); 19] = [
+    (BinOp::Add, "add"),
+    (BinOp::Sub, "sub"),
+    (BinOp::Mul, "mul"),
+    (BinOp::Div, "div"),
+    (BinOp::Rem, "rem"),
+    (BinOp::And, "and"),
+    (BinOp::Or, "or"),
+    (BinOp::Xor, "xor"),
+    (BinOp::Shl, "shl"),
+    (BinOp::Shr, "shr"),
+    (BinOp::Sar, "sar"),
+    (BinOp::Eq, "seq"),
+    (BinOp::Ne, "sne"),
+    (BinOp::Lt, "slt"),
+    (BinOp::Le, "sle"),
+    (BinOp::Ltu, "sltu"),
+    (BinOp::Leu, "sleu"),
+    (BinOp::Min, "min"),
+    (BinOp::Max, "max"),
+];
+
+/// Every [`BranchCond`] with its mnemonic, in declaration order.
+pub(crate) const BRANCH_CONDS: [(BranchCond, &str); 6] = [
+    (BranchCond::Eq, "beq"),
+    (BranchCond::Ne, "bne"),
+    (BranchCond::Lt, "blt"),
+    (BranchCond::Ge, "bge"),
+    (BranchCond::Ltu, "bltu"),
+    (BranchCond::Geu, "bgeu"),
+];
+
+// `Display` indexes each table by discriminant: a row out of order is a
+// compile error.
+const _: () = {
+    let mut i = 0;
+    while i < BIN_OPS.len() {
+        assert!(BIN_OPS[i].0 as usize == i, "BIN_OPS is out of declaration order");
+        i += 1;
+    }
+    let mut i = 0;
+    while i < BRANCH_CONDS.len() {
+        assert!(BRANCH_CONDS[i].0 as usize == i, "BRANCH_CONDS is out of declaration order");
+        i += 1;
+    }
+};
+
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div",
-            BinOp::Rem => "rem",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-            BinOp::Sar => "sar",
-            BinOp::Eq => "seq",
-            BinOp::Ne => "sne",
-            BinOp::Lt => "slt",
-            BinOp::Le => "sle",
-            BinOp::Ltu => "sltu",
-            BinOp::Leu => "sleu",
-            BinOp::Min => "min",
-            BinOp::Max => "max",
-        };
-        f.write_str(s)
+        f.write_str(BIN_OPS[*self as usize].1)
     }
 }
 
 impl fmt::Display for BranchCond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-            BranchCond::Ltu => "bltu",
-            BranchCond::Geu => "bgeu",
-        };
-        f.write_str(s)
+        f.write_str(BRANCH_CONDS[*self as usize].1)
     }
 }
 

@@ -417,7 +417,7 @@ mod tests {
             let mut eng = LineageEngine::new(BddBackend::new(16));
             let mut base = IoBase::default();
             for (e, epoch) in stream.chunks(97).enumerate() {
-                summarize_lineage_epoch(epoch, 16, &base, false).apply(&mut eng, None);
+                summarize_lineage_epoch(epoch, 16, &base).apply(&mut eng);
                 base.advance(epoch);
                 assert_eq!(eng.backend.shadow_bytes(), scanned_bytes(&eng), "{name}: epoch {e}");
             }

@@ -28,7 +28,7 @@ pub mod shard;
 
 pub use backend::{BddBackend, LineageBackend, NaiveBackend};
 pub use engine::{LineageEngine, LineageStats};
-pub use shard::{summarize_lineage_epoch, LineageEpochSummary, SinkLog};
+pub use shard::{summarize_lineage_epoch, LineageEpochSummary};
 
 /// Cycle charges for lineage tracing.
 pub mod costs {

@@ -22,19 +22,21 @@
 //! live nodes into the primary manager with
 //! [`BddManager::absorb`] — a bottom-up `mk`-based translation that
 //! preserves canonicity, so merged sets are pointer-equal to
-//! serially-built ones — resolves each `incoming` location against the
-//! engine's pre-epoch shadow state, and replays final register/memory
-//! rows, input-channel provenance, and outputs in stream order. The
-//! result is bit-identical to the serial [`LineageEngine`] (the
-//! `lineage_shard_diff` proptests pin this).
+//! serially-built ones — reads each `incoming` location's set from the
+//! engine's pre-epoch shadow state, then in one pass resolves and
+//! writes the final register/memory rows, input-channel provenance,
+//! and outputs in stream order. The result is bit-identical to the
+//! serial [`LineageEngine`] (the `lineage_shard_diff` proptests pin
+//! this). The summary carries only what the engine keeps; the
+//! sentinel's sink-site captures come from its serial `SinkObserver`.
 
 use crate::backend::{BddBackend, LineageBackend};
 use crate::engine::LineageEngine;
-use dift_isa::{Addr, MemAddr, Opcode, Reg};
+use dift_isa::{MemAddr, Opcode, Reg};
 use dift_robdd::{BddManager, NodeId, FALSE};
 use dift_taint::{IoBase, Loc};
 use dift_vm::{StepEffects, ThreadId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A lineage set that may depend on epoch-entry state: the union of a
 /// shard-arena roBDD node (inputs consumed in-epoch) and the
@@ -85,57 +87,11 @@ fn merge_incoming(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// One `Out` emission, with enough site context for sink capture.
+/// One `Out` emission.
 #[derive(Clone, Debug)]
 struct EpochOutput {
-    step: u64,
-    tid: ThreadId,
-    at: Addr,
     channel: u16,
     set: SymSet,
-}
-
-/// Sink-site captures mirrored from the sentinel's `SinkObserver`.
-#[derive(Clone, Debug, Default)]
-struct EpochSinks {
-    /// Pre-step lineage of the address register, per step.
-    addr: Vec<(u64, SymSet)>,
-    /// `(step, tid, at, cell, set)` for each store.
-    stores: Vec<(u64, ThreadId, Addr, MemAddr, SymSet)>,
-}
-
-/// [`EpochSinks`] with every set resolved to a primary-manager node.
-type ResolvedSinks = (Vec<(u64, NodeId)>, Vec<(u64, ThreadId, Addr, MemAddr, NodeId)>);
-
-/// Per-value input sets captured at sink sites, plus the channel map
-/// that resolves input indices to channels. The sentinel's serial
-/// `SinkObserver` fills one as it runs; a sharded run composes one from
-/// its epochs ([`LineageEpochSummary::apply`]) with the same captures
-/// in the same order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SinkLog {
-    /// Pre-step address-register lineage, keyed by step. Only non-empty
-    /// sets are recorded.
-    pub addr_lineage: BTreeMap<u64, Vec<u64>>,
-    /// `(step, tid, at, cell, lineage)` per store with non-empty set,
-    /// post-state — the cell then holds exactly the stored set.
-    pub stores: Vec<(u64, ThreadId, Addr, MemAddr, Vec<u64>)>,
-    /// `(step, tid, at, channel, emit index, lineage)` per output with
-    /// non-empty set.
-    pub outputs: Vec<(u64, ThreadId, Addr, u16, u64, Vec<u64>)>,
-    /// Channel that produced each input index.
-    pub input_channels: Vec<u16>,
-}
-
-impl SinkLog {
-    /// Distinct channels behind a lineage set, sorted.
-    pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
-        let mut chs: Vec<u16> =
-            lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
-        chs.sort_unstable();
-        chs.dedup();
-        chs
-    }
 }
 
 /// The per-epoch lineage delta: final shadow rows, outputs and input
@@ -153,7 +109,6 @@ pub struct LineageEpochSummary {
     base_inputs: u64,
     instrs: u64,
     unions: u64,
-    sinks: Option<EpochSinks>,
 }
 
 impl LineageEpochSummary {
@@ -169,51 +124,36 @@ impl LineageEpochSummary {
     }
 
     /// Apply this epoch's delta to the primary engine. Epochs must be
-    /// applied in stream order; `log`, when given, receives the
-    /// resolved sink captures (only summaries built with
-    /// `capture_sinks` produce address/store entries — outputs are
-    /// always captured).
+    /// applied in stream order.
     ///
-    /// Exactness: incoming locations are resolved against the engine's
-    /// *pre-epoch* shadow state before any row is updated, and the
-    /// arena's live nodes are absorbed through the primary manager's
-    /// hash-consing, so every resolved set is the same canonical node a
-    /// serial run would have produced. `instrs`/`max_output_set` stay
-    /// exact; `unions` and the sampled peak statistics are approximate
-    /// (shard-side union counts plus one memory sample per epoch
-    /// instead of every 64 instructions).
-    pub fn apply(&self, eng: &mut LineageEngine<BddBackend>, mut log: Option<&mut SinkLog>) {
+    /// Exactness: the arena's live nodes are absorbed through the
+    /// primary manager's hash-consing, and every incoming location is
+    /// read from the engine's *pre-epoch* shadow state before any row
+    /// is written, so every resolved set is the same canonical node a
+    /// serial run would have produced. Each set is resolved as it is
+    /// written: a write only moves reference counts, and roBDD nodes
+    /// are never freed, so it cannot change a later resolution.
+    /// `instrs`/`max_output_set` stay exact; `unions` and the sampled
+    /// peak statistics are approximate (shard-side union counts plus
+    /// one memory sample per epoch instead of every 64 instructions).
+    pub fn apply(&self, eng: &mut LineageEngine<BddBackend>) {
         debug_assert_eq!(eng.inputs_seen, self.base_inputs, "epochs must compose in stream order");
 
-        // 1. Absorb the arena's live roots into the primary manager.
+        // Absorb the arena's live roots into the primary manager.
         let mut roots: Vec<NodeId> = Vec::new();
         let mut slot: HashMap<NodeId, usize> = HashMap::new();
-        let note = |s: &SymSet, roots: &mut Vec<NodeId>, slot: &mut HashMap<NodeId, usize>| {
-            if s.node != FALSE && !slot.contains_key(&s.node) {
-                slot.insert(s.node, roots.len());
-                roots.push(s.node);
-            }
-        };
-        for s in self.regs.values() {
-            note(s, &mut roots, &mut slot);
-        }
-        for s in self.mem.values() {
-            note(s, &mut roots, &mut slot);
-        }
-        for o in &self.outputs {
-            note(&o.set, &mut roots, &mut slot);
-        }
-        if let Some(sinks) = &self.sinks {
-            for (_, s) in &sinks.addr {
-                note(s, &mut roots, &mut slot);
-            }
-            for (_, _, _, _, s) in &sinks.stores {
-                note(s, &mut roots, &mut slot);
+        let outputs = self.outputs.iter().map(|o| &o.set);
+        for s in self.regs.values().chain(self.mem.values()).chain(outputs) {
+            if s.node != FALSE {
+                slot.entry(s.node).or_insert_with(|| {
+                    roots.push(s.node);
+                    roots.len() - 1
+                });
             }
         }
         let translated = eng.backend.manager_mut().absorb(&self.arena, &roots);
 
-        // 2. Resolve incoming locations against pre-epoch shadow state.
+        // Entry sets: the pre-epoch state of every incoming location.
         let entry: Vec<NodeId> = self
             .incoming
             .iter()
@@ -239,75 +179,25 @@ impl LineageEpochSummary {
             n
         };
 
-        // 3. Resolve everything BEFORE mutating shadow rows (entry sets
-        //    above already snapshot pre-epoch values, but resolution
-        //    itself only touches the manager, so this is belt and
-        //    braces for future backends).
-        let reg_updates: Vec<((ThreadId, Reg), NodeId)> =
-            self.regs.iter().map(|(k, s)| (*k, resolve(s, eng))).collect();
-        let mem_updates: Vec<(MemAddr, NodeId)> =
-            self.mem.iter().map(|(a, s)| (*a, resolve(s, eng))).collect();
-        let out_updates: Vec<(u64, ThreadId, Addr, u16, NodeId)> = self
-            .outputs
-            .iter()
-            .map(|o| (o.step, o.tid, o.at, o.channel, resolve(&o.set, eng)))
-            .collect();
-        let sink_updates: Option<ResolvedSinks> = self.sinks.as_ref().map(|sinks| {
-            (
-                sinks.addr.iter().map(|(step, s)| (*step, resolve(s, eng))).collect(),
-                sinks
-                    .stores
-                    .iter()
-                    .map(|(step, tid, at, cell, s)| (*step, *tid, *at, *cell, resolve(s, eng)))
-                    .collect(),
-            )
-        });
-
-        // 4. Input provenance.
         eng.inputs_seen += self.input_channels.len() as u64;
         eng.input_channels.extend_from_slice(&self.input_channels);
-        if let Some(l) = log.as_deref_mut() {
-            l.input_channels.extend_from_slice(&self.input_channels);
-        }
-
-        // 5. Shadow rows.
-        for ((tid, r), n) in reg_updates {
+        for (&(tid, r), s) in &self.regs {
+            let n = resolve(s, eng);
             eng.ensure_tid(tid);
             eng.set_reg(tid, r, n);
         }
-        for (addr, n) in mem_updates {
+        for (&addr, s) in &self.mem {
+            let n = resolve(s, eng);
             eng.set_mem(addr, n);
         }
-
-        // 6. Outputs, in stream order, with global per-channel indices.
-        for (step, tid, at, ch, n) in out_updates {
-            let idx = eng.out_counts.entry(ch).or_insert(0);
+        // Outputs, in stream order, with global per-channel indices.
+        for o in &self.outputs {
+            let n = resolve(&o.set, eng);
             let elems = eng.backend.elements(&n);
             eng.stats.max_output_set = eng.stats.max_output_set.max(elems.len() as u64);
-            if let Some(l) = log.as_deref_mut() {
-                if !elems.is_empty() {
-                    l.outputs.push((step, tid, at, ch, *idx, elems.clone()));
-                }
-            }
-            eng.outputs.push((ch, *idx, elems));
+            let idx = eng.out_counts.entry(o.channel).or_insert(0);
+            eng.outputs.push((o.channel, *idx, elems));
             *idx += 1;
-        }
-
-        // 7. Sink captures (empty resolved sets are dropped, matching
-        //    the serial observer's non-empty filter).
-        if let (Some(l), Some((addr, stores))) = (log, sink_updates) {
-            for (step, n) in addr {
-                let elems = eng.backend.elements(&n);
-                if !elems.is_empty() {
-                    l.addr_lineage.insert(step, elems);
-                }
-            }
-            for (step, tid, at, cell, n) in stores {
-                let elems = eng.backend.elements(&n);
-                if !elems.is_empty() {
-                    l.stores.push((step, tid, at, cell, elems));
-                }
-            }
         }
 
         eng.stats.instrs += self.instrs;
@@ -327,10 +217,8 @@ struct LineageEpochSummarizer {
 
 impl LineageEpochSummarizer {
     /// `id_bits` must match the primary engine's backend;
-    /// `base` is the label-independent pre-scan state at epoch entry;
-    /// `capture_sinks` additionally records the sentinel's sink-site
-    /// captures (address-register and store-cell lineage).
-    fn new(id_bits: u32, base: &IoBase, capture_sinks: bool) -> LineageEpochSummarizer {
+    /// `base` is the label-independent pre-scan state at epoch entry.
+    fn new(id_bits: u32, base: &IoBase) -> LineageEpochSummarizer {
         LineageEpochSummarizer {
             sum: LineageEpochSummary {
                 arena: BddManager::new(id_bits),
@@ -342,7 +230,6 @@ impl LineageEpochSummarizer {
                 base_inputs: base.inputs.values().sum(),
                 instrs: 0,
                 unions: 0,
-                sinks: capture_sinks.then(EpochSinks::default),
             },
             loc_ids: HashMap::new(),
             inputs_in_epoch: 0,
@@ -389,17 +276,6 @@ impl LineageEpochSummarizer {
         let tid = fx.tid;
         self.sum.instrs += 1;
 
-        // Sink pre-capture: the address register's lineage before this
-        // step's register write (mirrors `SinkObserver::process`).
-        if self.sum.sinks.is_some() {
-            if let Some(&r) = fx.insn.addr_uses().as_slice().first() {
-                let s = self.read_reg(tid, r);
-                if s.maybe_non_empty() {
-                    self.sum.sinks.as_mut().expect("checked").addr.push((fx.step, s));
-                }
-            }
-        }
-
         let out_set = if let Opcode::In { channel, .. } = fx.insn.op {
             let idx = self.sum.base_inputs + self.inputs_in_epoch;
             self.inputs_in_epoch += 1;
@@ -437,28 +313,7 @@ impl LineageEpochSummarizer {
                 Some(&r) => self.read_reg(tid, r),
                 None => SymSet::empty(),
             };
-            self.sum.outputs.push(EpochOutput {
-                step: fx.step,
-                tid,
-                at: fx.addr,
-                channel: ch,
-                set,
-            });
-        }
-
-        // Sink post-capture: the written cell's lineage.
-        if self.sum.sinks.is_some() {
-            if let Some((cell, _, _)) = fx.mem_write {
-                let s = self.read_mem(cell);
-                if s.maybe_non_empty() {
-                    self.sum
-                        .sinks
-                        .as_mut()
-                        .expect("checked")
-                        .stores
-                        .push((fx.step, tid, fx.addr, cell, s));
-                }
-            }
+            self.sum.outputs.push(EpochOutput { channel: ch, set });
         }
     }
 }
@@ -468,9 +323,8 @@ pub fn summarize_lineage_epoch(
     fxs: &[StepEffects],
     id_bits: u32,
     base: &IoBase,
-    capture_sinks: bool,
 ) -> LineageEpochSummary {
-    let mut s = LineageEpochSummarizer::new(id_bits, base, capture_sinks);
+    let mut s = LineageEpochSummarizer::new(id_bits, base);
     for fx in fxs {
         s.step(fx);
     }

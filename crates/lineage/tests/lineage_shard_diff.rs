@@ -158,6 +158,11 @@ fn assert_agrees(run: &LineageShardRun, want: &LineageEngine<BddBackend>, what: 
     }
     assert_eq!(got.stats().instrs, want.stats().instrs, "{what}: instrs");
     assert_eq!(got.stats().max_output_set, want.stats().max_output_set, "{what}: max output set");
+    assert_eq!(
+        got.backend().manager().live_nodes(),
+        want.backend().manager().live_nodes(),
+        "{what}: live roBDD nodes (reference counts)"
+    );
 }
 
 proptest! {

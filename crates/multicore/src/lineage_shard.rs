@@ -34,9 +34,7 @@ use crate::resilience::{RecoveryPolicy, RecoveryStats};
 use dift_ddg::epoch::{control_entry_snapshots, summarize_dep_epoch, EpochDeps};
 use dift_ddg::{ControlStack, SliceIndex};
 use dift_isa::Program;
-use dift_lineage::{
-    summarize_lineage_epoch, BddBackend, LineageEngine, LineageEpochSummary, SinkLog,
-};
+use dift_lineage::{summarize_lineage_epoch, BddBackend, LineageEngine, LineageEpochSummary};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_taint::IoBase;
 use dift_vm::StepEffects;
@@ -51,16 +49,13 @@ pub struct LineageShardConfig {
     pub epoch_len: usize,
     /// Bit width of the roBDD input-identifier universe.
     pub id_bits: u32,
-    /// Capture sink observations (stores, outputs, address lineage) for
-    /// the sentinel, exactly as the serial `SinkObserver` would.
-    pub capture_sinks: bool,
     /// Also derive per-epoch `SliceIndex` fragments and merge them.
     pub slice: bool,
 }
 
 impl LineageShardConfig {
     pub fn new(workers: usize, epoch_len: usize, id_bits: u32) -> LineageShardConfig {
-        LineageShardConfig { workers, epoch_len, id_bits, capture_sinks: false, slice: false }
+        LineageShardConfig { workers, epoch_len, id_bits, slice: false }
     }
 }
 
@@ -105,12 +100,10 @@ impl LineageShardStats {
     }
 }
 
-/// The result of a sharded run: a primary engine (and optional sink log
-/// / merged index) bit-identical to serial processing, plus accounting.
+/// The result of a sharded run: a primary engine (and optional merged
+/// index) bit-identical to serial processing, plus accounting.
 pub struct LineageShardRun {
     pub engine: LineageEngine<BddBackend>,
-    /// Sink observations in serial order (`capture_sinks` only).
-    pub sinks: Option<SinkLog>,
     /// The merged whole-run slice index (`slice` only).
     pub index: Option<SliceIndex>,
     pub stats: LineageShardStats,
@@ -130,14 +123,13 @@ pub fn shard_lineage_stream(
 /// roBDD lineage as an epoch analysis.
 struct LineageEpochs {
     id_bits: u32,
-    capture_sinks: bool,
 }
 
 impl EpochAnalysis for LineageEpochs {
     type Summary = LineageEpochSummary;
 
     fn summarize(&self, _epoch: usize, records: &[StepEffects], base: &IoBase) -> Self::Summary {
-        summarize_lineage_epoch(records, self.id_bits, base, self.capture_sinks)
+        summarize_lineage_epoch(records, self.id_bits, base)
     }
 
     fn instrs(summary: &Self::Summary) -> u64 {
@@ -178,7 +170,7 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     mut obs: R,
 ) -> (LineageShardRun, R) {
     assert!(cfg.epoch_len >= 1, "epochs must be non-empty");
-    let lineage = LineageEpochs { id_bits: cfg.id_bits, capture_sinks: cfg.capture_sinks };
+    let lineage = LineageEpochs { id_bits: cfg.id_bits };
     let tolerant = RecoveryPolicy::tolerant();
     let (len, workers, nanos) = (cfg.epoch_len, cfg.workers, Metric::LsShardEpochNanos);
     let (summaries, worker_nanos, recovery) = if cfg.slice {
@@ -205,12 +197,11 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
 
     // Composition, in epoch order.
     let mut engine = LineageEngine::new(BddBackend::new(cfg.id_bits));
-    let mut sinks = cfg.capture_sinks.then(SinkLog::default);
     let mut composer = cfg.slice.then(dift_ddg::EpochDepComposer::new);
     let t0 = Instant::now();
     for (sum, deps) in summaries {
         stats.arena_nodes += sum.arena_nodes() as u64;
-        sum.apply(&mut engine, sinks.as_mut());
+        sum.apply(&mut engine);
         if let (Some(c), Some(d)) = (composer.as_mut(), deps) {
             let t = Instant::now();
             c.absorb(d);
@@ -232,5 +223,5 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
     }
 
     let index = composer.map(|c| c.into_index());
-    (LineageShardRun { engine, sinks, index, stats, recovery }, obs)
+    (LineageShardRun { engine, index, stats, recovery }, obs)
 }

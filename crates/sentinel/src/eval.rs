@@ -4,12 +4,13 @@
 //! tests can drive them with taint state produced by *any* engine
 //! (plain, epoch-parallel, summary-cached):
 //!
-//! 1. [`SinkObserver`] — a lineage pass over the step stream that
-//!    captures, at every potential sink site, the per-value input set:
-//!    the address register's lineage *before* the step (matching the
-//!    taint engine's check-before-write order), the stored value's
-//!    lineage *after* it (exact even for atomics), and each emitted
-//!    word's lineage.
+//! 1. [`SinkObserver`] — a serial lineage pass over the step stream
+//!    that captures into a [`SinkLog`], at every potential sink site,
+//!    the per-value input set: the address register's lineage *before*
+//!    the step (matching the taint engine's check-before-write order),
+//!    the stored value's lineage *after* it (exact even for atomics),
+//!    and each emitted word's lineage. Only the taint state joined in
+//!    stage 2 may come from a parallel engine.
 //! 2. [`combine_events`] — joins the observations with the PC-taint
 //!    engine's alerts and output labels into [`SinkEvent`]s. The join
 //!    key is the step index: the ISA has at most one address-forming
@@ -21,20 +22,48 @@
 
 use crate::policy::{BoundaryPolicy, SinkClass, Verdict};
 use dift_dbi::Tool;
-use dift_isa::Addr;
-use dift_lineage::{BddBackend, LineageEngine, SinkLog};
+use dift_isa::{Addr, MemAddr};
+use dift_lineage::{BddBackend, LineageEngine};
 use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_taint::{AlertKind, PcTaint, TaintAlert, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, RunResult, StepEffects, ThreadId};
 use serde::Serialize;
+use std::collections::BTreeMap;
+
+/// Per-value input sets captured at sink sites, plus the channel map
+/// that resolves input indices to channels. [`SinkObserver`] fills one
+/// as it runs; [`combine_events`] reads it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SinkLog {
+    /// Pre-step address-register lineage, keyed by step. Only non-empty
+    /// sets are recorded.
+    pub addr_lineage: BTreeMap<u64, Vec<u64>>,
+    /// `(step, tid, at, cell, lineage)` per store with non-empty set,
+    /// post-state — the cell then holds exactly the stored set.
+    pub stores: Vec<(u64, ThreadId, Addr, MemAddr, Vec<u64>)>,
+    /// `(step, tid, at, channel, emit index, lineage)` per output with
+    /// non-empty set.
+    pub outputs: Vec<(u64, ThreadId, Addr, u16, u64, Vec<u64>)>,
+    /// Channel that produced each input index.
+    pub input_channels: Vec<u16>,
+}
+
+impl SinkLog {
+    /// Distinct channels behind a lineage set, sorted.
+    pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
+        let mut chs: Vec<u16> =
+            lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
+        chs.sort_unstable();
+        chs.dedup();
+        chs
+    }
+}
 
 /// The lineage pass: a [`LineageEngine`] over the roBDD backend plus
-/// sink-site capture into a [`SinkLog`] — the same log an epoch-sharded
-/// lineage run (`dift_multicore::shard_lineage_stream` with sink capture
-/// on) composes, so events and policy outcomes from either are
-/// byte-identical. Machine-free (`process` takes only the step
-/// effects and returns the cycle charge), so it runs identically online
-/// as part of [`Sentinel`] or offline over a captured step stream.
+/// sink-site capture into a [`SinkLog`]. Machine-free (`process` takes
+/// only the step effects and returns the cycle charge), so it runs
+/// identically online as part of [`Sentinel`] or offline over a
+/// captured step stream.
 pub struct SinkObserver {
     lineage: LineageEngine<BddBackend>,
     obs: SinkLog,

@@ -35,7 +35,7 @@ pub mod runner;
 pub use corpus::{corpus, untrusted_input_boundary, CorpusConfig, Scenario};
 pub use eval::{
     apply_policy, combine_events, ContainmentReceipt, Sentinel, SentinelAlert, SentinelOutcome,
-    SinkEvent, SinkObserver,
+    SinkEvent, SinkLog, SinkObserver,
 };
 pub use policy::{
     BoundaryPolicy, LineagePredicate, SinkClass, SourceClass, SourceSpec, TaintBoundary, Verdict,

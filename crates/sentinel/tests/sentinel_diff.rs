@@ -9,7 +9,7 @@
 
 use dift_dbi::capture;
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
-use dift_multicore::{run_epoch_dift, shard_lineage_stream, EpochModel, LineageShardConfig};
+use dift_multicore::{run_epoch_dift, EpochModel};
 use dift_sentinel::{
     apply_policy, combine_events, BoundaryPolicy, LineagePredicate, SinkClass, SinkObserver,
     SourceSpec, TaintBoundary, Verdict,
@@ -239,45 +239,5 @@ proptest! {
         prop_assert_eq!(&e.alerts, &plain.alerts, "cached alert stream must agree");
         let via_cache = verdicts(&mut observer, &e.alerts, &e.output_labels);
         prop_assert_eq!(&via_cache, &baseline, "summary-cached sentinel outcome diverged");
-    }
-
-    /// The lineage pass itself sharded: the epoch-sharded `SinkLog` must
-    /// equal the serial observer's, captures and channel map alike — and
-    /// the policy outcome stays byte-identical.
-    #[test]
-    fn sharded_lineage_observations_match_serial(
-        body in proptest::collection::vec(stmt(), 1..12),
-        sweeps in 2u8..7,
-        in0 in proptest::collection::vec(0u64..1000, 1..4),
-        in1 in proptest::collection::vec(0u64..1000, 1..4),
-        epoch_len in 3usize..24,
-        workers in 1usize..4,
-    ) {
-        let p = build(in0.len(), in1.len(), sweeps, &body);
-        let policy = TaintPolicy::default();
-        let m = machine(&p, &in0, &in1);
-        let mem_words = m.mem_words();
-        let (fxs, _) = capture(m);
-
-        let mut observer = SinkObserver::new();
-        for fx in &fxs {
-            observer.process(fx);
-        }
-        let mut plain = TaintEngine::<PcTaint>::new(policy);
-        plain.pre_size(mem_words);
-        for fx in &fxs {
-            plain.process(fx);
-        }
-        let baseline = verdicts(&mut observer, &plain.alerts, &plain.output_labels);
-
-        let mut cfg = LineageShardConfig::new(workers, epoch_len, 16);
-        cfg.capture_sinks = true;
-        let run = shard_lineage_stream(&fxs, &p, mem_words, &cfg);
-        let sharded = run.sinks.expect("sink capture enabled");
-        prop_assert_eq!(&sharded, observer.observations(), "sink log");
-
-        let events = combine_events(&sharded, &plain.alerts, &plain.output_labels);
-        let outcome = apply_policy(&boundary(), events).canonical_json();
-        prop_assert_eq!(outcome, baseline, "sharded sentinel outcome diverged");
     }
 }

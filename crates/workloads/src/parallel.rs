@@ -49,18 +49,16 @@ fn emit_barrier(b: &mut ProgramBuilder, p: &str, nthreads: u64) {
     b.label(&format!("{p}_out"));
 }
 
-/// `fft`: `stages` passes over `n` shared words by `threads` workers,
-/// with a barrier between passes. Each pass combines pairs at a
-/// stage-dependent stride (butterfly-flavored).
-pub fn fft_like(n: u64, threads: u64, stages: u64) -> Workload {
-    let mut b = ProgramBuilder::new();
-    b.func("main");
-    b.li(R(1), 0);
+/// Emit `main`'s fork/join scaffold: spawn `threads` copies of
+/// `worker`, each given its id as the spawn argument, keep each handle
+/// at word 50 + id, then join them in order and fall through at label
+/// `done`. Clobbers r10-r14.
+fn emit_fork_join(b: &mut ProgramBuilder, worker: &str, threads: u64, done: &str) {
     b.li(R(10), threads as i64);
     b.li(R(11), 0);
     b.label("spawn");
     b.branch(BranchCond::Geu, R(11), R(10), "joins");
-    b.spawn(R(12), "fft_worker", R(11));
+    b.spawn(R(12), worker, R(11));
     b.li(R(13), 50);
     b.add(R(13), R(13), R(11));
     b.store(R(12), R(13), 0);
@@ -69,14 +67,24 @@ pub fn fft_like(n: u64, threads: u64, stages: u64) -> Workload {
     b.label("joins");
     b.li(R(11), 0);
     b.label("join_loop");
-    b.branch(BranchCond::Geu, R(11), R(10), "sum");
+    b.branch(BranchCond::Geu, R(11), R(10), done);
     b.li(R(13), 50);
     b.add(R(13), R(13), R(11));
     b.load(R(14), R(13), 0);
     b.join(R(14));
     b.addi(R(11), R(11), 1);
     b.jump("join_loop");
-    b.label("sum");
+    b.label(done);
+}
+
+/// `fft`: `stages` passes over `n` shared words by `threads` workers,
+/// with a barrier between passes. Each pass combines pairs at a
+/// stage-dependent stride (butterfly-flavored).
+pub fn fft_like(n: u64, threads: u64, stages: u64) -> Workload {
+    let mut b = ProgramBuilder::new();
+    b.func("main");
+    b.li(R(1), 0);
+    emit_fork_join(&mut b, "fft_worker", threads, "sum");
     b.li(R(15), 0);
     b.li(R(16), 0);
     b.li(R(17), n as i64);
@@ -144,27 +152,7 @@ pub fn lu_like(n_rows: u64, row_len: u64, threads: u64) -> Workload {
     let next_row = 103u64; // shared work-queue index
     let mut b = ProgramBuilder::new();
     b.func("main");
-    b.li(R(10), threads as i64);
-    b.li(R(11), 0);
-    b.label("spawn");
-    b.branch(BranchCond::Geu, R(11), R(10), "joins");
-    b.spawn(R(12), "lu_worker", R(11));
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.store(R(12), R(13), 0);
-    b.addi(R(11), R(11), 1);
-    b.jump("spawn");
-    b.label("joins");
-    b.li(R(11), 0);
-    b.label("join_loop");
-    b.branch(BranchCond::Geu, R(11), R(10), "sum");
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.load(R(14), R(13), 0);
-    b.join(R(14));
-    b.addi(R(11), R(11), 1);
-    b.jump("join_loop");
-    b.label("sum");
+    emit_fork_join(&mut b, "lu_worker", threads, "sum");
     b.li(R(15), 0);
     b.li(R(16), 0);
     b.li(R(17), (n_rows * row_len) as i64);
@@ -230,27 +218,7 @@ pub fn radix_like(n: u64, threads: u64) -> Workload {
     let keys = DATA + 512;
     let mut b = ProgramBuilder::new();
     b.func("main");
-    b.li(R(10), threads as i64);
-    b.li(R(11), 0);
-    b.label("spawn");
-    b.branch(BranchCond::Geu, R(11), R(10), "joins");
-    b.spawn(R(12), "rx_worker", R(11));
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.store(R(12), R(13), 0);
-    b.addi(R(11), R(11), 1);
-    b.jump("spawn");
-    b.label("joins");
-    b.li(R(11), 0);
-    b.label("join_loop");
-    b.branch(BranchCond::Geu, R(11), R(10), "sum");
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.load(R(14), R(13), 0);
-    b.join(R(14));
-    b.addi(R(11), R(11), 1);
-    b.jump("join_loop");
-    b.label("sum");
+    emit_fork_join(&mut b, "rx_worker", threads, "sum");
     b.li(R(15), 0);
     b.li(R(16), 0);
     b.li(R(17), 16); // 16 buckets
@@ -305,27 +273,7 @@ pub fn barnes_like(n_bodies: u64, threads: u64, iters: u64) -> Workload {
     let energy = 104u64; // lock-protected global accumulator
     let mut b = ProgramBuilder::new();
     b.func("main");
-    b.li(R(10), threads as i64);
-    b.li(R(11), 0);
-    b.label("spawn");
-    b.branch(BranchCond::Geu, R(11), R(10), "joins");
-    b.spawn(R(12), "nb_worker", R(11));
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.store(R(12), R(13), 0);
-    b.addi(R(11), R(11), 1);
-    b.jump("spawn");
-    b.label("joins");
-    b.li(R(11), 0);
-    b.label("join_loop");
-    b.branch(BranchCond::Geu, R(11), R(10), "emit");
-    b.li(R(13), 50);
-    b.add(R(13), R(13), R(11));
-    b.load(R(14), R(13), 0);
-    b.join(R(14));
-    b.addi(R(11), R(11), 1);
-    b.jump("join_loop");
-    b.label("emit");
+    emit_fork_join(&mut b, "nb_worker", threads, "emit");
     b.li(R(15), energy as i64);
     b.load(R(16), R(15), 0);
     b.output(R(16), 0);

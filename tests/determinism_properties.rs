@@ -3,7 +3,7 @@
 
 use dift::replay::{record, replay_full, RunSpec};
 use dift::vm::{Machine, MachineConfig};
-use dift_dbi::{Engine, InstrumentationScope, Tool};
+use dift_dbi::{Engine, Tool};
 use dift_isa::{Addr, BinOp, BranchCond, Cfg, Program, ProgramBuilder, Reg};
 use dift_vm::{Arrival, Pending, SchedPolicy, StepEffects, ThreadId};
 use dift_workloads::server::{server, ServerConfig};
@@ -216,18 +216,16 @@ fn expected_callbacks(program: &Program, log: &CallbackLog) -> Vec<Callback> {
     want
 }
 
-/// Run `machine` through the engine under `scope`, check the callback
-/// stream against [`expected_callbacks`], and return the instrumented
-/// instructions as `(tid, addr)`.
-fn check_dispatch(machine: Machine, scope: InstrumentationScope) -> Vec<(ThreadId, Addr)> {
+/// Run `machine` through the engine and check the callback stream
+/// against [`expected_callbacks`].
+fn check_dispatch(machine: Machine) {
     let program = machine.program().clone();
-    let mut engine = Engine::new(machine).with_scope(scope);
+    let mut engine = Engine::new(machine);
     let mut log = CallbackLog::default();
     let r = engine.run_tool(&mut log);
     assert!(r.status.is_clean(), "{:?}", r.status);
     assert!(!log.control.is_empty(), "nothing was instrumented");
     assert_eq!(log.calls, expected_callbacks(&program, &log));
-    log.executed().collect()
 }
 
 proptest! {
@@ -235,9 +233,9 @@ proptest! {
 
     /// The engine's block-entry stream, and the pairing of each
     /// `before` with its `after`, match the oracle over random
-    /// two-thread programs (whole program, and the worker alone) and the
-    /// 4-worker kv server, whose request words arrive while the workers
-    /// run, so `In` and `Join` park threads mid-run.
+    /// two-thread programs and the 4-worker kv server, whose request
+    /// words arrive while the workers run, so `In` and `Join` park
+    /// threads mid-run.
     #[test]
     fn block_entries_match_the_after_stream_oracle(
         ops in proptest::collection::vec(0u8..250, 1..24),
@@ -246,15 +244,7 @@ proptest! {
     ) {
         let program = random_program(&ops, shared);
         let cfg = MachineConfig::small().with_seed(seed).with_quantum(3);
-        let machine = Machine::new(program.clone(), cfg.clone());
-        let all = check_dispatch(machine, InstrumentationScope::All);
-        // A function scope instruments exactly that function's share of
-        // the same run.
-        let scope = InstrumentationScope::funcs(&program, &["worker"]);
-        let scoped = check_dispatch(Machine::new(program.clone(), cfg), scope);
-        let worker = &program.funcs()[program.func_by_name("worker").unwrap() as usize];
-        let want: Vec<_> = all.into_iter().filter(|&(_, addr)| worker.contains(addr)).collect();
-        prop_assert_eq!(scoped, want);
+        check_dispatch(Machine::new(program, cfg));
 
         let cfg = ServerConfig { workers: 4, requests_per_worker: 12, with_bug: false, seed };
         let mut kv = server(cfg).with_quantum(5).with_sched(SchedPolicy::Seeded { seed });
@@ -265,6 +255,6 @@ proptest! {
                 value,
             }));
         }
-        check_dispatch(kv.machine(), InstrumentationScope::All);
+        check_dispatch(kv.machine());
     }
 }
