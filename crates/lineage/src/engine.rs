@@ -102,11 +102,14 @@ impl<B: LineageBackend> LineageEngine<B> {
     }
 
     /// Lineage of an output word, resolved to sorted input indices.
+    ///
+    /// Each `(channel, index)` pair occurs once in `outputs`. When one
+    /// channel emitted every word so far, output `index` sits at position
+    /// `index`, so that entry is tried first; otherwise a scan finds it.
     pub fn output_lineage(&self, channel: u16, index: u64) -> Option<&[u64]> {
-        self.outputs
-            .iter()
-            .find(|(ch, i, _)| *ch == channel && *i == index)
-            .map(|(_, _, v)| v.as_slice())
+        let is = |o: &&(u16, u64, Vec<u64>)| o.0 == channel && o.1 == index;
+        let direct = usize::try_from(index).ok().and_then(|k| self.outputs.get(k));
+        direct.filter(is).or_else(|| self.outputs.iter().find(is)).map(|o| o.2.as_slice())
     }
 
     /// Lineage of a live register, resolved to sorted input indices.
@@ -142,15 +145,6 @@ impl<B: LineageBackend> LineageEngine<B> {
     /// Channel that produced each input index (indexed by input index).
     pub fn input_channels(&self) -> &[u16] {
         &self.input_channels
-    }
-
-    /// Distinct input channels behind a set of input indices, sorted.
-    pub fn channels_of(&self, elements: &[u64]) -> Vec<u16> {
-        let mut chs: Vec<u16> =
-            elements.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
-        chs.sort_unstable();
-        chs.dedup();
-        chs
     }
 
     /// Apply one step's effects to the lineage state, Machine-free.

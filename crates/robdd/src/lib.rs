@@ -17,6 +17,22 @@
 //! [`NodeId`]s. Canonicity: equal sets have equal node ids, so set
 //! equality is pointer equality — tested by the property suite.
 //!
+//! Neither table hashes with std's SipHash. Every key they hash is
+//! assigned by the manager — a level, an op and node ids in creation
+//! order, never a guest value — so no input can craft collisions, and a
+//! multiply is enough:
+//!
+//! * The unique table is an open-addressed array of node ids that
+//!   indexes into the node store (`FALSE` marks an empty slot; the
+//!   terminals are never entered). A lookup probes linearly from the
+//!   high bits of one multiply over `(var, lo, hi)` and compares against
+//!   the stored node. The table is rebuilt from the node store when it
+//!   passes half full.
+//! * The apply memo is an exact `HashMap` keyed by `(op, a, b)` with a
+//!   multiplicative hasher. It stays exact, so `apply` recurses exactly
+//!   as a SipHash memo would, and a node's id — its position in the
+//!   store, assigned by `mk` — does not depend on either table.
+//!
 //! Callers that keep sets alive (a shadow memory) mark them with
 //! [`retain`](BddManager::retain) / [`release`](BddManager::release);
 //! the manager then keeps an exact running count of the nodes those
@@ -24,6 +40,7 @@
 //! rescanning them.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Node handle. `FALSE` (empty set) and `TRUE` (all-accepting) are the
 /// terminal nodes.
@@ -48,6 +65,64 @@ enum Op {
     Diff,
 }
 
+/// Odd 64-bit multiplier (2^64 / φ) shared by both tables' hashes.
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The apply memo's hasher: each word is xored in and multiplied
+/// (FxHash's step), and `finish` folds the 128-bit product of the state,
+/// so both the bucket index (low bits) and hashbrown's 7-bit tag (top
+/// bits) depend on every key bit. For manager-assigned keys only.
+#[derive(Clone, Copy, Default)]
+struct MemoHasher(u64);
+
+impl MemoHasher {
+    #[inline]
+    fn word(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(MUL);
+    }
+}
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.word(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.word(u64::from(x));
+    }
+
+    #[inline]
+    fn write_isize(&mut self, x: isize) {
+        // A derived `Hash` writes an enum's discriminant as an `isize`.
+        self.word(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * u128::from(MUL);
+        (p as u64) ^ (p >> 64) as u64
+    }
+}
+
+type ApplyMemo = HashMap<(Op, NodeId, NodeId), NodeId, BuildHasherDefault<MemoHasher>>;
+
+/// Slots of a new manager's unique table (a power of two). Kept small:
+/// an epoch arena's manager is built per epoch.
+const UNIQUE_SLOTS: usize = 64;
+
+/// Unique-table slot of `n` in a table of `slots` (a power of two ≥
+/// [`UNIQUE_SLOTS`]): the high bits of one multiply over all three
+/// fields. `var` (≤ 64) sits in the top 7 bits, which `lo` reaches only
+/// past 2^25 nodes.
+#[inline]
+fn slot_of(n: Node, slots: usize) -> usize {
+    let key = (u64::from(n.var) << 57) ^ (u64::from(n.lo) << 32) ^ u64::from(n.hi);
+    (key.wrapping_mul(MUL) >> (64 - slots.trailing_zeros())) as usize
+}
+
 /// Manager for one family of BDD sets over `nvars`-bit identifiers.
 pub struct BddManager {
     nvars: u32,
@@ -58,8 +133,10 @@ pub struct BddManager {
     refs: Vec<u32>,
     /// Non-terminal nodes with a nonzero reference count.
     live: usize,
-    unique: HashMap<Node, NodeId>,
-    cache: HashMap<(Op, NodeId, NodeId), NodeId>,
+    /// Open-addressed hash-cons table: node ids, `FALSE` for an empty
+    /// slot; a power of two in length, at most half full.
+    unique: Vec<NodeId>,
+    cache: ApplyMemo,
 }
 
 impl BddManager {
@@ -75,8 +152,8 @@ impl BddManager {
             ],
             refs: vec![0, 0],
             live: 0,
-            unique: HashMap::new(),
-            cache: HashMap::new(),
+            unique: vec![FALSE; UNIQUE_SLOTS],
+            cache: ApplyMemo::default(),
         }
     }
 
@@ -94,14 +171,41 @@ impl BddManager {
             return lo;
         }
         let node = Node { var, lo, hi };
-        if let Some(&id) = self.unique.get(&node) {
-            return id;
+        let mask = self.unique.len() - 1;
+        let mut slot = slot_of(node, self.unique.len());
+        loop {
+            let id = self.unique[slot];
+            if id == FALSE {
+                break;
+            }
+            if self.nodes[id as usize] == node {
+                return id;
+            }
+            slot = (slot + 1) & mask;
         }
-        let id = self.nodes.len() as NodeId;
+        // Checked: a wrapped id of 0 would read as an empty slot.
+        let id = NodeId::try_from(self.nodes.len()).expect("node ids fit in 32 bits");
         self.nodes.push(node);
         self.refs.push(0);
-        self.unique.insert(node, id);
+        if 2 * (self.nodes.len() - 2) > self.unique.len() {
+            self.rehash(2 * self.unique.len());
+        } else {
+            self.unique[slot] = id;
+        }
         id
+    }
+
+    /// Rebuild the unique table at `slots` slots from the node store.
+    fn rehash(&mut self, slots: usize) {
+        let mut table = vec![FALSE; slots];
+        for (id, &node) in self.nodes.iter().enumerate().skip(2) {
+            let mut slot = slot_of(node, slots);
+            while table[slot] != FALSE {
+                slot = (slot + 1) & (slots - 1);
+            }
+            table[slot] = id as NodeId;
+        }
+        self.unique = table;
     }
 
     /// The empty set.
@@ -325,11 +429,11 @@ impl BddManager {
     /// The set's `limit` smallest elements, ascending. Cost is
     /// proportional to the *output* (O(limit · nvars)): the bounded
     /// walk takes the 0-branch of every variable — explicit or skipped
-    /// — before the 1-branch and stops the moment `limit` elements are
-    /// emitted, so even `TRUE` over 64 variables returns in O(limit)
-    /// instead of recursing 2^64 times. This is the reporting-safe
-    /// enumeration; [`elements`](Self::elements) is the unbounded
-    /// test-only variant.
+    /// — before the 1-branch, emits the whole run of ids under a `TRUE`
+    /// edge at once, and stops the moment `limit` elements are emitted,
+    /// so even `TRUE` over 64 variables returns in O(limit). This is the
+    /// reporting-safe enumeration; [`elements`](Self::elements) is the
+    /// unbounded test-only variant.
     pub fn elements_up_to(&self, set: NodeId, limit: usize) -> Vec<u64> {
         let mut out = Vec::new();
         if limit > 0 {
@@ -342,7 +446,8 @@ impl BddManager {
     /// reached (callers short-circuit). Every non-`FALSE` node has at
     /// least one path to `TRUE` (hash-consing collapses dead
     /// branches), so each visit is charged to an emitted element and
-    /// total work stays O(output · nvars).
+    /// total work stays O(output · nvars). Called only while
+    /// `out.len() < limit`.
     fn enumerate_bounded(
         &self,
         node: NodeId,
@@ -354,9 +459,17 @@ impl BddManager {
         if node == FALSE {
             return false;
         }
-        if level == self.nvars {
-            debug_assert_eq!(node, TRUE);
-            out.push(prefix);
+        if node == TRUE {
+            // Every assignment of the `width` remaining variables: the
+            // 2^width consecutive ids under `prefix`, as far as `limit`.
+            // At width 64 the prefix is empty and the run starts at 0;
+            // `span` (the run's last offset) keeps 2^64 − 1 in a u64.
+            let width = self.nvars - level;
+            let (first, span) =
+                if width == 64 { (0, u64::MAX) } else { (prefix << width, (1u64 << width) - 1) };
+            let room = (limit - out.len()) as u64;
+            let last = first + span.min(room - 1);
+            out.extend(first..=last);
             return out.len() >= limit;
         }
         let var = self.var(node);
@@ -445,8 +558,10 @@ impl BddManager {
         seen.len()
     }
 
-    /// Bytes used by the node store (16 B per node: packed var/lo/hi plus
-    /// the unique-table slot).
+    /// Modeled bytes of the node store: a fixed 16 B per node (12 B of
+    /// packed var/lo/hi plus 4 B for its hash-cons entry). This is the
+    /// figure the E7 accounting and the benchmark's `robdd.mib` read, not
+    /// the allocation of the node store, the unique table or the memo.
     pub fn bytes(&self) -> usize {
         self.nodes.len() * 16
     }
@@ -737,7 +852,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
 
     fn naive(vals: &[u64]) -> BTreeSet<u64> {
         vals.iter().copied().collect()
@@ -851,6 +966,58 @@ mod proptests {
         }
 
         #[test]
+        fn elements_up_to_emits_runs_exactly(
+            nvars in 8u32..65,
+            parts in proptest::collection::vec((0u8..3, 0u64..u64::MAX, 0u64..u64::MAX), 0..10),
+            cut in 0u64..1000
+        ) {
+            // Unions of singletons, short ranges and aligned power-of-two
+            // runs: `elements_up_to(s, k)` is the oracle's first `k`
+            // elements, with `k` anywhere in the set, mostly mid-run.
+            let mask = if nvars == 64 { u64::MAX } else { (1u64 << nvars) - 1 };
+            let mut m = BddManager::new(nvars);
+            let mut s = FALSE;
+            let mut spans: Vec<(u64, u64)> = Vec::new();
+            for (kind, v, w) in parts {
+                let v = v & mask;
+                let (lo, hi) = match kind {
+                    0 => (v, v),
+                    1 => (v, v.saturating_add(w % 300).min(mask)),
+                    _ => {
+                        let bits = (w % u64::from(nvars + 1)) as u32;
+                        let low = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+                        (v & !low, (v & !low) | low)
+                    }
+                };
+                let r = m.range(lo, hi);
+                s = m.union(s, r);
+                spans.push((lo, hi));
+            }
+            // The oracle: the spans merged into disjoint ascending runs.
+            spans.sort_unstable();
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            for (lo, hi) in spans {
+                match runs.last_mut() {
+                    Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+                    _ => runs.push((lo, hi)),
+                }
+            }
+            let first = |k: usize| -> Vec<u64> {
+                runs.iter().flat_map(|&(lo, hi)| lo..=hi).take(k).collect()
+            };
+            let total = first(4096).len() as u64;
+            let k = (cut * (total + 2) / 1000) as usize;
+            prop_assert_eq!(m.elements_up_to(s, k), first(k));
+            let all = m.range(0, mask);
+            prop_assert_eq!(all, TRUE);
+            let want: Vec<u64> = (0..=mask).take(k).collect();
+            prop_assert_eq!(m.elements_up_to(all, k), want);
+            // `TRUE` over 64 variables: one run of 2^64 ids, cut at `k`.
+            let want: Vec<u64> = (0..k as u64).collect();
+            prop_assert_eq!(BddManager::new(64).elements_up_to(TRUE, k), want);
+        }
+
+        #[test]
         fn live_nodes_match_reachable_from_retained(
             ops in proptest::collection::vec((0u8..5, 0u64..1024, 0u64..1024), 0..120)
         ) {
@@ -886,6 +1053,68 @@ mod proptests {
                 m.release(s);
             }
             prop_assert_eq!(m.live_nodes(), 0);
+        }
+    }
+
+    proptest! {
+        // Each case runs ~1,000 operations with whole-store checks.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn store_stays_reduced_and_canonical(
+            ops in proptest::collection::vec((0u8..6, 0u64..1 << 16, 0u64..1 << 16), 900..1000)
+        ) {
+            // Random set building in a primary manager, with arena sets
+            // absorbed from a second one, through several unique-table
+            // growths. After every operation: the new set equals its
+            // oracle, no two nodes share `(var, lo, hi)`, every node is
+            // reduced and ordered, and the unique table finds every node.
+            let mut m = BddManager::new(16);
+            let mut arena = BddManager::new(16);
+            let mut sets: Vec<(NodeId, BTreeSet<u64>)> = vec![(FALSE, BTreeSet::new())];
+            let mut arena_sets: Vec<(NodeId, BTreeSet<u64>)> = vec![(FALSE, BTreeSet::new())];
+            let mut seen: HashMap<Node, NodeId> = HashMap::new();
+            for (op, a, b) in ops {
+                let (some, some_set) = sets[a as usize % sets.len()].clone();
+                let (other, other_set) = sets[b as usize % sets.len()].clone();
+                let made = match op {
+                    0 => {
+                        let mut want = some_set;
+                        want.insert(b);
+                        (m.insert(some, b), want)
+                    }
+                    1 => {
+                        let hi = (a + b % 512).min(u16::MAX.into());
+                        (m.range(a, hi), (a..=hi).collect())
+                    }
+                    2 => (m.union(some, other), &some_set | &other_set),
+                    3 => (m.intersect(some, other), &some_set & &other_set),
+                    4 => (m.difference(some, other), &some_set - &other_set),
+                    _ => {
+                        let (base, base_set) = arena_sets[a as usize % arena_sets.len()].clone();
+                        let hi = (b + a % 64).min(u16::MAX.into());
+                        let r = arena.range(b, hi);
+                        let u = arena.union(base, r);
+                        let want: BTreeSet<u64> = &base_set | &(b..=hi).collect();
+                        prop_assert_eq!(arena.elements(u), want.iter().copied().collect::<Vec<_>>());
+                        arena_sets.push((u, want.clone()));
+                        (m.absorb(&arena, &[u])[0], want)
+                    }
+                };
+                prop_assert_eq!(m.elements(made.0), made.1.iter().copied().collect::<Vec<_>>());
+                sets.push(made);
+                for (id, &n) in m.nodes.iter().enumerate().skip(seen.len() + 2) {
+                    prop_assert!(n.lo != n.hi, "node {} is redundant", id);
+                    prop_assert!(n.var < m.var(n.lo) && n.var < m.var(n.hi), "node {} out of order", id);
+                    prop_assert_eq!(seen.insert(n, id as NodeId), None, "duplicate node {}", id);
+                }
+                for id in 2..m.node_count() {
+                    let n = m.nodes[id];
+                    prop_assert_eq!(m.mk(n.var, n.lo, n.hi), id as NodeId, "table lost node {}", id);
+                }
+                prop_assert!(2 * (m.node_count() - 2) <= m.unique.len());
+            }
+            prop_assert!(m.node_count() >= 5_000, "only {} nodes", m.node_count());
         }
     }
 }

@@ -28,7 +28,7 @@ use dift_obs::{Metric, NoopRecorder, Recorder};
 use dift_taint::{AlertKind, PcTaint, TaintAlert, TaintEngine, TaintPolicy};
 use dift_vm::{Machine, RunResult, StepEffects, ThreadId};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-value input sets captured at sink sites, plus the channel map
 /// that resolves input indices to channels. [`SinkObserver`] fills one
@@ -48,11 +48,26 @@ pub struct SinkLog {
     pub input_channels: Vec<u16>,
 }
 
+/// Distinct channels [`SinkLog::channels_of`] gathers by linear search
+/// before it falls back to sorting the whole lineage's channels.
+const FEW_CHANNELS: usize = 16;
+
 impl SinkLog {
-    /// Distinct channels behind a lineage set, sorted.
+    /// Distinct channels behind a lineage set, sorted. A lineage draws
+    /// on few channels, so they are gathered first and only those are
+    /// sorted; past `FEW_CHANNELS` the rest are appended and all sorted.
     pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
-        let mut chs: Vec<u16> =
-            lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()).collect();
+        let mut all = lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied());
+        let mut chs: Vec<u16> = Vec::new();
+        while let Some(ch) = all.next() {
+            if !chs.contains(&ch) {
+                chs.push(ch);
+                if chs.len() > FEW_CHANNELS {
+                    chs.extend(all);
+                    break;
+                }
+            }
+        }
         chs.sort_unstable();
         chs.dedup();
         chs
@@ -171,6 +186,13 @@ pub fn combine_events(
     alerts: &[TaintAlert<PcTaint>],
     output_labels: &[(u16, u64, PcTaint)],
 ) -> Vec<SinkEvent> {
+    // Each `(channel, index)` is emitted once; the first label wins, as
+    // a scan would find it.
+    let mut output_pc: HashMap<(u16, u64), Option<Addr>> =
+        HashMap::with_capacity(output_labels.len());
+    for (ch, idx, label) in output_labels {
+        output_pc.entry((*ch, *idx)).or_insert_with(|| label.pc());
+    }
     let mut events = Vec::new();
     for a in alerts {
         let sink = match a.kind {
@@ -206,8 +228,7 @@ pub fn combine_events(
     }
     for (step, tid, at, ch, idx, lineage) in &obs.outputs {
         let channels = obs.channels_of(lineage);
-        let root_cause_pc =
-            output_labels.iter().find(|(c, i, _)| c == ch && i == idx).and_then(|(_, _, l)| l.pc());
+        let root_cause_pc = output_pc.get(&(*ch, *idx)).copied().flatten();
         events.push(SinkEvent {
             step: *step,
             tid: *tid,
@@ -543,6 +564,31 @@ mod tests {
         let events = combine_events(observer.observations(), &taint.alerts, &taint.output_labels);
         let offline = apply_policy(&mixed_policy(), events);
         assert_eq!(offline.canonical_json(), online_json);
+    }
+
+    #[test]
+    fn channels_of_is_the_sorted_distinct_channels() {
+        // 40 inputs over 20 channels: a lineage drawing on more than
+        // FEW_CHANNELS of them takes the sort-everything fallback.
+        let log = SinkLog {
+            input_channels: (0..40u16).map(|i| (i * 7) % 20).collect(),
+            ..SinkLog::default()
+        };
+        let oracle = |lineage: &[u64]| {
+            let mut chs: Vec<u16> = lineage
+                .iter()
+                .filter_map(|&i| log.input_channels.get(i as usize).copied())
+                .collect();
+            chs.sort_unstable();
+            chs.dedup();
+            chs
+        };
+        let lineages: [Vec<u64>; 5] =
+            [vec![], vec![3], vec![0, 1, 2, 20, 21, 99], (0..17).collect(), (0..45).collect()];
+        for lineage in &lineages {
+            assert_eq!(log.channels_of(lineage), oracle(lineage), "{lineage:?}");
+        }
+        assert_eq!(log.channels_of(&lineages[4]).len(), 20);
     }
 
     #[test]
