@@ -311,6 +311,42 @@ mod tests {
     }
 
     #[test]
+    fn output_lineage_resolves_interleaved_channels() {
+        // Emit k carries input k alone, on a channel that changes from
+        // emit to emit, so the entry at position `index` often belongs
+        // to another channel.
+        let chans: [u16; 10] = [0, 1, 1, 0, 2, 0, 1, 2, 2, 0];
+        let mut b = dift_isa::ProgramBuilder::new();
+        b.func("main");
+        for &ch in &chans {
+            b.input(Reg(1), 5);
+            b.output(Reg(1), ch);
+        }
+        b.halt();
+        let w = Workload::new("interleaved", std::sync::Arc::new(b.build().unwrap()))
+            .with_input(5, (0..chans.len() as u64).collect());
+        let mut eng = LineageEngine::new(BddBackend::new(16));
+        let r = Engine::new(w.machine()).run_tool(&mut eng);
+        assert!(r.status.is_clean(), "{:?}", r.status);
+        assert_eq!(eng.outputs.len(), chans.len());
+        let mut elsewhere = 0;
+        for (k, (ch, idx, elems)) in eng.outputs.iter().enumerate() {
+            assert_eq!((*ch, elems.as_slice()), (chans[k], &[k as u64][..]));
+            let scan = eng.outputs.iter().find(|o| o.0 == *ch && o.1 == *idx);
+            assert_eq!(
+                eng.output_lineage(*ch, *idx),
+                scan.map(|o| o.2.as_slice()),
+                "({ch}, {idx})"
+            );
+            elsewhere += usize::from(eng.outputs[*idx as usize].0 != *ch);
+        }
+        assert!(elsewhere > 0, "no query took the scan");
+        for (ch, idx) in [(0, 4), (1, 3), (2, 3), (3, 0), (0, u64::MAX)] {
+            assert_eq!(eng.output_lineage(ch, idx), None, "({ch}, {idx})");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "id 16 does not fit the 4-bit id width")]
     fn input_ids_past_the_id_width_stop_the_run() {
         // Regression: the width check was a debug assertion, so release

@@ -558,10 +558,10 @@ impl BddManager {
         seen.len()
     }
 
-    /// Modeled bytes of the node store: a fixed 16 B per node (12 B of
-    /// packed var/lo/hi plus 4 B for its hash-cons entry). This is the
-    /// figure the E7 accounting and the benchmark's `robdd.mib` read, not
-    /// the allocation of the node store, the unique table or the memo.
+    /// Modeled bytes of the node store: a fixed 16 B per node, the figure
+    /// the E7 accounting and the benchmark's `robdd.mib` read. It does
+    /// not count the allocations of the node store, the unique table
+    /// (2–4 slots of 4 B per node) or the apply memo.
     pub fn bytes(&self) -> usize {
         self.nodes.len() * 16
     }

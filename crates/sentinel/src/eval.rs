@@ -48,24 +48,15 @@ pub struct SinkLog {
     pub input_channels: Vec<u16>,
 }
 
-/// Distinct channels [`SinkLog::channels_of`] gathers by linear search
-/// before it falls back to sorting the whole lineage's channels.
-const FEW_CHANNELS: usize = 16;
-
 impl SinkLog {
-    /// Distinct channels behind a lineage set, sorted. A lineage draws
-    /// on few channels, so they are gathered first and only those are
-    /// sorted; past `FEW_CHANNELS` the rest are appended and all sorted.
+    /// Distinct channels behind a lineage set, sorted. Consecutive input
+    /// indices mostly come from one channel, so each run of equal
+    /// channels is kept once and only the run heads are sorted.
     pub fn channels_of(&self, lineage: &[u64]) -> Vec<u16> {
-        let mut all = lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied());
         let mut chs: Vec<u16> = Vec::new();
-        while let Some(ch) = all.next() {
-            if !chs.contains(&ch) {
+        for ch in lineage.iter().filter_map(|&i| self.input_channels.get(i as usize).copied()) {
+            if chs.last() != Some(&ch) {
                 chs.push(ch);
-                if chs.len() > FEW_CHANNELS {
-                    chs.extend(all);
-                    break;
-                }
             }
         }
         chs.sort_unstable();
@@ -568,27 +559,29 @@ mod tests {
 
     #[test]
     fn channels_of_is_the_sorted_distinct_channels() {
-        // 40 inputs over 20 channels: a lineage drawing on more than
-        // FEW_CHANNELS of them takes the sort-everything fallback.
-        let log = SinkLog {
-            input_channels: (0..40u16).map(|i| (i * 7) % 20).collect(),
-            ..SinkLog::default()
-        };
-        let oracle = |lineage: &[u64]| {
-            let mut chs: Vec<u16> = lineage
-                .iter()
-                .filter_map(|&i| log.input_channels.get(i as usize).copied())
-                .collect();
-            chs.sort_unstable();
-            chs.dedup();
-            chs
-        };
+        // 40 inputs over 20 channels, the channel changing at every input
+        // or every third one; the lineages come back to a channel after
+        // others and reach past the last input.
         let lineages: [Vec<u64>; 5] =
             [vec![], vec![3], vec![0, 1, 2, 20, 21, 99], (0..17).collect(), (0..45).collect()];
-        for lineage in &lineages {
-            assert_eq!(log.channels_of(lineage), oracle(lineage), "{lineage:?}");
+        for run in [1u16, 3] {
+            let log = SinkLog {
+                input_channels: (0..40u16).map(|i| (i / run * 7) % 20).collect(),
+                ..SinkLog::default()
+            };
+            let oracle = |lineage: &[u64]| {
+                let mut chs: Vec<u16> = lineage
+                    .iter()
+                    .filter_map(|&i| log.input_channels.get(i as usize).copied())
+                    .collect();
+                chs.sort_unstable();
+                chs.dedup();
+                chs
+            };
+            for lineage in &lineages {
+                assert_eq!(log.channels_of(lineage), oracle(lineage), "run {run}: {lineage:?}");
+            }
         }
-        assert_eq!(log.channels_of(&lineages[4]).len(), 20);
     }
 
     #[test]
